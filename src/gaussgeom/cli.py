@@ -23,7 +23,6 @@ Column units: purities are dimensionless in (0, 1]; the seralian Delta and
 the energy E = tr(Sigma)/2 are in vacuum units ([q, p] = 2i, vacuum CM = 1);
 E_N is a base-2 logarithm, the steerability G a natural logarithm.
 Covariance matrix files: first line N, then 2N rows of 2N numbers.
-GAUSS_THREADS caps the evaluation workers (default 1).
 """
 
 
@@ -52,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="purity grid size per energy curve (default %(default)s)")
     p_sc.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default %(default)s)")
     p_sc.add_argument("--out", default="-", help="output CSV path, '-' for stdout (default)")
-    p_sc.add_argument("--tol", type=float, default=1e-9,
-                      help="quadrature tolerance for the seralian averages (default %(default)g)")
     p_sc.add_argument("--evals", type=int, default=80_000,
                       help="Monte Carlo sample size per energy-curve point (default %(default)s)")
     return parser
@@ -111,7 +108,7 @@ def _parse_energies(spec: str) -> list[float]:
 def _scan_rows(args):
     if args.kind == "purity-plane":
         header = ["mu_a", "mu_b", "class", "prop_entangled", "mean_EN"]
-        cells = typicality.scan_purity_plane(args.mu, args.grid, quad_tol=args.tol)
+        cells = typicality.scan_purity_plane(args.mu, args.grid)
         rows = [
             [_fmt(c.mu_a), _fmt(c.mu_b), c.region.value, _fmt(c.prop_entangled), _fmt(c.mean_logneg)]
             for c in cells
@@ -119,7 +116,7 @@ def _scan_rows(args):
         return header, rows
     if args.kind == "purity-cut":
         header = ["mu_ab", "prop_entangled", "mean_EN"]
-        points = typicality.purity_cut(args.mu, args.grid, quad_tol=args.tol)
+        points = typicality.purity_cut(args.mu, args.grid)
         rows = [[_fmt(p.mu_ab), _fmt(p.prop_entangled), _fmt(p.mean_logneg)] for p in points]
         return header, rows
     if args.kind == "energy-curves":
@@ -156,7 +153,7 @@ def _scan_rows(args):
     header = ["E", "prop_ent", "mean_EN", "prop_steer", "mean_G"]
     rows = []
     for e in _parse_energies(args.E):
-        ep = typicality.pure_state_endpoint(e, quad_tol=args.tol)
+        ep = typicality.pure_state_endpoint(e)
         rows.append([_fmt(v) for v in (e, ep.prop_entangled, ep.mean_logneg,
                                        ep.prop_steerable, ep.mean_steering)])
     return header, rows

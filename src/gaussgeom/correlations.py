@@ -2,7 +2,9 @@
 
 Everything here works on the local-symplectic invariants (mu, mu_A, mu_B,
 Delta); matrix-level operations are limited to the partial transpose, which
-serves as the independent oracle for the invariant formulas.
+serves as the independent oracle for the invariant formulas.  The allowed
+seralian interval at fixed purities and the averages of E_N over it are
+closed form.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "delta_threshold",
     "delta_bounds",
     "delta_bounds_batch",
+    "logneg_average",
     "classify_region",
 ]
 
@@ -60,6 +63,17 @@ class RegionClass(Enum):
     COEXISTENCE = "Coexistence"
     ALL_ENTANGLED = "AllEntangled"
 
+    @classmethod
+    def of_proportion(cls, prop: float) -> "RegionClass":
+        """Class of a point from its entangled proportion (NaN: no physical states)."""
+        if np.isnan(prop):
+            return cls.UNPHYSICAL
+        if prop >= 1.0:
+            return cls.ALL_ENTANGLED
+        if prop <= 0.0:
+            return cls.ALL_SEPARABLE
+        return cls.COEXISTENCE
+
 
 def partial_transpose(sigma) -> np.ndarray:
     """Partial transpose of a two-mode covariance matrix.
@@ -74,21 +88,16 @@ def partial_transpose(sigma) -> np.ndarray:
     return _PT @ sigma @ _PT
 
 
-def ppt_spectrum(coords: InvariantCoords, linear_delta_tilde: bool = False) -> PptSpectrum:
+def ppt_spectrum(coords: InvariantCoords) -> PptSpectrum:
     """Symplectic spectrum of the partially transposed state from invariants.
 
     Uses Delta~ = 2/mu_A^2 + 2/mu_B^2 - Delta, the seralian of the partially
-    transposed standard form (a, b, c+, -c-).  The dimensionally inconsistent
-    variant with first powers of the marginal purities is kept behind
-    ``linear_delta_tilde`` for comparison only; it fails the matrix-level
-    oracle.  For physical coordinates the discriminant Delta~^2 - 4/mu^2 is
-    nonnegative; a clearly negative value raises DomainError.
+    transposed standard form (a, b, c+, -c-).  For physical coordinates the
+    discriminant Delta~^2 - 4/mu^2 is nonnegative; a clearly negative value
+    raises DomainError.
     """
     mu = coords.mu
-    if linear_delta_tilde:
-        d_tilde = 2.0 / coords.mu_a + 2.0 / coords.mu_b - coords.delta
-    else:
-        d_tilde = 2.0 / coords.mu_a**2 + 2.0 / coords.mu_b**2 - coords.delta
+    d_tilde = 2.0 / coords.mu_a**2 + 2.0 / coords.mu_b**2 - coords.delta
     disc = d_tilde * d_tilde - 4.0 / mu**2
     scale = max(1.0, d_tilde * d_tilde)
     if disc < -1e-9 * scale:
@@ -134,33 +143,7 @@ def delta_threshold(mu: float, mu_a: float, mu_b: float) -> float:
     return 2.0 / mu_a**2 + 2.0 / mu_b**2 - 1.0 - 1.0 / mu**2
 
 
-def _feasible(mu, mu_a, mu_b, delta, eps: float = 1e-15):
-    """Vectorized test that (mu, mu_a, mu_b, delta) admits a physical state.
-
-    Conditions: delta within the spectrum window [2/mu, 1 + 1/mu^2], real
-    solutions for (c+, c-), and a positive definite reconstruction
-    (c+^2 <= ab).  All evaluated in closed form, each with a float-rounding
-    slack proportional to its own magnitude (a global scale would swamp the
-    narrow seralian window near mu = 1).
-    """
-    a = 1.0 / np.asarray(mu_a, dtype=float)
-    b = 1.0 / np.asarray(mu_b, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    ab = a * b
-    inv_mu2 = 1.0 / mu**2
-    eps_d = eps * (1.0 + np.abs(delta))
-    ok = (delta >= 2.0 / mu - eps_d) & (delta <= 1.0 + inv_mu2 + eps_d)
-    p = 0.5 * (delta - a * a - b * b)
-    t = (ab * ab + p * p - inv_mu2) / ab
-    ok &= t >= -eps * (ab * ab + p * p + inv_mu2) / ab
-    disc = t * t - 4.0 * p * p
-    ok &= disc >= -eps * (t * t + 4.0 * p * p)
-    x_plus = 0.5 * (np.maximum(t, 0.0) + np.sqrt(np.maximum(disc, 0.0)))
-    ok &= x_plus <= ab + eps * (ab + t)
-    return ok
-
-
-def delta_bounds_batch(mu: float, mu_a, mu_b, tol: float = 1e-10):
+def delta_bounds_batch(mu: float, mu_a, mu_b):
     """Vectorized seralian bounds; see :func:`delta_bounds`.
 
     Returns ``(delta_min, delta_max, valid)`` arrays; entries where ``valid``
@@ -169,61 +152,72 @@ def delta_bounds_batch(mu: float, mu_a, mu_b, tol: float = 1e-10):
     if not 0.0 < mu <= 1.0 + 1e-9:
         raise DomainError(f"mu = {mu} must lie in (0, 1]")
     mu = min(mu, 1.0)
-    mu_a = np.atleast_1d(np.asarray(mu_a, dtype=float))
-    mu_b = np.atleast_1d(np.asarray(mu_b, dtype=float))
-    lo0 = 2.0 / mu
-    hi0 = 1.0 + 1.0 / mu**2
-    a, b = 1.0 / mu_a, 1.0 / mu_b
-    # The feasible set is an interval containing the clamp of a^2 + b^2
-    # (the center of the c-realness window) whenever it is non-empty.
-    seed = np.clip(a * a + b * b, lo0, hi0)
-    valid = _feasible(mu, mu_a, mu_b, seed)
-
-    # Near mu = 1 the whole window (1 - 1/mu)^2 can undercut the requested
-    # tolerance; resolve it to 1e-6 relative in that regime.
-    tol = min(tol, max((hi0 - lo0) * 1e-6, 1e-15))
-    n_iter = max(1, int(np.ceil(np.log2(max(hi0 - lo0, tol) / tol))))
-    lo_out = np.full(seed.shape, lo0)
-    hi_in = seed.copy()
-    for _ in range(n_iter):
-        mid = 0.5 * (lo_out + hi_in)
-        feas = _feasible(mu, mu_a, mu_b, mid)
-        hi_in = np.where(feas, mid, hi_in)
-        lo_out = np.where(feas, lo_out, mid)
-    d_min = hi_in
-
-    lo_in = seed.copy()
-    hi_out = np.full(seed.shape, hi0)
-    for _ in range(n_iter):
-        mid = 0.5 * (lo_in + hi_out)
-        feas = _feasible(mu, mu_a, mu_b, mid)
-        lo_in = np.where(feas, mid, lo_in)
-        hi_out = np.where(feas, hi_out, mid)
-    d_max = lo_in
-
-    d_min = np.where(valid, d_min, np.nan)
-    d_max = np.where(valid, d_max, np.nan)
-    return d_min, d_max, valid
+    a = 1.0 / np.atleast_1d(np.asarray(mu_a, dtype=float))
+    b = 1.0 / np.atleast_1d(np.asarray(mu_b, dtype=float))
+    d_min = 2.0 / mu + (a - b) ** 2
+    d_max = np.minimum((a + b) ** 2 - 2.0 / mu, 1.0 + 1.0 / mu**2)
+    valid = d_min <= d_max
+    return np.where(valid, d_min, np.nan), np.where(valid, d_max, np.nan), valid
 
 
-def delta_bounds(
-    mu: float, mu_a: float, mu_b: float, tol: float = 1e-10
-) -> tuple[float, float] | None:
+def delta_bounds(mu: float, mu_a: float, mu_b: float) -> tuple[float, float] | None:
     """Range of the seralian allowed by the physicality condition.
 
     Returns the closed interval (Delta_min, Delta_max) of seralian values for
-    which a physical state with the given purities exists, located by
-    bisection on the closed-form feasibility conditions, or None when no
+    which a physical state with the given purities exists, or None when no
     physical state exists (for instance when the marginal purities exceed
-    sqrt(mu) on the symmetric cut).
+    sqrt(mu) on the symmetric cut).  With a = 1/mu_A and b = 1/mu_B the
+    interval is closed form: Delta_min = 2/mu + (a - b)^2 and
+    Delta_max = min((a + b)^2 - 2/mu, 1 + 1/mu^2).
     """
     for name, val in (("mu_a", mu_a), ("mu_b", mu_b)):
         if not 0.0 < val <= 1.0 + 1e-9:
             raise DomainError(f"{name} = {val} must lie in (0, 1]")
-    d_min, d_max, valid = delta_bounds_batch(mu, mu_a, mu_b, tol=tol)
+    d_min, d_max, valid = delta_bounds_batch(mu, mu_a, mu_b)
     if not bool(valid[0]):
         return None
     return float(d_min[0]), float(d_max[0])
+
+
+def logneg_average(mu: float, mu_a, mu_b, d_min, d_max):
+    """Entangled proportion and mean E_N of a uniform seralian on [d_min, d_max].
+
+    Vectorized over the marginal purities and interval ends; returns
+    ``(prop_entangled, mean_logneg)`` arrays (NaN where the bounds are NaN).
+    A zero-width interval gives the values at its single point.
+
+    With x = 2/mu_A^2 + 2/mu_B^2 - Delta, c = 2/mu and u = x/c, the
+    logarithmic negativity below the threshold is
+    (arccosh(u) + ln mu) / (2 ln 2), and the integral over the entangled part
+    follows from the antiderivative u arccosh(u) - sqrt(u^2 - 1).  The
+    difference of that antiderivative between the ends is formed without
+    cancellation (through log1p and a difference of squares), so the
+    narrow intervals near mu = 1 keep full accuracy.
+    """
+    width = d_max - d_min
+    point = width == 0.0
+    span = np.where(point, 1.0, width)  # divisor; a point has no width to divide by
+    thr = delta_threshold(mu, mu_a, mu_b)
+    ent_len = np.clip(np.minimum(d_max, thr) - d_min, 0.0, width)
+    prop = np.where(point, np.where(d_min < thr, 1.0, 0.0), ent_len / span)
+
+    c = 2.0 / mu
+    # t = u - 1 and s = sqrt(u^2 - 1) at both ends of the entangled part
+    # [d_min, d_min + ent_len], along which u falls by dt.
+    t1 = np.maximum((2.0 / mu_a**2 + 2.0 / mu_b**2 - c - d_min) / c, 0.0)
+    dt = ent_len / c
+    t2 = np.maximum(t1 - dt, 0.0)
+    s1, s2 = np.sqrt(t1 * (2.0 + t1)), np.sqrt(t2 * (2.0 + t2))
+    # s1 - s2 and arccosh(u1) - arccosh(u2); s1 + s2 vanishes only with dt.
+    ds = dt * (2.0 + t1 + t2) / np.maximum(s1 + s2, np.finfo(float).tiny)
+    dphi = np.log1p((dt + ds) / (1.0 + t2 + s2))
+    # Integral of arccosh(u1) - arccosh(u) over [u2, u1]; nonnegative.
+    gap = ds - (1.0 + t2) * dphi
+    mean = prop * (np.log1p(t1 + s1) + np.log(mu)) - c * gap / span
+    # Exactly zero without entangled states (NaN stays NaN); the clamp only
+    # absorbs rounding at the threshold.
+    mean = np.where(prop > 0.0, np.maximum(mean, 0.0), 0.0 * prop)
+    return prop, mean / (2.0 * _LN2)
 
 
 def classify_region(mu: float, mu_a: float, mu_b: float) -> tuple[RegionClass, float]:
@@ -235,17 +229,5 @@ def classify_region(mu: float, mu_a: float, mu_b: float) -> tuple[RegionClass, f
     Coexistence.
     """
     bounds = delta_bounds(mu, mu_a, mu_b)
-    if bounds is None:
-        return RegionClass.UNPHYSICAL, float("nan")
-    d_min, d_max = bounds
-    thr = delta_threshold(mu, mu_a, mu_b)
-    width = d_max - d_min
-    if width <= 1e-12:
-        prop = 1.0 if d_min < thr else 0.0
-    else:
-        prop = float(np.clip((min(d_max, thr) - d_min) / width, 0.0, 1.0))
-    if prop >= 1.0:
-        return RegionClass.ALL_ENTANGLED, 1.0
-    if prop <= 0.0:
-        return RegionClass.ALL_SEPARABLE, 0.0
-    return RegionClass.COEXISTENCE, prop
+    prop = float("nan") if bounds is None else float(logneg_average(mu, mu_a, mu_b, *bounds)[0])
+    return RegionClass.of_proportion(prop), prop

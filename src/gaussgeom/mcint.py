@@ -8,15 +8,11 @@ inverse-variance weighting and their mutual consistency is reported as a
 chi^2 per degree of freedom.  A plain uniform-sampling integrator is
 provided as a cross-check.
 
-All routines are deterministic for a fixed seed.  Integrand evaluation is
-chunked with a fixed chunk size, so results do not depend on the worker
-count taken from the GAUSS_THREADS environment variable.
+All routines are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +27,6 @@ __all__ = [
 ]
 
 MAX_DIM = 4
-_CHUNK = 8192
 _NONFINITE_LIMIT = 1e-3
 
 
@@ -47,33 +42,6 @@ class McEstimate:
     std_error: float
     chi2_per_dof: float
     n_evals: int
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("GAUSS_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def _eval_chunked(f, x: np.ndarray, workers: int) -> np.ndarray:
-    """Evaluate a vectorized integrand in fixed-size chunks.
-
-    Chunk boundaries are independent of the worker count, so the
-    concatenated result is bit-identical however many threads run.
-    """
-    chunks = [x[i : i + _CHUNK] for i in range(0, len(x), _CHUNK)]
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [np.asarray(f(c), dtype=float) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [np.asarray(p, dtype=float) for p in pool.map(f, chunks)]
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +183,6 @@ def vegas_integrate(
     damping: float = 1.5,
     seed: int = 0,
     nbins: int = 50,
-    workers: int | None = None,
     return_grid: bool = False,
 ):
     """Adaptive importance-sampling estimate of the integral of f over a box.
@@ -236,7 +203,6 @@ def vegas_integrate(
     vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)
     grid = AdaptiveGrid.uniform(d, nbins=nbins, damping=damping)
-    nworkers = _worker_count(workers)
 
     estimates = []
     n_bad = 0
@@ -244,7 +210,7 @@ def vegas_integrate(
     for _ in range(iterations):
         u = rng.random((evals_per_iter, d))
         x01, jac, bin_idx = grid.map_points(u)
-        fv = _eval_chunked(f, lo + (hi - lo) * x01, nworkers)
+        fv = np.asarray(f(lo + (hi - lo) * x01), dtype=float)
         bad = ~np.isfinite(fv)
         n_bad += int(bad.sum())
         n_total += fv.size
@@ -281,9 +247,7 @@ def sample_from_grid(grid: AdaptiveGrid, bounds, n: int, seed: int):
     return lo + (hi - lo) * x01, jac * float(np.prod(hi - lo))
 
 
-def plain_integrate(
-    f, bounds, n: int = 10_000, seed: int = 0, workers: int | None = None
-) -> McEstimate:
+def plain_integrate(f, bounds, n: int = 10_000, seed: int = 0) -> McEstimate:
     """Uniform-sampling Monte Carlo estimate over a box, with standard error."""
     lo, hi = _check_bounds(bounds)
     if n < 2:
@@ -291,7 +255,7 @@ def plain_integrate(
     vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)
     x = lo + (hi - lo) * rng.random((n, lo.size))
-    fv = _eval_chunked(f, x, _worker_count(workers))
+    fv = np.asarray(f(x), dtype=float)
     bad = ~np.isfinite(fv)
     if bad.sum() > _NONFINITE_LIMIT * n:
         raise IntegrationError(f"{int(bad.sum())} non-finite integrand values in {n} evaluations")

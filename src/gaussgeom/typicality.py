@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import DomainError, InvariantCoords, StdForm
+from .core import DomainError, StdForm
 from .correlations import (
     RegionClass,
-    classify_region,
     delta_bounds,
     delta_bounds_batch,
-    delta_threshold,
-    log_negativity,
+    log_negativity,  # noqa: F401  (re-exported: callers import it from here)
+    logneg_average,
 )
 from .mcint import (
     AdaptiveGrid,
@@ -56,7 +55,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _LN2 = float(np.log(2.0))
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class McConfig:
     final_evals: int = 80_000
     damping: float = 1.5
     nbins: int = 50
-    workers: int | None = None
 
     def __post_init__(self):
         if self.method not in ("vegas", "plain"):
@@ -158,41 +155,37 @@ class PurityCutPoint:
 # Purity-constrained averages
 
 
-def mean_logneg_fixed_purities(
-    mu: float, mu_a: float, mu_b: float, quad_tol: float = 1e-10
-) -> float:
+def mean_logneg_fixed_purities(mu: float, mu_a: float, mu_b: float) -> float:
     """Average logarithmic negativity over states with the given purities.
 
     The local-group volumes cancel because E_N is a local invariant, leaving
-    the mean of E_N over the allowed seralian interval.  The integration
-    stops at the entanglement threshold, where E_N reaches zero; adaptive
-    quadrature with absolute tolerance ``quad_tol`` handles the rest.
+    the mean of E_N over the allowed seralian interval, which
+    :func:`~gaussgeom.correlations.logneg_average` evaluates in closed form.
     Raises DomainError when no physical states exist.
     """
     bounds = delta_bounds(mu, mu_a, mu_b)
     if bounds is None:
         raise DomainError(f"no physical states at (mu, mu_A, mu_B) = ({mu}, {mu_a}, {mu_b})")
-    d_min, d_max = bounds
-    width = d_max - d_min
-    if width <= 1e-12:
-        return log_negativity(InvariantCoords(mu, mu_a, mu_b, d_min))
-    d_end = min(d_max, delta_threshold(mu, mu_a, mu_b))
-    if d_end <= d_min:
-        return 0.0
-    value, _ = quad(
-        lambda d: log_negativity(InvariantCoords(mu, mu_a, mu_b, d)),
-        d_min,
-        d_end,
-        epsabs=quad_tol,
-        epsrel=quad_tol,
-        limit=500,
-    )
-    return value / width
+    return float(logneg_average(mu, mu_a, mu_b, *bounds)[1])
 
 
-def scan_purity_plane(
-    mu: float, grid_size: int, quad_tol: float = 1e-9
-) -> list[PurityPlaneCell]:
+def _fixed_purity_rows(mu: float, mu_a: np.ndarray, mu_b: np.ndarray):
+    """Region class, entangled proportion and mean E_N per point, in one batched pass.
+
+    Points without physical states carry None statistics.
+    """
+    d_min, d_max, _ = delta_bounds_batch(mu, mu_a, mu_b)
+    props, means = logneg_average(mu, mu_a, mu_b, d_min, d_max)
+    rows = []
+    for prop, mean in zip(props.tolist(), means.tolist()):
+        region = RegionClass.of_proportion(prop)
+        if region is RegionClass.UNPHYSICAL:
+            prop = mean = None
+        rows.append((region, prop, mean))
+    return rows
+
+
+def scan_purity_plane(mu: float, grid_size: int) -> list[PurityPlaneCell]:
     """Tabulate region class, entangled proportion and mean E_N on a purity grid.
 
     The grid covers (0, 1]^2 with values (i+1)/grid_size.  Cells without
@@ -201,32 +194,20 @@ def scan_purity_plane(
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
     values = [(i + 1) / grid_size for i in range(grid_size)]
-    cells = []
-    for mu_a in values:
-        for mu_b in values:
-            region, prop = classify_region(mu, mu_a, mu_b)
-            if region is RegionClass.UNPHYSICAL:
-                cells.append(PurityPlaneCell(mu_a, mu_b, region, None, None))
-                continue
-            mean_en = mean_logneg_fixed_purities(mu, mu_a, mu_b, quad_tol=quad_tol)
-            cells.append(PurityPlaneCell(mu_a, mu_b, region, prop, mean_en))
-    return cells
+    pairs = [(mu_a, mu_b) for mu_a in values for mu_b in values]
+    mu_a, mu_b = np.array(pairs).T
+    rows = _fixed_purity_rows(mu, mu_a, mu_b)
+    return [PurityPlaneCell(a, b, *row) for (a, b), row in zip(pairs, rows)]
 
 
-def purity_cut(mu: float, grid_size: int, quad_tol: float = 1e-9) -> list[PurityCutPoint]:
+def purity_cut(mu: float, grid_size: int) -> list[PurityCutPoint]:
     """Scan along the symmetric cut mu_A = mu_B at fixed global purity."""
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
-    points = []
-    for i in range(grid_size):
-        m = (i + 1) / grid_size
-        region, prop = classify_region(mu, m, m)
-        if region is RegionClass.UNPHYSICAL:
-            points.append(PurityCutPoint(m, region, None, None))
-            continue
-        mean_en = mean_logneg_fixed_purities(mu, m, m, quad_tol=quad_tol)
-        points.append(PurityCutPoint(m, region, prop, mean_en))
-    return points
+    values = [(i + 1) / grid_size for i in range(grid_size)]
+    m = np.array(values)
+    rows = _fixed_purity_rows(mu, m, m)
+    return [PurityCutPoint(v, *row) for v, row in zip(values, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +227,6 @@ def energy_weight(mu_a, mu_b, energy: float):
     excess = energy - 1.0 / mu_a - 1.0 / mu_b
     w = np.where(excess > 0.0, excess / (mu_a**2 * mu_b**2), 0.0)
     return float(w) if w.ndim == 0 else w
-
-
-def _logneg_inner_integral(mu, a, b, d_min, d_end):
-    """Vectorized Gauss-Legendre integral of E_N over [d_min, d_end] per point."""
-    half = 0.5 * np.maximum(d_end - d_min, 0.0)
-    mid = 0.5 * (d_end + d_min)
-    delta = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    d_tilde = (2.0 * a * a + 2.0 * b * b)[:, None] - delta
-    disc = np.maximum(d_tilde * d_tilde - 4.0 / mu**2, 0.0)
-    nu_plus_sq = 0.5 * (d_tilde + np.sqrt(disc))
-    en = np.maximum(0.5 * np.log2(mu * mu * nu_plus_sq), 0.0)
-    return half * (en @ _GL_WEIGHTS)
 
 
 def _geometry(mu: float, energy: float, pts: np.ndarray):
@@ -297,16 +266,12 @@ def _component_matrix(mu: float, energy: float, pts: np.ndarray) -> np.ndarray:
         return out
     mu_a, mu_b = mu_a[live], mu_b[live]
     w, d_min, length = w[live], d_min[live], length[live]
-    d_max = d_min + length
-    thr = delta_threshold(mu, mu_a, mu_b)
-    ent_len = np.clip(np.minimum(d_max, thr) - d_min, 0.0, length)
-    a, b = 1.0 / mu_a, 1.0 / mu_b
-    en_int = _logneg_inner_integral(mu, a, b, d_min, d_min + ent_len)
+    prop, mean_en = logneg_average(mu, mu_a, mu_b, d_min, d_min + length)
     steer = np.minimum(mu_a, mu_b) < mu
     g = np.maximum(np.log(mu / np.minimum(mu_a, mu_b)), 0.0)
     out[live, 0] = w * length
-    out[live, 1] = w * ent_len
-    out[live, 2] = w * en_int
+    out[live, 1] = w * length * prop
+    out[live, 2] = w * length * mean_en
     out[live, 3] = w * length * steer
     out[live, 4] = w * length * g
     return out
@@ -337,7 +302,6 @@ def _weighted_samples(mu: float, energy: float, mc: McConfig):
             damping=mc.damping,
             seed=adapt_seed,
             nbins=mc.nbins,
-            workers=mc.workers,
             return_grid=True,
         )
         chi2 = den_est.chi2_per_dof
@@ -371,12 +335,12 @@ def _ratio_estimate(num, den, chi2: float, n_evals: int) -> McEstimate:
 def energy_constrained_stats(mu: float, energy: float, mc: McConfig | None = None) -> EnergyStats:
     """Ensemble averages at fixed purity and energy with propagated errors.
 
-    The seralian integral is carried out per sample point (in closed form
-    for the proportions, by quadrature for E_N, trivially for the
-    seralian-independent steering quantities); the remaining integral over
-    the marginal purities is estimated by Monte Carlo.  All four statistics
-    are ratios against the same weighted volume, evaluated on one shared
-    sample so that their errors are consistently correlated.
+    The seralian integral is carried out per sample point in closed form
+    (trivially for the seralian-independent steering quantities); the
+    remaining integral over the marginal purities is estimated by Monte
+    Carlo.  All four statistics are ratios against the same weighted volume,
+    evaluated on one shared sample so that their errors are consistently
+    correlated.
     """
     mc = mc or McConfig()
     EnergyEnsemble(mu, energy, mc.seed)
@@ -420,7 +384,7 @@ def energy_constrained_ratio(
 # Pure-state endpoint
 
 
-def pure_state_endpoint(energy: float, quad_tol: float = 1e-10) -> PureEndpoint:
+def pure_state_endpoint(energy: float) -> PureEndpoint:
     """Statistics of Haar-random pure states at fixed energy.
 
     A pure two-mode state is a local symplectic acting on a two-mode
@@ -435,7 +399,7 @@ def pure_state_endpoint(energy: float, quad_tol: float = 1e-10) -> PureEndpoint:
     if energy <= 2.0 + 1e-12:
         return PureEndpoint(0.0, 0.0, 0.0, 0.0)
     hi = energy / 2.0
-    opts = dict(epsabs=quad_tol, epsrel=quad_tol, limit=500)
+    opts = dict(epsabs=1e-10, epsrel=1e-10, limit=500)
     den, _ = quad(lambda v: energy - 2.0 * v, 1.0, hi, **opts)
     num_en, _ = quad(lambda v: np.arccosh(v) / _LN2 * (energy - 2.0 * v), 1.0, hi, **opts)
     num_g, _ = quad(lambda v: np.log(v) * (energy - 2.0 * v), 1.0, hi, **opts)

@@ -60,19 +60,6 @@ def test_ppt_spectrum_examples():
     assert (ps.nu_tilde_minus, ps.nu_tilde_plus) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
-def test_linear_delta_tilde_fails_tmsv():
-    # The dimensionally inconsistent printed variant disagrees with the
-    # matrix-level oracle; the corrected form is the one that matches.
-    r = 0.35
-    coords, _ = invariants(two_mode_squeezed(r))
-    oracle = oracle_spectrum(partial_transpose(two_mode_squeezed(r)))
-    good = ppt_spectrum(coords)
-    assert good.nu_tilde_minus == pytest.approx(oracle[0], abs=1e-9)
-    assert good.nu_tilde_minus == pytest.approx(np.exp(-2 * r), abs=1e-9)
-    bad = ppt_spectrum(coords, linear_delta_tilde=True)
-    assert abs(bad.nu_tilde_minus - oracle[0]) > 1e-3
-
-
 def test_ppt_matches_matrix_oracle_on_random_states():
     rng = np.random.default_rng(32)
     for coords in random_feasible_coords_batch(rng, 500):

@@ -86,17 +86,6 @@ def test_deterministic_reruns():
     assert p1 == p2
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    f = lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2
-    kw = dict(bounds=[(0, 1), (0, 1)], iterations=3, evals_per_iter=20_000, seed=9)
-    e1 = vegas_integrate(f, workers=1, **kw)
-    e2 = vegas_integrate(f, workers=4, **kw)
-    assert e1 == e2
-    monkeypatch.setenv("GAUSS_THREADS", "3")
-    e3 = vegas_integrate(f, **kw)
-    assert e3 == e1
-
-
 def test_affine_reparametrization():
     c = 1.7
     f = lambda x: np.full(len(x), c)

@@ -68,6 +68,29 @@ def test_mean_logneg_matches_uniform_delta_mc():
     assert abs(quad_val - en.mean()) < 3 * se
 
 
+@pytest.mark.parametrize("mu", [0.99, 0.999, 0.9999])
+def test_mean_logneg_near_pure_matches_quadrature(mu):
+    # The seralian window (1 - 1/mu)^2 shrinks to 1e-8 at mu = 0.9999; a
+    # closed form that subtracts antiderivative values of order one loses
+    # the mean to cancellation there.  Physical diagonal points end at
+    # sqrt(mu).
+    from scipy.integrate import quad
+
+    for m in np.linspace(mu, np.sqrt(mu), 9)[1:-1]:
+        lo, hi = delta_bounds(mu, m, m)
+
+        def en(t):
+            # Raw PPT formula at Delta = lo + t (hi - lo).
+            d_tilde = 4.0 / m**2 - (lo + t * (hi - lo))
+            nu_plus_sq = 0.5 * (d_tilde + np.sqrt(max(d_tilde**2 - 4.0 / mu**2, 0.0)))
+            return max(0.5 * np.log2(mu * mu * nu_plus_sq), 0.0)
+
+        t_thr = (4.0 / m**2 - 1.0 - 1.0 / mu**2 - lo) / (hi - lo)
+        points = [t_thr] if 0.0 < t_thr < 1.0 else None
+        oracle, _ = quad(en, 0.0, 1.0, points=points, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(mean_logneg_fixed_purities(mu, m, m) - oracle) < 1e-9, f"mu_A = mu_B = {m}"
+
+
 def test_mean_logneg_degenerate_interval():
     # Pure states have a single seralian value; the mean is a point value.
     got = mean_logneg_fixed_purities(1.0, 0.8, 0.8)
@@ -307,7 +330,7 @@ def test_mean_logneg_is_a_pure_seralian_integral():
     import inspect
 
     params = set(inspect.signature(mean_logneg_fixed_purities).parameters)
-    assert params == {"mu", "mu_a", "mu_b", "quad_tol"}
+    assert params == {"mu", "mu_a", "mu_b"}
     a = mean_logneg_fixed_purities(0.5, 0.55, 0.55)
     b = mean_logneg_fixed_purities(0.5, 0.55, 0.55)
     assert a == b
