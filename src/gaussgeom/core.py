@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +70,14 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for i in range(n_modes):
-        omega[2 * i, 2 * i + 1] = 1.0
-        omega[2 * i + 1, 2 * i] = -1.0
+    return _omega(n_modes).copy()
+
+
+@lru_cache(maxsize=8)
+def _omega(n_modes: int) -> np.ndarray:
+    """Read-only symplectic form, built once per mode count."""
+    omega = np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+    omega.setflags(write=False)
     return omega
 
 
@@ -80,14 +85,18 @@ def validate_covmat(sigma, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     """Check shape and symmetry of a candidate covariance matrix.
 
     Returns the input as a float array.  Raises ValueError for non-square,
-    odd-dimensional or non-symmetric (relative to the largest entry) input.
+    odd-dimensional, non-finite or non-symmetric (relative to the largest
+    entry) input.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"covariance matrix must be square, got shape {sigma.shape}")
     if sigma.shape[0] % 2 != 0 or sigma.shape[0] == 0:
         raise ValueError(f"covariance matrix must be 2N x 2N, got {sigma.shape[0]} rows")
-    scale = max(float(np.abs(sigma).max()), 1.0)
+    largest = float(np.abs(sigma).max())  # NaN or inf with any non-finite entry
+    if not np.isfinite(largest):
+        raise ValueError("covariance matrix has non-finite entries")
+    scale = max(largest, 1.0)
     asym = float(np.abs(sigma - sigma.T).max())
     if asym > rtol * scale:
         raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
@@ -102,10 +111,13 @@ def symplectic_spectrum(sigma, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
     whose eigenvalues fail to pair up within ``pairing_tol`` is rejected.
     Exact for diagonal input, where nu_i = sqrt(d_{2i} * d_{2i+1}).
     """
-    sigma = validate_covmat(sigma)
-    n = sigma.shape[0] // 2
-    if not np.any(sigma - np.diag(np.diagonal(sigma))):
-        d = np.diagonal(sigma)
+    return _spectrum(validate_covmat(sigma), pairing_tol)
+
+
+def _spectrum(sigma: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
+    """:func:`symplectic_spectrum` of an already validated matrix."""
+    d = np.diagonal(sigma)
+    if np.count_nonzero(sigma) == np.count_nonzero(d):  # diagonal input
         prod = d[0::2] * d[1::2]
         if np.any(prod < 0.0):
             raise ValueError(
@@ -113,7 +125,7 @@ def symplectic_spectrum(sigma, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
                 "the matrix is too far from positive definite"
             )
         return np.sort(np.sqrt(prod))
-    eigs = np.linalg.eigvals(symplectic_form(n) @ sigma)
+    eigs = np.linalg.eigvals(_omega(sigma.shape[0] // 2) @ sigma)
     scale = max(1.0, float(np.abs(eigs).max()))
     if float(np.abs(eigs.real).max()) > pairing_tol * scale:
         raise ValueError(
@@ -136,12 +148,15 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     sigma = validate_covmat(sigma)
     if float(np.linalg.eigvalsh(sigma).min()) <= 0.0:
         return False
-    return float(symplectic_spectrum(sigma).min()) >= 1.0 - tol
+    return float(_spectrum(sigma).min()) >= 1.0 - tol
 
 
 def purity(sigma) -> float:
     """Global purity mu = 1/sqrt(det Sigma) = prod(1/nu_k)."""
-    sigma = validate_covmat(sigma)
+    return _purity(validate_covmat(sigma))
+
+
+def _purity(sigma: np.ndarray) -> float:
     det = float(np.linalg.det(sigma))
     if det <= 0.0:
         raise ValueError("determinant must be positive to define a purity")
@@ -210,13 +225,13 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
     which is needed when probing the boundary of the physical region.
     """
     sigma = _require_two_mode(sigma)
-    nu = symplectic_spectrum(sigma)
+    nu = _spectrum(sigma)
     det_a = float(np.linalg.det(sigma[:2, :2]))
     det_b = float(np.linalg.det(sigma[2:, 2:]))
     if det_a <= 0.0 or det_b <= 0.0:
         raise ValueError("diagonal blocks must have positive determinant")
     coords = InvariantCoords(
-        mu=purity(sigma),
+        mu=_purity(sigma),
         mu_a=1.0 / np.sqrt(det_a),
         mu_b=1.0 / np.sqrt(det_b),
         delta=float(np.sum(nu**2)),
@@ -227,7 +242,7 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
             NonPhysicalWarning,
             stacklevel=2,
         )
-    return coords, energy(sigma)
+    return coords, 0.5 * float(np.trace(sigma))
 
 
 def _solve_offdiag(ab: float, p: float, t: float) -> tuple[float, float]:

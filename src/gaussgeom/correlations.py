@@ -143,17 +143,28 @@ def delta_threshold(mu: float, mu_a: float, mu_b: float) -> float:
     return 2.0 / mu_a**2 + 2.0 / mu_b**2 - 1.0 - 1.0 / mu**2
 
 
+def _require_marginals(mu_a: np.ndarray, mu_b: np.ndarray) -> None:
+    """Raise DomainError unless every marginal purity lies in (0, 1]."""
+    for name, val in (("mu_a", mu_a), ("mu_b", mu_b)):
+        bad = ~((val > 0.0) & (val <= 1.0 + 1e-9))
+        if np.any(bad):
+            raise DomainError(f"{name} = {val[bad].flat[0]} must lie in (0, 1]")
+
+
 def delta_bounds_batch(mu: float, mu_a, mu_b):
     """Vectorized seralian bounds; see :func:`delta_bounds`.
 
     Returns ``(delta_min, delta_max, valid)`` arrays; entries where ``valid``
-    is False carry NaN bounds.
+    is False carry NaN bounds.  Raises DomainError when mu or any marginal
+    purity lies outside (0, 1].
     """
     if not 0.0 < mu <= 1.0 + 1e-9:
         raise DomainError(f"mu = {mu} must lie in (0, 1]")
     mu = min(mu, 1.0)
-    a = 1.0 / np.atleast_1d(np.asarray(mu_a, dtype=float))
-    b = 1.0 / np.atleast_1d(np.asarray(mu_b, dtype=float))
+    mu_a = np.atleast_1d(np.asarray(mu_a, dtype=float))
+    mu_b = np.atleast_1d(np.asarray(mu_b, dtype=float))
+    _require_marginals(mu_a, mu_b)
+    a, b = 1.0 / mu_a, 1.0 / mu_b
     d_min = 2.0 / mu + (a - b) ** 2
     d_max = np.minimum((a + b) ** 2 - 2.0 / mu, 1.0 + 1.0 / mu**2)
     valid = d_min <= d_max
@@ -170,9 +181,6 @@ def delta_bounds(mu: float, mu_a: float, mu_b: float) -> tuple[float, float] | N
     interval is closed form: Delta_min = 2/mu + (a - b)^2 and
     Delta_max = min((a + b)^2 - 2/mu, 1 + 1/mu^2).
     """
-    for name, val in (("mu_a", mu_a), ("mu_b", mu_b)):
-        if not 0.0 < val <= 1.0 + 1e-9:
-            raise DomainError(f"{name} = {val} must lie in (0, 1]")
     d_min, d_max, valid = delta_bounds_batch(mu, mu_a, mu_b)
     if not bool(valid[0]):
         return None
@@ -192,8 +200,10 @@ def logneg_average(mu: float, mu_a, mu_b, d_min, d_max):
     follows from the antiderivative u arccosh(u) - sqrt(u^2 - 1).  The
     difference of that antiderivative between the ends is formed without
     cancellation (through log1p and a difference of squares), so the
-    narrow intervals near mu = 1 keep full accuracy.
+    narrow intervals near mu = 1 keep full accuracy.  Raises DomainError
+    when any marginal purity lies outside (0, 1].
     """
+    _require_marginals(np.asarray(mu_a, dtype=float), np.asarray(mu_b, dtype=float))
     width = d_max - d_min
     point = width == 0.0
     span = np.where(point, 1.0, width)  # divisor; a point has no width to divide by

@@ -6,7 +6,10 @@ typical values reduce to one-dimensional averages over the allowed seralian
 interval.  At fixed (mu, E) the integration over the local groups against
 the energy constraint leaves a compact two-dimensional integral over the
 marginal purities with the weight of :func:`energy_weight`, which is
-treated with the adaptive Monte Carlo integrator from :mod:`.mcint`.
+treated with the adaptive Monte Carlo integrator from :mod:`.mcint`.  The
+exact sampler of that ensemble draws the marginal purities against the same
+density, weight times seralian-interval length, and then the seralian
+uniformly inside its closed-form interval.
 """
 
 from __future__ import annotations
@@ -72,6 +75,16 @@ class McConfig:
     def __post_init__(self):
         if self.method not in ("vegas", "plain"):
             raise ValueError(f"method must be 'vegas' or 'plain', got {self.method!r}")
+        # Error bars need two samples per estimate, VEGAS one iteration and
+        # the grid one bin.
+        for name, least in (
+            ("final_evals", 2),
+            ("adapt_evals", 2),
+            ("adapt_iterations", 1),
+            ("nbins", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +101,8 @@ class EnergyEnsemble:
     seed: int = 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.mu) and np.isfinite(self.energy)):
+            raise DomainError(f"(mu, E) = ({self.mu}, {self.energy}) must be finite")
         if self.energy <= 2.0:
             raise DomainError(f"energy = {self.energy} must exceed 2 for a two-mode ensemble")
         mu_min = 4.0 / self.energy**2
@@ -414,19 +429,43 @@ def pure_state_endpoint(energy: float) -> PureEndpoint:
 # ---------------------------------------------------------------------------
 # Exact sampler of energy-constrained states
 
-
-def _rotation(theta: np.ndarray) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+#: Largest proposal batch of the sampler; bounds its working memory.
+_SAMPLER_BATCH = 65_536
 
 
-def _local_blocks(lam: np.ndarray, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """Batched Sp(2) elements O(outer) @ diag(w, 1/w) @ O(inner)."""
+def _local_blocks(lam: np.ndarray, inner: np.ndarray, outer: np.ndarray):
+    """Entries s[i][j] of the batched Sp(2) elements O(outer) diag(w, 1/w) O(inner).
+
+    O(t) = [[cos t, sin t], [-sin t, cos t]] and lambda = (w^2 + 1/w^2)/2.
+    """
     w = np.sqrt(lam + np.sqrt(lam * lam - 1.0))
-    squeeze = np.zeros(lam.shape + (2, 2))
-    squeeze[..., 0, 0] = w
-    squeeze[..., 1, 1] = 1.0 / w
-    return _rotation(outer) @ squeeze @ _rotation(inner)
+    ci, si, co, so = np.cos(inner), np.sin(inner), np.cos(outer), np.sin(outer)
+    wc, ws, vc, vs = w * ci, w * si, ci / w, si / w
+    return (
+        (co * wc - so * vs, co * ws + so * vc),
+        (-so * wc - co * vs, -so * ws + co * vc),
+    )
+
+
+def _covmats(a, b, c_plus, c_minus, lam_a, lam_b, angles) -> np.ndarray:
+    """Batched covariance matrices (S_A + S_B)^T sigma_std (S_A + S_B).
+
+    sigma_std has blocks a I, b I and C = diag(c_plus, c_minus); the result
+    has blocks a S_A^T S_A, b S_B^T S_B and S_A^T C S_B, formed entrywise
+    (exactly symmetric).  ``angles`` holds the columns (inner A, outer A,
+    inner B, outer B).
+    """
+    sa = _local_blocks(lam_a, angles[:, 0], angles[:, 1])
+    sb = _local_blocks(lam_b, angles[:, 2], angles[:, 3])
+    sigma = np.empty((len(lam_a), 4, 4))
+    for i in range(2):
+        for j in range(2):
+            sigma[:, i, j] = a * (sa[0][i] * sa[0][j] + sa[1][i] * sa[1][j])
+            sigma[:, 2 + i, 2 + j] = b * (sb[0][i] * sb[0][j] + sb[1][i] * sb[1][j])
+            sigma[:, i, 2 + j] = sigma[:, 2 + j, i] = (
+                c_plus * sa[0][i] * sb[0][j] + c_minus * sa[1][i] * sb[1][j]
+            )
+    return sigma
 
 
 def assemble_covmat(std: StdForm, sample: LocalSympSample) -> np.ndarray:
@@ -435,25 +474,15 @@ def assemble_covmat(std: StdForm, sample: LocalSympSample) -> np.ndarray:
     The trace identity tr(S^T (c I) S) = 2 c lambda makes the energy of the
     result exactly lambda_A/mu_A + lambda_B/mu_B.
     """
-    th = np.asarray(sample.angles, dtype=float)
-    s = np.zeros((4, 4))
-    s[:2, :2] = _local_blocks(np.array(sample.lambda_a), th[0:1], th[1:2])[0]
-    s[2:, 2:] = _local_blocks(np.array(sample.lambda_b), th[2:3], th[3:4])[0]
-    sigma = s.T @ std.matrix() @ s
-    return 0.5 * (sigma + sigma.T)
-
-
-def _xy_weight_max(energy: float) -> float:
-    """Max of x^2 y^2 (E - x - y) over [1, E-1]^2 (x = 1/mu_A, y = 1/mu_B)."""
-    e = energy
-    cands = [(1.0, 1.0), (1.0, e - 1.0), (e - 1.0, 1.0), (e - 1.0, e - 1.0)]
-    x_int = 0.4 * e
-    if 1.0 <= x_int <= e - 1.0:
-        cands.append((x_int, x_int))
-    y_edge = 2.0 * (e - 1.0) / 3.0
-    if 1.0 <= y_edge <= e - 1.0:
-        cands += [(1.0, y_edge), (y_edge, 1.0)]
-    return max(max(x * x * y * y * (e - x - y), 0.0) for x, y in cands)
+    return _covmats(
+        std.a,
+        std.b,
+        std.c_plus,
+        std.c_minus,
+        np.array([sample.lambda_a]),
+        np.array([sample.lambda_b]),
+        np.array([sample.angles], dtype=float),
+    )[0]
 
 
 def _std_form_arrays(mu: float, mu_a, mu_b, delta):
@@ -468,73 +497,77 @@ def _std_form_arrays(mu: float, mu_a, mu_b, delta):
     return a, b, c_plus, c_minus
 
 
+def _draw_purities(mu: float, energy: float, count: int, rng: np.random.Generator):
+    """Marginal purities and seralian intervals of ``count`` ensemble draws.
+
+    In x = 1/mu_A, y = 1/mu_B the weight times d mu_A d mu_B is
+    (E - x - y) dx dy, so the marginal density of (x, y) is (E - u) L with
+    u = x + y, v = x - y and the seralian interval length
+    L = min(u^2 - 4/mu, (1/mu - 1)^2) - v^2.  Uniform proposals in the box
+    2/sqrt(mu) <= u <= E, |v| <= V with V^2 = min((1/mu - 1)^2, E^2 - 4/mu)
+    cover the support, and (E - u) L <= (E - 2/sqrt(mu)) V^2 bounds the
+    density there.  Returns (mu_a, mu_b, delta_min, length) arrays.
+    """
+    u_lo = 2.0 / np.sqrt(mu)
+    v_sq = min((1.0 / mu - 1.0) ** 2, energy**2 - 4.0 / mu)
+    v_max = np.sqrt(v_sq)
+    rho_max = (energy - u_lo) * v_sq
+    acc_a, acc_b, acc_lo, acc_len = [], [], [], []
+    n_acc = n_drawn = 0
+    while n_acc < count:
+        # Size the batch for the states still missing at the acceptance seen
+        # so far: a quarter before the first batch, at least 3 % anywhere.
+        rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
+        batch = min(_SAMPLER_BATCH, max(1024, int(1.1 * (count - n_acc) / rate)))
+        u = rng.uniform(u_lo, energy, batch)
+        v = rng.uniform(-v_max, v_max, batch)
+        r = rng.random(batch)
+        n_drawn += batch
+        x, y = 0.5 * (u + v), 0.5 * (u - v)
+        inside = (x >= 1.0) & (y >= 1.0)  # mu_A, mu_B in (0, 1]
+        mu_a, mu_b = 1.0 / x[inside], 1.0 / y[inside]
+        excess = energy_weight(mu_a, mu_b, energy) * (mu_a * mu_b) ** 2  # E - u
+        lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
+        length = np.where(valid, hi - lo, 0.0)
+        ok = r[inside] * rho_max < excess * length
+        acc_a.append(mu_a[ok])
+        acc_b.append(mu_b[ok])
+        acc_lo.append(lo[ok])
+        acc_len.append(length[ok])
+        n_acc += int(ok.sum())
+    logger.debug(
+        "sampler acceptance %.3g (%d proposals for %d states)", n_acc / n_drawn, n_drawn, count
+    )
+    return tuple(np.concatenate(parts)[:count] for parts in (acc_a, acc_b, acc_lo, acc_len))
+
+
 def sample_energy_constrained(
     mu: float, energy: float, count: int, seed: int = 0
 ) -> np.ndarray:
     """Draw covariance matrices from the fixed-(mu, E) ensemble.
 
-    (mu_A, mu_B, Delta) come from rejection sampling against the weighted
-    density with a uniform seralian over its allowed interval; the squeezing
-    parameter lambda_A is uniform on the energy-constraint segment and the
-    four rotation angles are uniform.  Every returned matrix has energy E
-    exactly (to rounding) and passes the physicality test.  Rejection
-    efficiency below 1e-6 aborts with diagnostics.
+    The marginal purities come from exact rejection sampling of their
+    density, the ensemble weight times the seralian interval length, in the
+    coordinates u = 1/mu_A + 1/mu_B and v = 1/mu_A - 1/mu_B, where the
+    acceptance is bounded away from zero on the whole support: about
+    8/105 next to the edge mu = 4/E^2, up to 1/3 towards mu = 1 and not
+    below 1/30 anywhere (its large-E limit near mu = 1/E), so the run time
+    is bounded everywhere.  The seralian is uniform on its closed-form
+    interval, the squeezing parameter lambda_A uniform on the
+    energy-constraint segment and the four rotation angles uniform.  Every
+    returned matrix has energy E exactly (to rounding) and passes the
+    physicality test.
     """
     EnergyEnsemble(mu, energy, seed)
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
-    s_lo = 1.0 / (energy - 1.0)
-    d_lo, d_hi = 2.0 / mu, 1.0 + 1.0 / mu**2
-    rho_max = mu**7 * _xy_weight_max(energy)
-
-    batch = 65_536
-    acc_a, acc_b, acc_d = [], [], []
-    n_acc = 0
-    proposals = 0
-    while n_acc < count:
-        mu_a = rng.uniform(s_lo, 1.0, batch)
-        mu_b = rng.uniform(s_lo, 1.0, batch)
-        delta = rng.uniform(d_lo, d_hi, batch)
-        u = rng.random(batch)
-        rho = mu**7 * energy_weight(mu_a, mu_b, energy)
-        ok = u * rho_max < rho
-        if np.any(ok):
-            lo, hi, valid = delta_bounds_batch(mu, mu_a[ok], mu_b[ok])
-            sel = np.flatnonzero(ok)[valid & (delta[ok] >= lo) & (delta[ok] <= hi)]
-            acc_a.append(mu_a[sel])
-            acc_b.append(mu_b[sel])
-            acc_d.append(delta[sel])
-            n_acc += sel.size
-        proposals += batch
-        if proposals >= max(1_000_000, 20 * count) and n_acc < 1e-6 * proposals:
-            raise IntegrationError(
-                f"rejection efficiency {n_acc / proposals:.2e} below 1e-6 at "
-                f"(mu, E) = ({mu}, {energy}) after {proposals} proposals"
-            )
-    mu_a = np.concatenate(acc_a)[:count]
-    mu_b = np.concatenate(acc_b)[:count]
-    delta = np.concatenate(acc_d)[:count]
-    logger.debug(
-        "sampler efficiency %.3g (%d proposals for %d states)",
-        n_acc / proposals,
-        proposals,
-        count,
-    )
-
+    mu_a, mu_b, d_min, length = _draw_purities(mu, energy, count, rng)
+    delta = d_min + rng.random(count) * length
     lam_a = rng.uniform(1.0, mu_a * (energy - 1.0 / mu_b))
     lam_b = mu_b * (energy - lam_a / mu_a)
     angles = rng.uniform(0.0, 2.0 * np.pi, (count, 4))
-
     a, b, c_plus, c_minus = _std_form_arrays(mu, mu_a, mu_b, delta)
-    sigma_std = np.zeros((count, 4, 4))
-    sigma_std[:, 0, 0] = sigma_std[:, 1, 1] = a
-    sigma_std[:, 2, 2] = sigma_std[:, 3, 3] = b
-    sigma_std[:, 0, 2] = sigma_std[:, 2, 0] = c_plus
-    sigma_std[:, 1, 3] = sigma_std[:, 3, 1] = c_minus
-
-    s = np.zeros((count, 4, 4))
-    s[:, :2, :2] = _local_blocks(lam_a, angles[:, 0], angles[:, 1])
-    s[:, 2:, 2:] = _local_blocks(lam_b, angles[:, 2], angles[:, 3])
-    sigma = np.swapaxes(s, 1, 2) @ sigma_std @ s
-    return 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+    return _covmats(a, b, c_plus, c_minus, lam_a, lam_b, angles)

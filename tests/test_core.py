@@ -21,6 +21,7 @@ from gaussgeom.core import (
     thermal,
     two_mode_squeezed,
     vacuum,
+    validate_covmat,
     write_covmat,
 )
 from conftest import oracle_spectrum
@@ -239,3 +240,13 @@ def test_covmat_file_errors(tmp_path):
 
 def test_energy_of_vacuum():
     assert energy(vacuum(2)) == 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(bad):
+    entry = np.eye(4)
+    entry[0, 2] = entry[2, 0] = bad
+    for sigma in (np.full((4, 4), bad), entry):
+        for fn in (validate_covmat, symplectic_spectrum, is_bona_fide, purity, energy, invariants):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(sigma)

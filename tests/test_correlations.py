@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from gaussgeom.correlations import (
     RegionClass,
     classify_region,
     delta_bounds,
+    delta_bounds_batch,
     delta_threshold,
     log_negativity,
+    logneg_average,
     partial_transpose,
     ppt_spectrum,
     steerability,
@@ -226,3 +229,24 @@ def test_delta_threshold_consistency():
     above = InvariantCoords(0.5, 0.65, 0.65, thr + 1e-6)
     assert log_negativity(below) > 0.0
     assert log_negativity(above) == 0.0
+
+
+def test_batched_kernels_reject_bad_marginals():
+    with pytest.raises(DomainError, match="mu_a = 0.0 must lie in"):
+        delta_bounds_batch(0.5, [0.0, 0.5], [0.5, 0.5])
+    with pytest.raises(DomainError, match="mu_b = 1.5 must lie in"):
+        delta_bounds_batch(0.5, [0.5, 0.5], [0.5, 1.5])
+    with pytest.raises(DomainError, match="mu_b = nan"):
+        delta_bounds_batch(0.5, 0.5, np.nan)
+    d_min = np.array([4.0, 4.0])
+    with pytest.raises(DomainError, match="mu_a = -0.5 must lie in"):
+        logneg_average(0.5, np.array([-0.5, 0.6]), np.array([0.6, 0.6]), d_min, d_min + 1.0)
+
+
+def test_batched_kernels_reject_bad_marginals_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            delta_bounds_batch(0.5, [0.0, 0.5], [0.5, 0.5])
+        with pytest.raises(DomainError):
+            logneg_average(0.5, np.array([0.0]), np.array([0.5]), np.array([4.0]), np.array([5.0]))

@@ -1,5 +1,10 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from gaussgeom.core import (
     DomainError,
@@ -28,6 +33,7 @@ from gaussgeom.typicality import (
     sample_energy_constrained,
     scan_purity_plane,
 )
+from gaussgeom.typicality import _covmats
 from conftest import oracle_spectrum
 
 _LN2 = np.log(2.0)
@@ -205,6 +211,25 @@ def test_energy_stats_domain_errors():
         energy_constrained_stats(0.5, 1.5)
 
 
+@pytest.mark.parametrize(
+    "mu,e", [(0.5, np.inf), (0.5, np.nan), (np.nan, 5.0), (-np.inf, 5.0)]
+)
+def test_energy_ensemble_rejects_non_finite(mu, e):
+    with pytest.raises(DomainError, match="finite"):
+        energy_constrained_stats(mu, e)
+    with pytest.raises(DomainError, match="finite"):
+        sample_energy_constrained(mu, e, 10)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("final_evals", 1), ("adapt_evals", 1), ("adapt_iterations", 0), ("nbins", 0)],
+)
+def test_mc_config_rejects_degenerate_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        McConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Pure-state endpoint
 
@@ -370,3 +395,127 @@ def test_sampler_validation():
         sample_energy_constrained(0.1, 5.0, 10)
     with pytest.raises(ValueError, match="count"):
         sample_energy_constrained(0.5, 5.0, 0)
+
+
+@pytest.mark.parametrize("count", [2.5, 10.0, "10", None])
+def test_sampler_rejects_non_integer_count(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        sample_energy_constrained(0.3, 8.0, count)
+
+
+def test_sampler_covers_energy_curve_grid():
+    # Every point of the criterion-7 energy curves, the first of them right
+    # next to the support edge mu = 4/E^2, and the boundary point that the
+    # whole-window proposal could not reach.
+    start = time.time()
+    count = 200
+    points = [(0.45, 3.0), (0.4445, 3.0)]
+    for e in (3.0, 5.0, 8.0, 12.0):
+        mu_min = 4.0 / e**2
+        spacing = (1.0 - mu_min) / 50
+        points += [(mu_min + (j + 0.5) * spacing, e) for j in range(50)]
+    for k, (mu, e) in enumerate(points):
+        sigmas = sample_energy_constrained(mu, e, count, seed=k)
+        assert sigmas.shape == (count, 4, 4)
+        assert np.abs(0.5 * np.einsum("nii->n", sigmas) - e).max() < 1e-9
+        assert np.abs(1.0 / np.sqrt(np.linalg.det(sigmas)) - mu).max() < 1e-9
+        assert all(is_bona_fide(s) for s in sigmas)
+    assert time.time() - start < 60.0
+
+
+def _brute_force_sample(mu, e, count, seed):
+    """Invariants drawn by the whole-window rejection scheme.
+
+    (mu_A, mu_B, Delta) uniform on [1/(E-1), 1]^2 x [2/mu, 1 + 1/mu^2],
+    accepted against the energy weight and the seralian interval.  The
+    weight (E - x - y) x^2 y^2 (x = 1/mu_A, y = 1/mu_B) is at most
+    (E - s) s^4 / 16 with s = x + y, whose maximum is 16 E^5 / 3125.
+    """
+    rng = np.random.default_rng(seed)
+    w_max = 16.0 * e**5 / 3125.0
+    parts = []
+    n_acc = 0
+    while n_acc < count:
+        mu_a = rng.uniform(1.0 / (e - 1.0), 1.0, 65_536)
+        mu_b = rng.uniform(1.0 / (e - 1.0), 1.0, 65_536)
+        delta = rng.uniform(2.0 / mu, 1.0 + 1.0 / mu**2, 65_536)
+        weight = energy_weight(mu_a, mu_b, e)
+        assert weight.max() <= w_max
+        lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
+        lo, hi = np.where(valid, lo, np.inf), np.where(valid, hi, -np.inf)
+        ok = (rng.random(65_536) * w_max < weight) & (lo <= delta) & (delta <= hi)
+        parts.append(np.stack([mu_a[ok], mu_b[ok], delta[ok]], axis=1))
+        n_acc += int(ok.sum())
+    return np.concatenate(parts)[:count]
+
+
+@pytest.mark.parametrize("mu,e,seed", [(0.3, 8.0, 40), (0.47, 3.0, 41)])
+def test_sampler_matches_brute_force_oracle(mu, e, seed):
+    n = 3000
+    want = _brute_force_sample(mu, e, n, seed)
+    sigmas = sample_energy_constrained(mu, e, n, seed=seed + 100)
+    det_a = np.linalg.det(sigmas[:, :2, :2])
+    det_b = np.linalg.det(sigmas[:, 2:, 2:])
+    got = np.stack(
+        [
+            1.0 / np.sqrt(det_a),
+            1.0 / np.sqrt(det_b),
+            det_a + det_b + 2.0 * np.linalg.det(sigmas[:, :2, 2:]),  # seralian
+        ],
+        axis=1,
+    )
+    for k in range(3):
+        assert ks_2samp(got[:, k], want[:, k]).pvalue > 0.01
+
+
+def _reference_covmat(std, lam_a, lam_b, angles):
+    """(S_A + S_B)^T sigma_std (S_A + S_B) by explicit 4x4 matrix products."""
+
+    def rot(t):
+        return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+
+    def local(lam, inner, outer):
+        w = np.sqrt(lam + np.sqrt(lam * lam - 1.0))
+        return rot(outer) @ np.diag([w, 1.0 / w]) @ rot(inner)
+
+    s = np.zeros((4, 4))
+    s[:2, :2] = local(lam_a, angles[0], angles[1])
+    s[2:, 2:] = local(lam_b, angles[2], angles[3])
+    return s.T @ std.matrix() @ s
+
+
+_angle = st.floats(0.0, 2.0 * np.pi)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.05, 0.99),
+    mu_a=st.floats(0.05, 1.0),
+    mu_b=st.floats(0.05, 1.0),
+    frac=st.floats(0.0, 1.0),
+    lam_a=st.floats(1.0, 30.0),
+    lam_b=st.floats(1.0, 30.0),
+    angles=st.tuples(_angle, _angle, _angle, _angle),
+    row=st.integers(0, 2),
+)
+def test_assemble_covmat_is_a_row_of_the_batched_builder(
+    mu, mu_a, mu_b, frac, lam_a, lam_b, angles, row
+):
+    bounds = delta_bounds(mu, mu_a, mu_b)
+    assume(bounds is not None)
+    delta = bounds[0] + frac * (bounds[1] - bounds[0])
+    std = cm_from_invariants(InvariantCoords(mu, mu_a, mu_b, delta))
+    sigma = assemble_covmat(std, LocalSympSample(lam_a, lam_b, angles))
+
+    # The same sample as one row of a batch of three.
+    lam_a_all, lam_b_all = np.array([1.5, 2.5, 3.5]), np.array([3.5, 2.5, 1.5])
+    all_angles = np.full((3, 4), 0.25)
+    lam_a_all[row], lam_b_all[row], all_angles[row] = lam_a, lam_b, angles
+    batch = _covmats(std.a, std.b, std.c_plus, std.c_minus, lam_a_all, lam_b_all, all_angles)
+    scale = np.abs(sigma).max()
+    np.testing.assert_allclose(sigma, batch[row], rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_array_equal(sigma, sigma.T)
+    ref = _reference_covmat(std, lam_a, lam_b, angles)
+    np.testing.assert_allclose(sigma, ref, rtol=0.0, atol=1e-12 * scale)
+    want = lam_a / mu_a + lam_b / mu_b
+    assert 0.5 * np.trace(sigma) == pytest.approx(want, rel=1e-12)
