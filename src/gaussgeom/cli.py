@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default %(default)s)")
     p_sc.add_argument("--out", default="-", help="output CSV path, '-' for stdout (default)")
     p_sc.add_argument("--evals", type=int, default=80_000,
-                      help="Monte Carlo sample size per energy-curve point (default %(default)s)")
+                      help="ensemble draws per energy-curve point (default %(default)s)")
     return parser
 
 

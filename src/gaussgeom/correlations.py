@@ -106,8 +106,9 @@ def ppt_spectrum(coords: InvariantCoords) -> PptSpectrum:
             "coordinates do not describe a physical state"
         )
     nu_plus = float(np.sqrt(0.5 * (d_tilde + np.sqrt(max(disc, 0.0)))))
-    # The stable root: enforces nu~_+ nu~_- = 1/mu instead of subtracting.
-    nu_minus = 1.0 / (mu * nu_plus)
+    # The stable root: enforces nu~_+ nu~_- = 1/mu instead of subtracting;
+    # at a zero discriminant (nu~_+ = nu~_-) rounding may leave it above nu~_+.
+    nu_minus = min(1.0 / (mu * nu_plus), nu_plus)
     return PptSpectrum(nu_tilde_minus=nu_minus, nu_tilde_plus=nu_plus)
 
 

@@ -5,11 +5,11 @@ divergent local-group volumes cancel between numerator and denominator, so
 typical values reduce to one-dimensional averages over the allowed seralian
 interval.  At fixed (mu, E) the integration over the local groups against
 the energy constraint leaves a compact two-dimensional integral over the
-marginal purities with the weight of :func:`energy_weight`, which is
-treated with the adaptive Monte Carlo integrator from :mod:`.mcint`.  The
-exact sampler of that ensemble draws the marginal purities against the same
-density, weight times seralian-interval length, and then the seralian
-uniformly inside its closed-form interval.
+marginal purities with the weight of :func:`energy_weight`.  One exact
+sampler draws the marginal purities against their density, weight times
+seralian-interval length.  The ensemble averages are sample means over
+these draws of the closed-form seralian averages, and the state sampler
+adds a seralian drawn uniformly inside its closed-form interval.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from .correlations import (
     log_negativity,  # noqa: F401  (re-exported: callers import it from here)
     logneg_average,
 )
-from .mcint import (
-    AdaptiveGrid,
-    IntegrationError,
-    McEstimate,
-    sample_from_grid,
-    vegas_integrate,
-)
+from .mcint import McEstimate
 
 __all__ = [
     "McConfig",
@@ -62,29 +56,18 @@ _LN2 = float(np.log(2.0))
 
 @dataclass(frozen=True)
 class McConfig:
-    """Configuration of the Monte Carlo stage of the energy-constrained averages."""
+    """Monte Carlo configuration of the energy-constrained averages.
+
+    ``final_evals`` exact ensemble draws are taken from a generator seeded
+    with ``seed``; error bars need at least two of them.
+    """
 
     seed: int = 0
-    method: str = "vegas"
-    adapt_iterations: int = 6
-    adapt_evals: int = 4000
     final_evals: int = 80_000
-    damping: float = 1.5
-    nbins: int = 50
 
     def __post_init__(self):
-        if self.method not in ("vegas", "plain"):
-            raise ValueError(f"method must be 'vegas' or 'plain', got {self.method!r}")
-        # Error bars need two samples per estimate, VEGAS one iteration and
-        # the grid one bin.
-        for name, least in (
-            ("final_evals", 2),
-            ("adapt_evals", 2),
-            ("adapt_iterations", 1),
-            ("nbins", 1),
-        ):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.final_evals < 2:
+            raise ValueError(f"final_evals must be at least 2, got {self.final_evals}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +218,7 @@ def energy_weight(mu_a, mu_b, energy: float):
     (E - 1/mu_A - 1/mu_B) / (mu_A^2 mu_B^2) on its support and zero once the
     energy is exhausted by the marginal mixedness (E <= 1/mu_A + 1/mu_B).
     The mu^7 prefactor of the volume element is constant at fixed global
-    purity and is applied by the callers where it matters.
+    purity and cancels in every ensemble average.
     """
     mu_a = np.asarray(mu_a, dtype=float)
     mu_b = np.asarray(mu_b, dtype=float)
@@ -244,131 +227,37 @@ def energy_weight(mu_a, mu_b, energy: float):
     return float(w) if w.ndim == 0 else w
 
 
-def _geometry(mu: float, energy: float, pts: np.ndarray):
-    """Evaluate weight and seralian interval on a batch of (s, t) points.
-
-    The integration runs in rotated coordinates s = (mu_A + mu_B)/2 and
-    t = mu_A - mu_B, where the near-diagonal support at high purity is
-    axis-aligned and the grid can adapt to it.
-    """
-    s, t = pts[:, 0], pts[:, 1]
-    mu_a = s + 0.5 * t
-    mu_b = s - 0.5 * t
-    n = len(s)
-    w = np.zeros(n)
-    d_min = np.zeros(n)
-    length = np.zeros(n)
-    inside = (mu_a > 0.0) & (mu_a <= 1.0) & (mu_b > 0.0) & (mu_b <= 1.0)
-    if np.any(inside):
-        wa = energy_weight(mu_a[inside], mu_b[inside], energy) * mu**7
-        sub = np.flatnonzero(inside)[wa > 0.0]
-        w[sub] = wa[wa > 0.0]
-        if sub.size:
-            lo, hi, valid = delta_bounds_batch(mu, mu_a[sub], mu_b[sub])
-            keep = sub[valid]
-            w[sub[~valid]] = 0.0
-            d_min[keep] = lo[valid]
-            length[keep] = hi[valid] - lo[valid]
-    return mu_a, mu_b, w, d_min, length
+def _ensemble_draws(mu: float, energy: float, mc: McConfig):
+    """``mc.final_evals`` exact draws (mu_A, mu_B, Delta_min, Delta_max) of the ensemble."""
+    EnergyEnsemble(mu, energy, mc.seed)
+    return _draw_purities(mu, energy, mc.final_evals, np.random.default_rng(mc.seed))
 
 
-def _component_matrix(mu: float, energy: float, pts: np.ndarray) -> np.ndarray:
-    """Columns (denominator, entangled, E_N, steerable, G) of the weighted integrand."""
-    mu_a, mu_b, w, d_min, length = _geometry(mu, energy, pts)
-    out = np.zeros((len(pts), 5))
-    live = w > 0.0
-    if not np.any(live):
-        return out
-    mu_a, mu_b = mu_a[live], mu_b[live]
-    w, d_min, length = w[live], d_min[live], length[live]
-    prop, mean_en = logneg_average(mu, mu_a, mu_b, d_min, d_min + length)
-    steer = np.minimum(mu_a, mu_b) < mu
-    g = np.maximum(np.log(mu / np.minimum(mu_a, mu_b)), 0.0)
-    out[live, 0] = w * length
-    out[live, 1] = w * length * prop
-    out[live, 2] = w * length * mean_en
-    out[live, 3] = w * length * steer
-    out[live, 4] = w * length * g
-    return out
-
-
-def _st_bounds(mu: float, energy: float):
-    s_lo = 1.0 / (energy - 1.0)
-    t_half = 1.0 - mu
-    return [(s_lo, 1.0), (-t_half, t_half)]
-
-
-def _child_seeds(seed: int, k: int) -> list[int]:
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(k)]
-
-
-def _weighted_samples(mu: float, energy: float, mc: McConfig):
-    """Adapt (optionally) and draw the frozen sample used for all ratios."""
-    bounds = _st_bounds(mu, energy)
-    adapt_seed, final_seed = _child_seeds(mc.seed, 2)
-    chi2 = 0.0
-    n_adapt = 0
-    if mc.method == "vegas":
-        den_est, grid = vegas_integrate(
-            lambda pts: _den_integrand(mu, energy, pts),
-            bounds,
-            iterations=mc.adapt_iterations,
-            evals_per_iter=mc.adapt_evals,
-            damping=mc.damping,
-            seed=adapt_seed,
-            nbins=mc.nbins,
-            return_grid=True,
-        )
-        chi2 = den_est.chi2_per_dof
-        n_adapt = den_est.n_evals
-    else:
-        grid = AdaptiveGrid.uniform(2, nbins=mc.nbins, damping=mc.damping)
-    pts, wgt = sample_from_grid(grid, bounds, mc.final_evals, final_seed)
-    return pts, wgt, chi2, n_adapt + mc.final_evals
-
-
-def _den_integrand(mu: float, energy: float, pts: np.ndarray) -> np.ndarray:
-    _, _, w, _, length = _geometry(mu, energy, pts)
-    return w * length
-
-
-def _ratio_estimate(num, den, chi2: float, n_evals: int) -> McEstimate:
-    """Delta-method ratio of two correlated sample means."""
-    n = num.size
-    m_num, m_den = float(num.mean()), float(den.mean())
-    r = m_num / m_den
-    cov = np.cov(np.stack([num, den])) / n
-    var = (cov[0, 0] - 2.0 * r * cov[0, 1] + r * r * cov[1, 1]) / (m_den * m_den)
+def _sample_mean(values: np.ndarray) -> McEstimate:
     return McEstimate(
-        value=r,
-        std_error=float(np.sqrt(max(var, 0.0))),
-        chi2_per_dof=chi2,
-        n_evals=n_evals,
+        value=float(values.mean()),
+        std_error=float(values.std(ddof=1) / np.sqrt(values.size)),
+        chi2_per_dof=0.0,
+        n_evals=values.size,
     )
 
 
 def energy_constrained_stats(mu: float, energy: float, mc: McConfig | None = None) -> EnergyStats:
-    """Ensemble averages at fixed purity and energy with propagated errors.
+    """Ensemble averages at fixed purity and energy with their standard errors.
 
-    The seralian integral is carried out per sample point in closed form
-    (trivially for the seralian-independent steering quantities); the
-    remaining integral over the marginal purities is estimated by Monte
-    Carlo.  All four statistics are ratios against the same weighted volume,
-    evaluated on one shared sample so that their errors are consistently
-    correlated.
+    Each exact draw of the marginal purities from :func:`_draw_purities`
+    contributes the closed-form entangled proportion and mean E_N over its
+    seralian interval, and its steering indicator and G (both independent of
+    the seralian).  The four statistics are plain means over one shared
+    sample with standard errors std/sqrt(n).
     """
     mc = mc or McConfig()
-    EnergyEnsemble(mu, energy, mc.seed)
-    pts, wgt, chi2, n_evals = _weighted_samples(mu, energy, mc)
-    comp = _component_matrix(mu, energy, pts) * wgt[:, None]
-    den = comp[:, 0]
-    if float(den.mean()) <= 0.0:
-        raise IntegrationError(
-            f"sampled no support at (mu, E) = ({mu}, {energy}); "
-            "the physical region is too thin for the configured sample size"
-        )
-    ests = [_ratio_estimate(comp[:, k], den, chi2, n_evals) for k in range(1, 5)]
-    return EnergyStats(*ests)
+    mu_a, mu_b, d_min, d_max = _ensemble_draws(mu, energy, mc)
+    prop, mean_en = logneg_average(mu, mu_a, mu_b, d_min, d_max)
+    mu_min = np.minimum(mu_a, mu_b)
+    steer = (mu_min < mu).astype(float)
+    g = np.maximum(np.log(mu / mu_min), 0.0)
+    return EnergyStats(*(_sample_mean(x) for x in (prop, mean_en, steer, g)))
 
 
 def energy_constrained_ratio(
@@ -377,22 +266,14 @@ def energy_constrained_ratio(
     """Energy-constrained average of a custom seralian-integrated quantity.
 
     ``inner(mu_a, mu_b, d_min, d_max)`` must return, per point, the integral
-    of the quantity over the allowed seralian interval; the result is its
-    ratio against the interval length under the ensemble weight.  With
-    ``inner`` returning the interval length itself the ratio is exactly 1.
+    of the quantity over the allowed seralian interval; the result is the
+    sample mean of its ratio to the interval length over exact ensemble
+    draws.  With ``inner`` returning the interval length itself the ratio
+    is exactly 1.
     """
     mc = mc or McConfig()
-    EnergyEnsemble(mu, energy, mc.seed)
-    pts, wgt, chi2, n_evals = _weighted_samples(mu, energy, mc)
-    mu_a, mu_b, w, d_min, length = _geometry(mu, energy, pts)
-    den = w * length * wgt
-    if float(den.mean()) <= 0.0:
-        raise IntegrationError(f"sampled no support at (mu, E) = ({mu}, {energy})")
-    num = np.zeros_like(den)
-    live = w > 0.0
-    num[live] = w[live] * inner(mu_a[live], mu_b[live], d_min[live], d_min[live] + length[live])
-    num *= wgt
-    return _ratio_estimate(num, den, chi2, n_evals)
+    mu_a, mu_b, d_min, d_max = _ensemble_draws(mu, energy, mc)
+    return _sample_mean(inner(mu_a, mu_b, d_min, d_max) / (d_max - d_min))
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +387,13 @@ def _draw_purities(mu: float, energy: float, count: int, rng: np.random.Generato
     L = min(u^2 - 4/mu, (1/mu - 1)^2) - v^2.  Uniform proposals in the box
     2/sqrt(mu) <= u <= E, |v| <= V with V^2 = min((1/mu - 1)^2, E^2 - 4/mu)
     cover the support, and (E - u) L <= (E - 2/sqrt(mu)) V^2 bounds the
-    density there.  Returns (mu_a, mu_b, delta_min, length) arrays.
+    density there.  Returns (mu_a, mu_b, delta_min, delta_max) arrays.
     """
     u_lo = 2.0 / np.sqrt(mu)
     v_sq = min((1.0 / mu - 1.0) ** 2, energy**2 - 4.0 / mu)
     v_max = np.sqrt(v_sq)
     rho_max = (energy - u_lo) * v_sq
-    acc_a, acc_b, acc_lo, acc_len = [], [], [], []
+    acc_a, acc_b, acc_lo, acc_hi = [], [], [], []
     n_acc = n_drawn = 0
     while n_acc < count:
         # Size the batch for the states still missing at the acceptance seen
@@ -533,12 +414,12 @@ def _draw_purities(mu: float, energy: float, count: int, rng: np.random.Generato
         acc_a.append(mu_a[ok])
         acc_b.append(mu_b[ok])
         acc_lo.append(lo[ok])
-        acc_len.append(length[ok])
+        acc_hi.append(hi[ok])
         n_acc += int(ok.sum())
     logger.debug(
         "sampler acceptance %.3g (%d proposals for %d states)", n_acc / n_drawn, n_drawn, count
     )
-    return tuple(np.concatenate(parts)[:count] for parts in (acc_a, acc_b, acc_lo, acc_len))
+    return tuple(np.concatenate(parts)[:count] for parts in (acc_a, acc_b, acc_lo, acc_hi))
 
 
 def sample_energy_constrained(
@@ -564,8 +445,8 @@ def sample_energy_constrained(
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
-    mu_a, mu_b, d_min, length = _draw_purities(mu, energy, count, rng)
-    delta = d_min + rng.random(count) * length
+    mu_a, mu_b, d_min, d_max = _draw_purities(mu, energy, count, rng)
+    delta = d_min + rng.random(count) * (d_max - d_min)
     lam_a = rng.uniform(1.0, mu_a * (energy - 1.0 / mu_b))
     lam_b = mu_b * (energy - lam_a / mu_a)
     angles = rng.uniform(0.0, 2.0 * np.pi, (count, 4))

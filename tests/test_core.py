@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gaussgeom.core import (
     DomainError,
@@ -24,7 +25,7 @@ from gaussgeom.core import (
     validate_covmat,
     write_covmat,
 )
-from conftest import oracle_spectrum
+from conftest import feasible_coords, local_symplectics, oracle_spectrum
 
 
 def test_symplectic_form_properties():
@@ -194,6 +195,34 @@ def test_cm_from_invariants_round_trip():
             rtol=1e-9,
             atol=1e-9,
         )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coords=feasible_coords(), s=local_symplectics)
+def test_invariants_are_local_symplectic_invariant(coords, s):
+    sigma = cm_from_invariants(coords).matrix()
+    want, _ = invariants(sigma, warn_nonphysical=False)
+    got, _ = invariants(s.T @ sigma @ s, warn_nonphysical=False)
+    np.testing.assert_allclose(
+        [got.mu, got.mu_a, got.mu_b, got.delta],
+        [want.mu, want.mu_a, want.mu_b, want.delta],
+        rtol=1e-9,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coords=feasible_coords(), s=local_symplectics)
+def test_cm_from_invariants_inverts_invariants(coords, s):
+    # cm_from_invariants o invariants maps any state to its standard form.
+    std = cm_from_invariants(coords)
+    back, _ = invariants(s.T @ std.matrix() @ s, warn_nonphysical=False)
+    got = cm_from_invariants(back)
+    np.testing.assert_allclose(
+        [got.a, got.b, got.c_plus, got.c_minus],
+        [std.a, std.b, std.c_plus, std.c_minus],
+        rtol=0.0,
+        atol=1e-6 * std.a * std.b,
+    )
 
 
 def test_two_mode_squeezed_constructor():

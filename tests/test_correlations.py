@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gaussgeom.core import (
     DomainError,
@@ -28,7 +29,12 @@ from gaussgeom.correlations import (
     steerability_a_to_b,
     steerability_b_to_a,
 )
-from conftest import oracle_spectrum, random_feasible_coords_batch
+from conftest import (
+    feasible_coords,
+    local_symplectics,
+    oracle_spectrum,
+    random_feasible_coords_batch,
+)
 
 _LN2 = np.log(2.0)
 
@@ -82,6 +88,14 @@ def test_log_negativity_examples():
         assert log_negativity(coords) == pytest.approx(2 * r / _LN2, abs=1e-9)
 
 
+@pytest.mark.parametrize("v", [2.0, 3.0, 4.0, 5.0, 7.0, 9.0])
+def test_log_negativity_of_symmetric_thermal_states(v):
+    # Delta~ = 2/mu here, so nu~_+ = nu~_- = v and rounding decides their order.
+    coords, _ = invariants(np.diag([v, v, v, v]))
+    assert ppt_spectrum(coords).nu_tilde_minus <= ppt_spectrum(coords).nu_tilde_plus
+    assert log_negativity(coords) == 0.0
+
+
 def test_steerability_examples():
     assert steerability(InvariantCoords(0.5, 0.4, 0.6, 3.0)) == pytest.approx(
         np.log(1.25), abs=1e-12
@@ -105,6 +119,15 @@ def test_correlations_invariant_under_local_symplectics():
         moved, _ = invariants(s.T @ sigma @ s, warn_nonphysical=False)
         assert log_negativity(moved) == pytest.approx(en0, abs=1e-8)
         assert steerability(moved) == pytest.approx(g0, abs=1e-8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coords=feasible_coords(), s=local_symplectics)
+def test_correlations_are_local_symplectic_invariant(coords, s):
+    sigma = cm_from_invariants(coords).matrix()
+    moved, _ = invariants(s.T @ sigma @ s, warn_nonphysical=False)
+    assert log_negativity(moved) == pytest.approx(log_negativity(coords), abs=1e-8)
+    assert steerability(moved) == pytest.approx(steerability(coords), abs=1e-8)
 
 
 def test_steering_vs_logneg_claim_logged(caplog):

@@ -182,26 +182,10 @@ def test_energy_stats_basic_properties():
 
 
 def test_energy_stats_deterministic():
-    cfg = McConfig(seed=11, adapt_iterations=3, adapt_evals=1000, final_evals=5000)
+    cfg = McConfig(seed=11, final_evals=5000)
     s1 = energy_constrained_stats(0.4, 5.0, cfg)
     s2 = energy_constrained_stats(0.4, 5.0, cfg)
     assert s1 == s2
-
-
-def test_energy_stats_vegas_vs_plain():
-    for mu, e in ((0.3, 8.0), (0.5, 40.0)):
-        sv = energy_constrained_stats(mu, e, McConfig(seed=5, final_evals=40_000))
-        sp = energy_constrained_stats(
-            mu, e, McConfig(seed=6, method="plain", final_evals=120_000)
-        )
-        for a, b in (
-            (sv.prop_entangled, sp.prop_entangled),
-            (sv.mean_logneg, sp.mean_logneg),
-            (sv.prop_steerable, sp.prop_steerable),
-            (sv.mean_steering, sp.mean_steering),
-        ):
-            err = np.hypot(a.std_error, b.std_error)
-            assert abs(a.value - b.value) < 3.5 * err
 
 
 def test_energy_stats_domain_errors():
@@ -223,11 +207,111 @@ def test_energy_ensemble_rejects_non_finite(mu, e):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("final_evals", 1), ("adapt_evals", 1), ("adapt_iterations", 0), ("nbins", 0)],
+    [("final_evals", 1)],
 )
 def test_mc_config_rejects_degenerate_sizes(field, value):
     with pytest.raises(ValueError, match=field):
         McConfig(**{field: value})
+
+
+def _stats_tuple(stats):
+    return (stats.prop_entangled, stats.mean_logneg, stats.prop_steerable, stats.mean_steering)
+
+
+@pytest.mark.parametrize("e", [3.0, 5.0, 8.0, 12.0])
+def test_energy_stats_next_to_the_support_edge(e):
+    start = time.time()
+    stats = energy_constrained_stats(4.0 / e**2 * (1.0 + 1e-4), e, McConfig(seed=4))
+    for est in _stats_tuple(stats):
+        assert np.isfinite(est.value) and np.isfinite(est.std_error)
+        assert est.std_error >= 0.0
+    assert time.time() - start < 5.0
+
+
+def test_energy_stats_error_bars_at_two_draws():
+    stats = energy_constrained_stats(0.5, 5.0, McConfig(seed=0, final_evals=2))
+    assert np.isfinite(stats.mean_logneg.std_error)
+    assert stats.mean_logneg.std_error > 0.0
+    assert all(est.n_evals == 2 for est in _stats_tuple(stats))
+
+
+def _gauss_legendre(lo, hi, n):
+    """n-point Gauss-Legendre nodes and weights on each panel [lo, hi], along a new last axis."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid, half = (0.5 * (hi + lo))[..., None], (0.5 * (hi - lo))[..., None]
+    return mid + half * x, half * w
+
+
+def _energy_stats_reference(mu, e, n=32):
+    """The four energy-constrained statistics by deterministic quadrature.
+
+    In u = 1/mu_A + 1/mu_B, v = 1/mu_A - 1/mu_B the marginal purities have
+    density (E - u) L on 2/sqrt(mu) <= u <= E, with the seralian interval
+    [2/mu + v^2, min(u^2 - 2/mu, 1 + 1/mu^2)] of length L; every statistic
+    is even in v.  Composite Gauss-Legendre in u, v >= 0 and the seralian,
+    split where an integrand has a kink: u = 1/mu + 1 (the interval's upper
+    end switches and entangled seralians appear), u = sqrt(2 + 2/mu^2) and
+    v = sqrt(2 + 2/mu^2 - u^2) (every seralian entangled beyond), u = 2/mu
+    and v = 2/mu - u (steerable beyond).  E_N comes from the raw PPT
+    formula at each seralian node.  Agrees with a 4x refinement to 2e-9 at
+    the points used below.
+    """
+    k = 1.0 / mu
+    u_lo = 2.0 * np.sqrt(k)
+    u_breaks = np.unique(np.clip([u_lo, 1.0 + k, np.sqrt(2.0 + 2.0 * k * k), 2.0 * k, e], u_lo, e))
+    u, wu = (x.ravel() for x in _gauss_legendre(u_breaks[:-1], u_breaks[1:], n))
+    v_max = np.sqrt(np.minimum(u * u - 4.0 * k, (k - 1.0) ** 2))
+    v_steer = np.clip(2.0 * k - u, 0.0, v_max)
+    v_ent = np.clip(np.sqrt(np.maximum(2.0 + 2.0 * k * k - u * u, 0.0)), 0.0, v_max)
+    v_breaks = np.sort(np.stack([np.zeros_like(u), v_steer, v_ent, v_max], axis=1), axis=1)
+    v, wv = _gauss_legendre(v_breaks[:, :-1], v_breaks[:, 1:], n)
+    u = u[:, None, None]
+    weight = (e - u) * wu[:, None, None] * wv
+    d_min = 2.0 * k + v * v
+    d_max = np.minimum(u * u - 2.0 * k, 1.0 + k * k)
+    length = d_max - d_min
+    # Seralians below 2/mu_A^2 + 2/mu_B^2 - 1 - 1/mu^2 are entangled.
+    d_ent = np.clip(u * u + v * v - 1.0 - k * k, d_min, d_max)
+    delta, wd = _gauss_legendre(d_min, d_ent, n)
+    d_tilde = (u * u + v * v)[..., None] - delta
+    nu_plus_sq = 0.5 * (d_tilde + np.sqrt(np.maximum(d_tilde**2 - 4.0 * k * k, 0.0)))
+    en = np.maximum(0.5 * np.log2(mu * mu * nu_plus_sq), 0.0)
+    x_max = 0.5 * (u + v)  # 1 / min(mu_A, mu_B)
+    norm = np.sum(weight * length)
+    return (
+        np.sum(weight * (d_ent - d_min)) / norm,
+        np.sum(weight * np.sum(en * wd, axis=-1)) / norm,
+        np.sum(weight * length * (x_max > k)) / norm,
+        np.sum(weight * length * np.maximum(np.log(mu * x_max), 0.0)) / norm,
+    )
+
+
+@pytest.mark.parametrize("mu,e", [(0.3, 8.0), (0.5, 40.0)])
+def test_energy_stats_reference_is_converged(mu, e):
+    # The coverage test below needs a reference far more accurate than the
+    # Monte Carlo error bars (about 1e-3).
+    ref = _energy_stats_reference(mu, e)
+    assert ref == pytest.approx(_energy_stats_reference(mu, e, n=64), abs=1e-8)
+
+
+def test_energy_stats_error_bars_cover_reference():
+    # Calibrated error bars put about 95 % of seeds within 2 sigma of the
+    # reference and 68 % within 1 sigma.  Over 120 z-scores per statistic,
+    # at least 90 % within 2 sigma rejects bars 1.6x too narrow and at most
+    # 85 % within 1 sigma rejects bars 1.5x too wide.
+    points = [((1.0 + 4.0 / e**2) / 2.0, e) for e in (3.0, 5.0, 8.0, 12.0)]
+    points += [(0.3, 8.0), (0.5, 40.0)]
+    seeds = 20
+    within = np.zeros((2, 4))
+    for i, (mu, e) in enumerate(points):
+        ref = _energy_stats_reference(mu, e)
+        for seed in range(seeds):
+            stats = energy_constrained_stats(mu, e, McConfig(seed=100 * i + seed, final_evals=20_000))
+            for k, (est, want) in enumerate(zip(_stats_tuple(stats), ref)):
+                dev = abs(est.value - want) - 1e-12
+                within[:, k] += (dev <= est.std_error, dev <= 2.0 * est.std_error)
+    frac = within / (seeds * len(points))
+    assert np.all(frac[1] >= 0.9) and np.all(frac[0] <= 0.85), frac
 
 
 # ---------------------------------------------------------------------------
