@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="print the invariants of a covariance matrix file")
     p_an.add_argument("path", help="covariance matrix file")
     p_an.add_argument("--tol", type=float, default=core.BONA_FIDE_TOL,
-                      help="tolerance on nu_min >= 1 - tol (default %(default)g)")
+                      help="tolerance on nu_min >= 1 - tol, below 1 (default %(default)g)")
 
     p_sc = sub.add_parser("scan", help="tabulate typical correlations as CSV")
     p_sc.add_argument("kind", choices=["purity-plane", "purity-cut", "energy-curves", "pure-endpoint"])
@@ -71,10 +71,10 @@ def _cmd_analyze(args) -> int:
     n = sigma.shape[0] // 2
     try:
         nu = core.symplectic_spectrum(sigma)
+        physical = core.is_bona_fide(sigma, tol=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    physical = core.is_bona_fide(sigma, tol=args.tol)
     print(f"modes: {n}")
     print(f"bona fide: {'yes' if physical else 'no'} (tol={args.tol:g})")
     print("symplectic spectrum:", " ".join(f"{v:.12g}" for v in nu))

@@ -5,6 +5,14 @@ Conventions used throughout the package: canonical operators are ordered
 and the vacuum covariance matrix is the identity.  A real symmetric matrix
 is the covariance matrix of a physical state iff Sigma + i*Omega >= 0,
 which is equivalent to all symplectic eigenvalues being >= 1.
+
+Every analysis runs through Hermitian eigenproblems, whose eigenvalues are
+well conditioned and come in exact +- pairs: the physicality test is one
+eigen-solve of Sigma + i*(1 - tol)*Omega, the symplectic spectrum one
+eigen-solve of L^T (i Omega) L for the Cholesky factor Sigma = L L^T, and
+the two-mode invariants need no spectrum at all (the seralian is
+det A + det B + 2 det C).  A symplectic spectrum is defined only for
+positive definite input; anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -50,8 +58,7 @@ BONA_FIDE_TOL = 1e-9
 #: Symmetry tolerance, relative to the largest entry.
 SYMMETRY_RTOL = 1e-12
 
-#: Tolerance for pairing the eigenvalues of Omega @ Sigma.
-PAIRING_TOL = 1e-8
+_NOT_POSITIVE_DEFINITE = "covariance matrix is not positive definite"
 
 
 class DomainError(ValueError):
@@ -103,52 +110,52 @@ def validate_covmat(sigma, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     return sigma
 
 
-def symplectic_spectrum(sigma, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric matrix, sorted ascending.
+def symplectic_spectrum(sigma) -> np.ndarray:
+    """Symplectic eigenvalues of a positive definite matrix, sorted ascending.
 
-    The values are the moduli of the (purely imaginary) eigenvalue pairs of
-    Omega @ Sigma.  For positive definite Sigma these always exist; input
-    whose eigenvalues fail to pair up within ``pairing_tol`` is rejected.
-    Exact for diagonal input, where nu_i = sqrt(d_{2i} * d_{2i+1}).
+    With the Cholesky factor Sigma = L L^T, the Hermitian matrix
+    L^T (i Omega) L is similar to i Omega Sigma; its eigenvalues are the
+    exact pairs +-nu_k, so the nu are read off its positive half with one
+    Hermitian eigen-solve and no pairing step.  Exact for diagonal input,
+    where nu_i = sqrt(d_{2i} * d_{2i+1}).  Raises ValueError unless Sigma is
+    positive definite.
     """
-    return _spectrum(validate_covmat(sigma), pairing_tol)
+    return _spectrum(validate_covmat(sigma))
 
 
-def _spectrum(sigma: np.ndarray, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
+def _spectrum(sigma: np.ndarray) -> np.ndarray:
     """:func:`symplectic_spectrum` of an already validated matrix."""
+    n = sigma.shape[0] // 2
     d = np.diagonal(sigma)
     if np.count_nonzero(sigma) == np.count_nonzero(d):  # diagonal input
-        prod = d[0::2] * d[1::2]
-        if np.any(prod < 0.0):
-            raise ValueError(
-                "eigenvalues of Omega @ Sigma are not purely imaginary; "
-                "the matrix is too far from positive definite"
-            )
-        return np.sort(np.sqrt(prod))
-    eigs = np.linalg.eigvals(_omega(sigma.shape[0] // 2) @ sigma)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if float(np.abs(eigs.real).max()) > pairing_tol * scale:
-        raise ValueError(
-            "eigenvalues of Omega @ Sigma are not purely imaginary; "
-            "the matrix is too far from positive definite"
-        )
-    mods = np.sort(np.abs(eigs.imag))
-    lo, hi = mods[0::2], mods[1::2]
-    if float(np.abs(hi - lo).max()) > pairing_tol * scale:
-        raise ValueError("failed to pair the eigenvalues of Omega @ Sigma")
-    return 0.5 * (lo + hi)
+        d = d.tolist()
+        if min(d) <= 0.0:
+            raise ValueError(_NOT_POSITIVE_DEFINITE)
+        return np.sqrt(np.sort(np.multiply(d[0::2], d[1::2])))
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise ValueError(_NOT_POSITIVE_DEFINITE) from None
+    # eigvalsh sorts ascending: -nu_N <= ... <= -nu_1 < nu_1 <= ... <= nu_N.
+    return np.linalg.eigvalsh(1j * (chol.T @ _omega(n) @ chol))[n:]
 
 
 def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     """True iff Sigma is the covariance matrix of a physical Gaussian state.
 
-    Tests Sigma + i*Omega >= 0 through positive definiteness together with
-    min(nu) >= 1 - tol.
+    Tests Sigma + i*(1 - tol)*Omega >= 0 with one Hermitian eigen-solve.  By
+    scaling, this holds exactly when Sigma is positive definite and
+    min(nu) >= 1 - tol.  Raises ValueError unless tol < 1.
     """
-    sigma = validate_covmat(sigma)
-    if float(np.linalg.eigvalsh(sigma).min()) <= 0.0:
-        return False
-    return float(_spectrum(sigma).min()) >= 1.0 - tol
+    return _bona_fide(validate_covmat(sigma), tol)
+
+
+def _bona_fide(sigma: np.ndarray, tol: float = BONA_FIDE_TOL) -> bool:
+    """:func:`is_bona_fide` of an already validated matrix."""
+    if not tol < 1.0:  # also rejects NaN
+        raise ValueError(f"tol = {tol} must be below 1")
+    pencil = sigma + 1j * (1.0 - tol) * _omega(sigma.shape[0] // 2)
+    return float(np.linalg.eigvalsh(pencil)[0]) >= 0.0
 
 
 def purity(sigma) -> float:
@@ -215,46 +222,64 @@ def _require_two_mode(sigma) -> np.ndarray:
     return sigma
 
 
+def _block_dets(sigma: np.ndarray) -> tuple[float, float, float]:
+    """det A, det B and det C of a two-mode matrix [[A, C], [C^T, B]], from its entries.
+
+    Raises DomainError unless det A and det B are positive.
+    """
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
+        sigma.tolist()
+    )
+    det_a = a00 * a11 - a01 * a10
+    det_b = b00 * b11 - b01 * b10
+    if det_a <= 0.0 or det_b <= 0.0:
+        raise DomainError("diagonal blocks must have positive determinant")
+    return det_a, det_b, c00 * c11 - c01 * c10
+
+
 def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, float]:
     """Invariant coordinates and energy of a two-mode covariance matrix.
 
     Returns ``(InvariantCoords(mu, mu_a, mu_b, delta), energy)`` with
-    mu = 1/sqrt(det Sigma), the marginal purities from the diagonal blocks,
-    delta = nu_1^2 + nu_2^2 and energy = tr(Sigma)/2.  Non-physical input is
-    flagged with NonPhysicalWarning but the invariants are still returned,
-    which is needed when probing the boundary of the physical region.
+    mu = 1/sqrt(det Sigma), the marginal purities 1/sqrt(det A) and
+    1/sqrt(det B) of the diagonal blocks, the seralian
+    delta = det A + det B + 2 det C = nu_1^2 + nu_2^2 and energy = tr(Sigma)/2,
+    all from determinants; no symplectic spectrum is computed.  Input that is
+    not a physical state, positive definite or not, is flagged with
+    NonPhysicalWarning by the test of :func:`is_bona_fide` but the
+    invariants are still returned, which is needed when probing the
+    boundary of the physical region.  Raises ValueError (DomainError for
+    blocks with non-positive determinant) when they are undefined.
     """
     sigma = _require_two_mode(sigma)
-    nu = _spectrum(sigma)
-    det_a = float(np.linalg.det(sigma[:2, :2]))
-    det_b = float(np.linalg.det(sigma[2:, 2:]))
-    if det_a <= 0.0 or det_b <= 0.0:
-        raise ValueError("diagonal blocks must have positive determinant")
+    det_a, det_b, det_c = _block_dets(sigma)
     coords = InvariantCoords(
         mu=_purity(sigma),
         mu_a=1.0 / np.sqrt(det_a),
         mu_b=1.0 / np.sqrt(det_b),
-        delta=float(np.sum(nu**2)),
+        delta=det_a + det_b + 2.0 * det_c,
     )
-    if warn_nonphysical and float(nu.min()) < 1.0 - BONA_FIDE_TOL:
+    if warn_nonphysical and not _bona_fide(sigma):
         warnings.warn(
-            f"matrix is not a physical state (nu_min = {nu.min():.6g} < 1)",
+            "matrix is not a physical state (Sigma + i*Omega is not positive semidefinite)",
             NonPhysicalWarning,
             stacklevel=2,
         )
     return coords, 0.5 * float(np.trace(sigma))
 
 
-def _solve_offdiag(ab: float, p: float, t: float) -> tuple[float, float]:
-    """Solve c+^2 + c-^2 = t, c+ * c- = p with the c+ >= |c-| convention."""
+def _solve_offdiag(p: float, t: float, disc: float) -> tuple[float, float]:
+    """Solve c+ c- = p and c+^2 + c-^2 = t with the c+ >= |c-| convention.
+
+    ``disc`` = t^2 - 4 p^2 = (c+^2 - c-^2)^2, passed in so that each caller
+    can form it with the least cancellation.
+    """
     scale = max(1.0, abs(t), 2.0 * abs(p))
     if t < -1e-10 * scale:
         raise DomainError("no real standard-form solution: c+^2 + c-^2 < 0")
-    t = max(t, 0.0)
-    disc = t * t - 4.0 * p * p
     if disc < -1e-9 * scale * scale:
         raise DomainError("no real standard-form solution: (c+^2 - c-^2)^2 < 0")
-    x_plus = 0.5 * (t + np.sqrt(max(disc, 0.0)))
+    x_plus = 0.5 * (max(t, 0.0) + np.sqrt(max(disc, 0.0)))
     c_plus = float(np.sqrt(x_plus))
     c_minus = p / c_plus if c_plus > 0.0 else 0.0
     return c_plus, c_minus
@@ -269,16 +294,23 @@ def standard_form(sigma) -> StdForm:
     symplectic conjugation of the input.
     """
     sigma = _require_two_mode(sigma)
-    det_a = float(np.linalg.det(sigma[:2, :2]))
-    det_b = float(np.linalg.det(sigma[2:, 2:]))
-    if det_a <= 0.0 or det_b <= 0.0:
-        raise DomainError("diagonal blocks must have positive determinant")
+    det_a, det_b, p = _block_dets(sigma)
     a, b = np.sqrt(det_a), np.sqrt(det_b)
     ab = a * b
-    p = float(np.linalg.det(sigma[:2, 2:]))
     t = (ab * ab + p * p - float(np.linalg.det(sigma))) / ab
-    c_plus, c_minus = _solve_offdiag(ab, p, t)
+    c_plus, c_minus = _solve_offdiag(p, t, t * t - 4.0 * p * p)
     return StdForm(a=float(a), b=float(b), c_plus=c_plus, c_minus=c_minus)
+
+
+def _seralian_edges(mu, a, b):
+    """Seralian edges 2/mu + (a - b)^2 and (a + b)^2 - 2/mu of the standard form.
+
+    a = 1/mu_A and b = 1/mu_B; elementwise on arrays.  A real standard form
+    exists between the two edges, and c+^2 = c-^2 on both.  The physical
+    interval is [2/mu + (a - b)^2, min((a + b)^2 - 2/mu, 1 + 1/mu^2)], where
+    1 + 1/mu^2 is the seralian at nu_- = 1.
+    """
+    return 2.0 / mu + (a - b) ** 2, (a + b) ** 2 - 2.0 / mu
 
 
 def cm_from_invariants(coords: InvariantCoords) -> StdForm:
@@ -286,10 +318,10 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
 
     Inverts the map behind :func:`invariants`: a = 1/mu_a, b = 1/mu_b,
     c+ c- = (delta - a^2 - b^2)/2 and c+^2 + c-^2 fixed by det Sigma = 1/mu^2.
-    Raises DomainError when the coordinates admit no physical state, i.e.
-    when no real (c+, c-) exist, when the reconstructed matrix would not be
-    positive definite, or when delta is incompatible with a symplectic
-    spectrum with nu >= 1.
+    Raises DomainError when the coordinates admit no physical state: when
+    delta lies outside the closed-form seralian interval of the purities
+    by more than a relative 1e-9, or when the reconstructed matrix would
+    not be positive definite.  On the edges of the interval c+ = |c-|.
     """
     mu, mu_a, mu_b, delta = coords.mu, coords.mu_a, coords.mu_b, coords.delta
     slack = 1e-9
@@ -297,15 +329,24 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
         if not (0.0 < val <= 1.0 + slack):
             raise DomainError(f"{name} = {val} must lie in (0, 1]")
     mu = min(mu, 1.0)
-    if delta < 2.0 / mu - slack:
-        raise DomainError(f"delta = {delta} below the minimum 2/mu = {2.0 / mu}")
-    if delta > 1.0 + 1.0 / mu**2 + slack:
-        raise DomainError(f"delta = {delta} above the maximum 1 + 1/mu^2 = {1.0 + 1.0 / mu**2}")
     a, b = 1.0 / mu_a, 1.0 / mu_b
+    lo, hi = _seralian_edges(mu, a, b)
+    if not delta >= lo * (1.0 - slack):  # also rejects NaN
+        raise DomainError(f"delta = {delta} below the minimum 2/mu + (1/mu_a - 1/mu_b)^2 = {lo}")
+    top = min(hi, 1.0 + 1.0 / mu**2)
+    if not delta <= top * (1.0 + slack):
+        raise DomainError(
+            f"delta = {delta} above the maximum min((1/mu_a + 1/mu_b)^2 - 2/mu, 1 + 1/mu^2) = {top}"
+        )
     ab = a * b
     p = 0.5 * (delta - a * a - b * b)
-    t = (ab * ab + p * p - 1.0 / mu**2) / ab
-    c_plus, c_minus = _solve_offdiag(ab, p, t)
+    # ab - |p| - 1/mu is half the distance from delta to the nearer edge, so
+    # gap = t - 2|p| = (ab - |p| - 1/mu)(ab - |p| + 1/mu)/ab and
+    # (c+^2 - c-^2)^2 = gap (gap + 4|p|) have no cancellation and vanish on
+    # an edge.
+    half = 0.5 * max(min(delta - lo, hi - delta), 0.0)
+    gap = half * (half + 2.0 / mu) / ab
+    c_plus, c_minus = _solve_offdiag(p, 2.0 * abs(p) + gap, gap * (gap + 4.0 * abs(p)))
     if c_plus * c_plus > ab * (1.0 + 1e-12):
         raise DomainError("reconstructed matrix would not be positive definite")
     return StdForm(a=a, b=b, c_plus=c_plus, c_minus=c_minus)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DomainError, InvariantCoords, validate_covmat
+from .core import DomainError, InvariantCoords, _seralian_edges, validate_covmat
 
 __all__ = [
     "PptSpectrum",
@@ -166,8 +166,8 @@ def delta_bounds_batch(mu: float, mu_a, mu_b):
     mu_b = np.atleast_1d(np.asarray(mu_b, dtype=float))
     _require_marginals(mu_a, mu_b)
     a, b = 1.0 / mu_a, 1.0 / mu_b
-    d_min = 2.0 / mu + (a - b) ** 2
-    d_max = np.minimum((a + b) ** 2 - 2.0 / mu, 1.0 + 1.0 / mu**2)
+    d_min, d_max = _seralian_edges(mu, a, b)
+    d_max = np.minimum(d_max, 1.0 + 1.0 / mu**2)
     valid = d_min <= d_max
     return np.where(valid, d_min, np.nan), np.where(valid, d_max, np.nan), valid
 

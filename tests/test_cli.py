@@ -43,6 +43,23 @@ def test_analyze_nonphysical_exit_code(tmp_path, capsys):
     assert "symplectic spectrum" in out  # report still printed
 
 
+def test_analyze_negative_definite_matrix(tmp_path, capsys):
+    path = tmp_path / "neg.txt"
+    write_covmat(path, -np.eye(4))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert "positive definite" in err
+    assert out == ""
+
+
+def test_analyze_rejects_tolerance_of_one(tmp_path, capsys):
+    path = tmp_path / "vac.txt"
+    write_covmat(path, np.eye(4))
+    code, _, err = run_cli(capsys, "analyze", str(path), "--tol", "1")
+    assert code == 1
+    assert "tol" in err
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "junk.txt"
     path.write_text("not a matrix\n")

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from gaussgeom.core import (
+    BONA_FIDE_TOL,
     DomainError,
     InvariantCoords,
     NonPhysicalWarning,
@@ -25,6 +28,7 @@ from gaussgeom.core import (
     validate_covmat,
     write_covmat,
 )
+from gaussgeom.correlations import delta_bounds
 from conftest import feasible_coords, local_symplectics, oracle_spectrum
 
 
@@ -55,6 +59,115 @@ def test_spectrum_rejects_bad_input():
         symplectic_spectrum(np.eye(3))
     with pytest.raises(ValueError):
         symplectic_spectrum(np.diag([1.0, -1.0]))  # indefinite, eigenvalues real
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        -np.eye(4),
+        np.diag([-1.0, -1.0, 2.0, 2.0]),
+        np.diag([1.0, 0.0, 1.0, 1.0]),
+        -two_mode_squeezed(0.5),
+        StdForm(1.0, 1.0, 2.0, 0.5).matrix(),  # indefinite
+    ],
+)
+def test_spectrum_rejects_non_positive_definite_input(sigma):
+    with pytest.raises(ValueError, match="positive definite"):
+        symplectic_spectrum(sigma)
+    assert not is_bona_fide(sigma)
+
+
+def test_invariants_flag_negative_definite_input():
+    with pytest.warns(NonPhysicalWarning):
+        coords, e = invariants(-np.eye(4))
+    assert (coords.mu, coords.delta, e) == (1.0, 2.0, -2.0)
+
+
+def _degenerate_spectrum_states():
+    """Two-mode squeezed vacua and symmetric thermal states, plain and locally squeezed."""
+    rng = np.random.default_rng(21)
+    cases = [(two_mode_squeezed(r), 1.0) for r in np.linspace(0.05, 3.0, 60)]
+    cases += [(thermal([v, v]), v) for v in (1.0, 1.5, 2.0, 4.0, 5.0, 7.0, 30.0)]
+    for sigma, nu in list(cases):
+        s = random_local_symplectic(rng)
+        cases.append((s.T @ sigma @ s, nu))
+    return cases
+
+
+@pytest.mark.parametrize("sigma, nu", _degenerate_spectrum_states())
+def test_degenerate_spectrum(sigma, nu):
+    np.testing.assert_allclose(symplectic_spectrum(sigma), [nu, nu], rtol=1e-9, atol=0.0)
+    assert is_bona_fide(sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coords, _ = invariants(sigma)
+    np.testing.assert_allclose([coords.mu, coords.delta], [nu**-2, 2.0 * nu**2], rtol=1e-9)
+
+
+def test_is_bona_fide_matches_oracle_spectrum():
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for n in (1, 2, 3):
+        for _ in range(200):
+            nu = rng.uniform(0.5, 3.0, n)
+            nu[0] = rng.choice([1.0, 1.0 - 1e-12, 1.0 + 1e-7, 1.0 - 1e-7, nu[0]])
+            s = random_symplectic(n, rng)
+            sigma = s.T @ thermal(nu) @ s
+            want = bool(oracle_spectrum(sigma).min() >= 1.0 - BONA_FIDE_TOL)
+            assert is_bona_fide(sigma) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_is_bona_fide_on_and_beyond_the_pure_edge():
+    # On Delta_max = 1 + 1/mu^2 the state has nu_- = 1; scaling Sigma by
+    # 1 - eps moves nu_- to 1 - eps, inside the tolerance for eps = 1e-11
+    # and just beyond it for eps = 1e-7.
+    rng = np.random.default_rng(25)
+    done = 0
+    while done < 200:
+        mu, mu_a, mu_b = rng.uniform(0.1, 1.0, 3)
+        bounds = delta_bounds(mu, mu_a, mu_b)
+        if bounds is None or bounds[1] < 1.0 + 1.0 / mu**2:
+            continue
+        sigma = cm_from_invariants(InvariantCoords(mu, mu_a, mu_b, bounds[1])).matrix()
+        s = random_local_symplectic(rng)
+        for scale, want in ((1.0, True), (1.0 - 1e-11, True), (1.0 - 1e-7, False)):
+            for m in (scale * sigma, scale * (s.T @ sigma @ s)):
+                assert bool(oracle_spectrum(m).min() >= 1.0 - BONA_FIDE_TOL) == want
+                assert is_bona_fide(m) == want
+        done += 1
+
+
+def test_is_bona_fide_rejects_tolerance_of_one():
+    for tol in (1.0, 2.0, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            is_bona_fide(np.eye(2), tol=tol)
+
+
+def test_one_hermitian_eigen_solve_per_call(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a):
+        calls.append("eigvalsh")
+        return eigvalsh(a)
+
+    def no_eigvals(a):
+        raise AssertionError("general eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    sigma = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
+    for fn, want in (
+        (symplectic_spectrum, 1),
+        (is_bona_fide, 1),
+        (invariants, 1),
+        (lambda m: invariants(m, warn_nonphysical=False), 0),
+    ):
+        calls.clear()
+        fn(sigma)
+        assert len(calls) == want
 
 
 def test_spectrum_invariant_under_congruence():

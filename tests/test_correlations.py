@@ -214,6 +214,20 @@ def test_delta_bounds_interval_is_sharp():
             assert not is_bona_fide(sigma, tol=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coords=feasible_coords())
+def test_seralian_bounds_are_sharp(coords):
+    # Both ends and an interior point give bona fide states, pure-state
+    # corners included; a relative 1e-6 beyond either end gives none.
+    mu, mu_a, mu_b = coords.mu, coords.mu_a, coords.mu_b
+    lo, hi = delta_bounds(mu, mu_a, mu_b)
+    for delta in (lo, coords.delta, hi):
+        assert is_bona_fide(cm_from_invariants(InvariantCoords(mu, mu_a, mu_b, delta)).matrix())
+    for delta in (lo * (1.0 - 1e-6), hi * (1.0 + 1e-6)):
+        with pytest.raises(DomainError):
+            cm_from_invariants(InvariantCoords(mu, mu_a, mu_b, delta))
+
+
 def test_classify_region_examples():
     region, prop = classify_region(0.5, 0.75, 0.75)
     assert region is RegionClass.UNPHYSICAL
