@@ -146,6 +146,12 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     Tests Sigma + i*(1 - tol)*Omega >= 0 with one Hermitian eigen-solve.  By
     scaling, this holds exactly when Sigma is positive definite and
     min(nu) >= 1 - tol.  Raises ValueError unless tol < 1.
+
+    In float64 the verdict is only as good as the rounding of the input
+    allows: once that moves nu_min by more than ``tol``, physical states
+    are rejected.  For locally squeezed two-mode squeezed vacua this starts
+    near r = 3.6, where the largest entry is about 2e3; the library's
+    energy grids (E <= 40) stay far below that.
     """
     return _bona_fide(validate_covmat(sigma), tol)
 
@@ -268,38 +274,46 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
     return coords, 0.5 * float(np.trace(sigma))
 
 
-def _solve_offdiag(p: float, t: float, disc: float) -> tuple[float, float]:
-    """Solve c+ c- = p and c+^2 + c-^2 = t with the c+ >= |c-| convention.
+def _unit_sqrt_inverse(block: np.ndarray, scale: float) -> np.ndarray:
+    """Inverse of the square root of the unit-determinant 2x2 matrix M = block/scale.
 
-    ``disc`` = t^2 - 4 p^2 = (c+^2 - c-^2)^2, passed in so that each caller
-    can form it with the least cancellation.
+    For symmetric positive M with det M = 1, sqrt(M) = (M + I)/sqrt(tr M + 2),
+    and the inverse of that unit-determinant matrix is its adjugate.
+    Raises DomainError unless M is positive definite.
     """
-    scale = max(1.0, abs(t), 2.0 * abs(p))
-    if t < -1e-10 * scale:
-        raise DomainError("no real standard-form solution: c+^2 + c-^2 < 0")
-    if disc < -1e-9 * scale * scale:
-        raise DomainError("no real standard-form solution: (c+^2 - c-^2)^2 < 0")
-    x_plus = 0.5 * (max(t, 0.0) + np.sqrt(max(disc, 0.0)))
-    c_plus = float(np.sqrt(x_plus))
-    c_minus = p / c_plus if c_plus > 0.0 else 0.0
-    return c_plus, c_minus
+    m = block / scale
+    tr = m[0, 0] + m[1, 1]
+    if not tr > 0.0:
+        raise DomainError("diagonal blocks must be positive definite")
+    return np.array([[m[1, 1] + 1.0, -m[0, 1]], [-m[1, 0], m[0, 0] + 1.0]]) / np.sqrt(tr + 2.0)
 
 
 def standard_form(sigma) -> StdForm:
     """Reduce a two-mode covariance matrix to its standard form.
 
-    a and b are fixed by the marginal purities, while (c_plus, c_minus) is
-    the solution of c+ c- = det C and (ab - c+^2)(ab - c-^2) = det Sigma
-    with c_plus >= |c_minus|.  The result is invariant under local
-    symplectic conjugation of the input.
+    a and b are fixed by the marginal purities.  A diagonal block is
+    A = a S_A^T S_A with S_A = O_A P_A, O_A a rotation and P_A the
+    unit-determinant square root of A/a, so the normalised off-diagonal
+    block P_A^-1 C P_B^-1 = O_A^T diag(c+, c-) O_B has the singular values
+    c+ >= |c-|, and det C carries the sign of c-.  No step subtracts
+    nearly equal terms, so states on the edge c+ = |c-| (pure states among
+    them) keep it to rounding.  The result is invariant under local
+    symplectic conjugation of the input.  Raises DomainError unless both
+    diagonal blocks are positive definite.
     """
     sigma = _require_two_mode(sigma)
-    det_a, det_b, p = _block_dets(sigma)
+    det_a, det_b, det_c = _block_dets(sigma)
     a, b = np.sqrt(det_a), np.sqrt(det_b)
-    ab = a * b
-    t = (ab * ab + p * p - float(np.linalg.det(sigma))) / ab
-    c_plus, c_minus = _solve_offdiag(p, t, t * t - 4.0 * p * p)
-    return StdForm(a=float(a), b=float(b), c_plus=c_plus, c_minus=c_minus)
+    (n00, n01), (n10, n11) = (
+        _unit_sqrt_inverse(sigma[:2, :2], a)
+        @ sigma[:2, 2:]
+        @ _unit_sqrt_inverse(sigma[2:, 2:], b)
+    ).tolist()
+    # The singular values of a 2x2 matrix are (q + r)/2 and |q - r|/2.
+    q = np.hypot(n00 + n11, n01 - n10)
+    r = np.hypot(n00 - n11, n01 + n10)
+    c_minus = float(np.copysign(0.5 * abs(q - r), det_c))
+    return StdForm(a=float(a), b=float(b), c_plus=float(0.5 * (q + r)), c_minus=c_minus)
 
 
 def _seralian_edges(mu, a, b):
@@ -341,12 +355,13 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
     ab = a * b
     p = 0.5 * (delta - a * a - b * b)
     # ab - |p| - 1/mu is half the distance from delta to the nearer edge, so
-    # gap = t - 2|p| = (ab - |p| - 1/mu)(ab - |p| + 1/mu)/ab and
+    # gap = c+^2 + c-^2 - 2|p| = (ab - |p| - 1/mu)(ab - |p| + 1/mu)/ab and
     # (c+^2 - c-^2)^2 = gap (gap + 4|p|) have no cancellation and vanish on
-    # an edge.
+    # an edge.  c+ c- = p then fixes c- with the c+ >= |c-| convention.
     half = 0.5 * max(min(delta - lo, hi - delta), 0.0)
     gap = half * (half + 2.0 / mu) / ab
-    c_plus, c_minus = _solve_offdiag(p, 2.0 * abs(p) + gap, gap * (gap + 4.0 * abs(p)))
+    c_plus = float(np.sqrt(0.5 * (2.0 * abs(p) + gap + np.sqrt(gap * (gap + 4.0 * abs(p))))))
+    c_minus = p / c_plus if c_plus > 0.0 else 0.0
     if c_plus * c_plus > ab * (1.0 + 1e-12):
         raise DomainError("reconstructed matrix would not be positive definite")
     return StdForm(a=a, b=b, c_plus=c_plus, c_minus=c_minus)

@@ -81,20 +81,42 @@ def _repulsion(nu: np.ndarray) -> float:
     return out
 
 
+#: Exponent of prod(nu_k) in the eigenvalue density of each kind on N modes;
+#: every density is this power times the repulsion factor (and, for the
+#: fixed-purity kind, the shell factor of :func:`_off_shell`).
+_PROD_EXPONENTS = {
+    "hilbert-schmidt": lambda n: -n * (n + 2.5) + 1.0,
+    "fisher-rao": lambda n: -2.0 * n + 1.0,
+    "reduced-pure": lambda n: 2.0,
+    "fixed-purity": lambda n: 0.0,
+}
+
+
+def _prod_exponent(kind: MeasureKind, n: int) -> float:
+    """The prod(nu_k) exponent of ``kind`` on ``n`` modes."""
+    try:
+        exponent = _PROD_EXPONENTS[kind.tag]
+    except KeyError:
+        raise ValueError(f"unknown measure kind {kind.tag!r}") from None
+    return exponent(n)
+
+
+def _off_shell(kind: MeasureKind, nu: np.ndarray) -> bool:
+    """True iff ``kind`` is the fixed-purity measure and nu lies off its shell."""
+    return kind.tag == "fixed-purity" and abs(float(np.prod(1.0 / nu)) - kind.mu) > 1e-9
+
+
 def density_hs(nu) -> float:
     """Hilbert-Schmidt eigenvalue density (up to a constant).
 
     (prod nu_k)^(-N(N+5/2)+1) * prod_{l>m} (nu_l^2 - nu_m^2)^2.
     """
-    nu = _spectrum(nu)
-    n = nu.size
-    return float(np.prod(nu) ** (-n * (n + 2.5) + 1.0) * _repulsion(nu))
+    return density(HILBERT_SCHMIDT, nu)
 
 
 def density_fr(nu) -> float:
     """Fisher-Rao eigenvalue density: (prod nu_k)^(-2N+1) * repulsion."""
-    nu = _spectrum(nu)
-    return float(np.prod(nu) ** (-2.0 * nu.size + 1.0) * _repulsion(nu))
+    return density(FISHER_RAO, nu)
 
 
 def density_reduced_pure(nu) -> float:
@@ -102,8 +124,7 @@ def density_reduced_pure(nu) -> float:
 
     The exponent 2 on the product is independent of the mode number.
     """
-    nu = _spectrum(nu)
-    return float(np.prod(nu) ** 2 * _repulsion(nu))
+    return density(REDUCED_PURE, nu)
 
 
 def density(kind: MeasureKind, nu) -> float:
@@ -113,34 +134,31 @@ def density(kind: MeasureKind, nu) -> float:
     purity shell and zero off the shell (the delta factor cannot be
     evaluated pointwise).
     """
-    if kind.tag == "hilbert-schmidt":
-        return density_hs(nu)
-    if kind.tag == "fisher-rao":
-        return density_fr(nu)
-    if kind.tag == "reduced-pure":
-        return density_reduced_pure(nu)
-    if kind.tag == "fixed-purity":
-        nu = _spectrum(nu)
-        if abs(float(np.prod(1.0 / nu)) - kind.mu) > 1e-9:
-            return 0.0
-        return _repulsion(nu)
-    raise ValueError(f"unknown measure kind {kind.tag!r}")
+    nu = _spectrum(nu)
+    exponent = _prod_exponent(kind, nu.size)
+    if _off_shell(kind, nu):
+        return 0.0
+    return float(np.prod(nu) ** exponent * _repulsion(nu))
 
 
 def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
     """Ratio of two eigenvalue densities at the same spectrum.
 
-    The ratio is a power of prod(nu_k) only; in particular HS over FR
-    equals (prod nu_k)^(-N^2 - N/2).  A degenerate spectrum makes both
-    densities vanish and the ratio undefined (except for equal kinds).
+    The repulsion factors cancel, so the ratio is a power of prod(nu_k);
+    in particular HS over FR equals (prod nu_k)^(-N^2 - N/2).  Raises
+    ValueError when the denominator density vanishes: at a degenerate
+    spectrum (except for equal kinds) or off the shell of a fixed-purity
+    denominator.  Off the shell of a fixed-purity numerator the ratio is 0.
     """
     if kind_a == kind_b:
         return 1.0
-    num = density(kind_a, nu)
-    den = density(kind_b, nu)
-    if den == 0.0:
+    nu = _spectrum(nu)
+    exponent = _prod_exponent(kind_a, nu.size) - _prod_exponent(kind_b, nu.size)
+    if _off_shell(kind_b, nu) or _repulsion(nu) == 0.0:
         raise ValueError("density ratio undefined: denominator density vanishes")
-    return num / den
+    if _off_shell(kind_a, nu):
+        return 0.0
+    return float(np.prod(nu) ** exponent)
 
 
 # ---------------------------------------------------------------------------

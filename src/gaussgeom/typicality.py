@@ -378,21 +378,52 @@ def _std_form_arrays(mu: float, mu_a, mu_b, delta):
     return a, b, c_plus, c_minus
 
 
+@dataclass(frozen=True)
+class _UVSupport:
+    """Support of the marginal-purity density in u = 1/mu_A + 1/mu_B, v = 1/mu_A - 1/mu_B.
+
+    With x = 1/mu_A and y = 1/mu_B the seralian interval has the
+    closed-form length L = min(u^2 - 4/mu, (1/mu - 1)^2) - v^2 (see
+    :func:`~gaussgeom.correlations.delta_bounds`), positive exactly where
+    physical states exist.  L > 0 forces xy > 1/mu and |x - y| < 1/mu - 1,
+    hence x, y > 1.  The box 2/sqrt(mu) <= u <= E, |v| <= V with
+    V^2 = min((1/mu - 1)^2, E^2 - 4/mu) covers the support below the
+    energy, and (E - u) L <= (E - 2/sqrt(mu)) V^2 = ``rho_max`` on it.
+    """
+
+    four_over_mu: float
+    u_lo: float
+    v_sq: float
+    cap: float
+    rho_max: float
+
+    @classmethod
+    def of(cls, mu: float, energy: float) -> "_UVSupport":
+        u_lo = 2.0 / np.sqrt(mu)
+        cap = (1.0 / mu - 1.0) ** 2
+        v_sq = min(cap, energy**2 - 4.0 / mu)
+        return cls(4.0 / mu, u_lo, v_sq, cap, (energy - u_lo) * v_sq)
+
+    def length(self, u, v):
+        """Seralian interval length L(u, v); not positive off the support."""
+        return np.minimum(u * u - self.four_over_mu, self.cap) - v * v
+
+
 def _draw_purities(mu: float, energy: float, count: int, rng: np.random.Generator):
     """Marginal purities and seralian intervals of ``count`` ensemble draws.
 
     In x = 1/mu_A, y = 1/mu_B the weight times d mu_A d mu_B is
-    (E - x - y) dx dy, so the marginal density of (x, y) is (E - u) L with
-    u = x + y, v = x - y and the seralian interval length
-    L = min(u^2 - 4/mu, (1/mu - 1)^2) - v^2.  Uniform proposals in the box
-    2/sqrt(mu) <= u <= E, |v| <= V with V^2 = min((1/mu - 1)^2, E^2 - 4/mu)
-    cover the support, and (E - u) L <= (E - 2/sqrt(mu)) V^2 bounds the
-    density there.  Returns (mu_a, mu_b, delta_min, delta_max) arrays.
+    (E - x - y) dx dy, so the marginal density of (x, y) is (E - u) L in
+    the coordinates of :class:`_UVSupport`.  Uniform proposals in its box
+    are accepted with probability (E - u) L / rho_max, where E - u is
+    :func:`energy_weight` times (mu_A mu_B)^2 at the purities 1/max(x, 1),
+    1/max(y, 1) (the clamp keeps them in (0, 1]; clamped proposals have
+    L <= 0 and are rejected).  Only accepted draws get their seralian
+    bounds; a rounding sliver that :func:`delta_bounds_batch` finds empty
+    is dropped.  Returns (mu_a, mu_b, delta_min, delta_max) arrays.
     """
-    u_lo = 2.0 / np.sqrt(mu)
-    v_sq = min((1.0 / mu - 1.0) ** 2, energy**2 - 4.0 / mu)
-    v_max = np.sqrt(v_sq)
-    rho_max = (energy - u_lo) * v_sq
+    box = _UVSupport.of(mu, energy)
+    v_max = np.sqrt(box.v_sq)
     acc_a, acc_b, acc_lo, acc_hi = [], [], [], []
     n_acc = n_drawn = 0
     while n_acc < count:
@@ -400,22 +431,21 @@ def _draw_purities(mu: float, energy: float, count: int, rng: np.random.Generato
         # so far: a quarter before the first batch, at least 3 % anywhere.
         rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
         batch = min(_SAMPLER_BATCH, max(1024, int(1.1 * (count - n_acc) / rate)))
-        u = rng.uniform(u_lo, energy, batch)
+        u = rng.uniform(box.u_lo, energy, batch)
         v = rng.uniform(-v_max, v_max, batch)
         r = rng.random(batch)
         n_drawn += batch
-        x, y = 0.5 * (u + v), 0.5 * (u - v)
-        inside = (x >= 1.0) & (y >= 1.0)  # mu_A, mu_B in (0, 1]
-        mu_a, mu_b = 1.0 / x[inside], 1.0 / y[inside]
+        mu_a = 1.0 / np.maximum(0.5 * (u + v), 1.0)
+        mu_b = 1.0 / np.maximum(0.5 * (u - v), 1.0)
         excess = energy_weight(mu_a, mu_b, energy) * (mu_a * mu_b) ** 2  # E - u
+        ok = r * box.rho_max < excess * box.length(u, v)
+        mu_a, mu_b = mu_a[ok], mu_b[ok]
         lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
-        length = np.where(valid, hi - lo, 0.0)
-        ok = r[inside] * rho_max < excess * length
-        acc_a.append(mu_a[ok])
-        acc_b.append(mu_b[ok])
-        acc_lo.append(lo[ok])
-        acc_hi.append(hi[ok])
-        n_acc += int(ok.sum())
+        acc_a.append(mu_a[valid])
+        acc_b.append(mu_b[valid])
+        acc_lo.append(lo[valid])
+        acc_hi.append(hi[valid])
+        n_acc += int(valid.sum())
     logger.debug(
         "sampler acceptance %.3g (%d proposals for %d states)", n_acc / n_drawn, n_drawn, count
     )

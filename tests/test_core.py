@@ -256,16 +256,15 @@ def test_energy_not_locally_invariant():
 
 
 def test_standard_form_idempotent_and_diagonal():
-    std = StdForm(1.4, 1.2, 0.3, -0.1)
-    got = standard_form(std.matrix())
-    np.testing.assert_allclose(
-        [got.a, got.b, got.c_plus, got.c_minus],
-        [std.a, std.b, std.c_plus, std.c_minus],
-        atol=1e-12,
-    )
-    # c near zero is only determined to sqrt(det cancellation) ~ 1e-8.
+    for std in (StdForm(1.4, 1.2, 0.3, -0.1), StdForm(1.4, 1.2, 0.3, 0.1)):
+        got = standard_form(std.matrix())
+        np.testing.assert_allclose(
+            [got.a, got.b, got.c_plus, got.c_minus],
+            [std.a, std.b, std.c_plus, std.c_minus],
+            atol=1e-12,
+        )
     got = standard_form(np.diag([2.0, 2.0, 3.0, 3.0]))
-    np.testing.assert_allclose([got.a, got.b, got.c_plus, got.c_minus], [2, 3, 0, 0], atol=1e-7)
+    assert [got.a, got.b, got.c_plus, got.c_minus] == [2.0, 3.0, 0.0, 0.0]
 
 
 def test_standard_form_local_invariance():
@@ -280,6 +279,26 @@ def test_standard_form_local_invariance():
             [std.a, std.b, std.c_plus, std.c_minus],
             atol=1e-9,
         )
+
+
+def test_standard_form_of_locally_squeezed_pure_states_is_bona_fide():
+    # Pure states sit on the edge c+ = |c-|; a split of c+ and |c-| by the
+    # square root of a rounding error leaves nu_- about 1e-8 below 1.
+    rng = np.random.default_rng(4)
+    bad, gap = 0, 0.0
+    for r in np.linspace(0.05, 3.0, 4800):
+        s = random_local_symplectic(rng)
+        std = standard_form(s.T @ two_mode_squeezed(r) @ s)
+        bad += not is_bona_fide(std.matrix())
+        gap = max(gap, abs(std.c_plus + std.c_minus) / std.c_plus)
+    assert bad == 0
+    assert gap <= 1e-12
+
+
+def test_standard_form_rejects_negative_definite_blocks():
+    for sigma in (-np.eye(4), np.diag([2.0, 2.0, -3.0, -3.0])):
+        with pytest.raises(DomainError, match="positive definite"):
+            standard_form(sigma)
 
 
 def test_cm_from_invariants_examples():

@@ -7,6 +7,7 @@ from gaussgeom.measures import (
     FISHER_RAO,
     HILBERT_SCHMIDT,
     REDUCED_PURE,
+    MeasureKind,
     TangentDirection,
     density,
     density_fr,
@@ -75,6 +76,30 @@ def test_density_ratio_power_laws():
             r = density_ratio(REDUCED_PURE, FISHER_RAO, nu)
             expect = prod ** (2 * n + 1)
             assert abs(r - expect) < 1e-9 * abs(expect)
+
+
+def test_density_ratio_is_the_quotient_of_the_densities():
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3):
+        for _ in range(40):
+            nu = _well_separated_spectrum(rng, n)
+            kinds = (HILBERT_SCHMIDT, FISHER_RAO, REDUCED_PURE, fixed_purity(np.prod(1.0 / nu)))
+            for kind_a in kinds:
+                for kind_b in kinds:
+                    want = density(kind_a, nu) / density(kind_b, nu)
+                    assert density_ratio(kind_a, kind_b, nu) == pytest.approx(want, rel=1e-12)
+
+
+def test_density_ratio_undefined_where_the_denominator_vanishes():
+    with pytest.raises(ValueError, match="vanishes"):
+        density_ratio(HILBERT_SCHMIDT, FISHER_RAO, [1.5, 1.5])
+    with pytest.raises(ValueError, match="vanishes"):
+        density_ratio(HILBERT_SCHMIDT, fixed_purity(0.5), [1.2, 2.0])
+    assert density_ratio(fixed_purity(0.5), HILBERT_SCHMIDT, [1.2, 2.0]) == 0.0
+    with pytest.raises(ValueError, match=">= 1"):
+        density_ratio(HILBERT_SCHMIDT, FISHER_RAO, [0.5, 2.0])
+    with pytest.raises(ValueError, match="unknown"):
+        density_ratio(MeasureKind("bogus"), FISHER_RAO, [1.2, 2.0])
 
 
 def test_fixed_purity_density():

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from gaussgeom.typicality import (
     sample_energy_constrained,
     scan_purity_plane,
 )
-from gaussgeom.typicality import _covmats
+from gaussgeom.typicality import _covmats, _draw_purities, _UVSupport
 from conftest import oracle_spectrum
 
 _LN2 = np.log(2.0)
@@ -398,6 +399,51 @@ def test_sampler_constraints_hold():
     assert spectra.min() >= 1.0 - 1e-9
     mus = 1.0 / np.sqrt(np.linalg.det(sigmas))
     assert np.abs(mus - mu).max() < 1e-8
+
+
+@pytest.mark.parametrize("mu,e", [(0.72, 3.0), (0.58, 5.0), (0.53, 8.0), (0.51, 12.0), (0.02, 40.0)])
+def test_uv_support_length_is_the_seralian_interval(mu, e):
+    box = _UVSupport.of(mu, e)
+    rng = np.random.default_rng(17)
+    v_max = np.sqrt(box.v_sq)
+    u = rng.uniform(box.u_lo, e, 20_000)
+    v = rng.uniform(-v_max, v_max, 20_000)
+    x, y = 0.5 * (u + v), 0.5 * (u - v)
+    length = box.length(u, v)
+    inside = (x >= 1.0) & (y >= 1.0)
+    mu_a, mu_b = 1.0 / x[inside], 1.0 / y[inside]
+    lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
+    nonempty = np.zeros(u.size, dtype=bool)
+    nonempty[inside] = valid & (hi > lo)
+    np.testing.assert_array_equal(length > 0.0, nonempty)
+    assert 0.5 < nonempty.mean() < 1.0
+    # (E - u) L is the proposal density of the sampler.  Both sides subtract
+    # nearly equal terms next to the support edges, so they agree relative
+    # to the size of those terms, E (u^2 + v^2).
+    keep = length[inside] > 0.0
+    u, v = u[inside][keep], v[inside][keep]
+    mu_a, mu_b = mu_a[keep], mu_b[keep]
+    lhs = (e - u) * box.length(u, v)
+    rhs = energy_weight(mu_a, mu_b, e) * (mu_a * mu_b) ** 2 * (hi[keep] - lo[keep])
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * e * (u * u + v * v))
+    assert np.all(lhs <= box.rho_max)
+
+
+def test_sampler_at_a_box_reaching_past_the_pure_marginals():
+    # Below mu = 3 - 2 sqrt(2) with E^2 >= 8/mu the proposal box reaches
+    # 1/mu_A <= 0; those proposals must be rejected without a warning.
+    mu, e = 0.02, 40.0
+    box = _UVSupport.of(mu, e)
+    assert box.u_lo - np.sqrt(box.v_sq) <= 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu_a, mu_b, d_min, d_max = _draw_purities(mu, e, 5_000, np.random.default_rng(3))
+        sigmas = sample_energy_constrained(mu, e, 2_000, seed=3)
+    for m in (mu_a, mu_b):
+        assert np.all((m > 0.0) & (m <= 1.0))
+    assert np.all(np.isfinite(d_min) & np.isfinite(d_max) & (d_min <= d_max))
+    assert np.abs(0.5 * np.einsum("nii->n", sigmas) - e).max() < 1e-9
+    assert all(is_bona_fide(s) for s in sigmas)
 
 
 def test_sampler_deterministic():
