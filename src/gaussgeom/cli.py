@@ -100,9 +100,12 @@ def _open_out(path: str):
 
 def _parse_energies(spec: str) -> list[float]:
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        energies = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"could not parse energy list {spec!r}") from exc
+    if not energies:
+        raise ValueError(f"energy list {spec!r} is empty")
+    return energies
 
 
 def _scan_rows(args):
@@ -127,6 +130,8 @@ def _scan_rows(args):
             "prop_steer", "prop_steer_err",
             "mean_G", "mean_G_err",
         ]
+        if args.mu_grid < 1:
+            raise ValueError("mu_grid must be positive")
         rows = []
         for i, e in enumerate(_parse_energies(args.E)):
             mu_min = 4.0 / e**2

@@ -23,7 +23,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "BONA_FIDE_TOL",
@@ -396,8 +395,12 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     """Random symplectic matrix exp(Omega @ H) with H symmetric Gaussian.
 
     ``scale`` sets the standard deviation of H and thereby the typical
-    amount of squeezing.
+    amount of squeezing.  The matrix exponential is scipy's; scipy is
+    loaded on the first call, not on import, so only the random-state
+    constructors pay for it.
     """
+    from scipy.linalg import expm
+
     n = 2 * n_modes
     h = rng.normal(scale=scale, size=(n, n))
     h = 0.5 * (h + h.T)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import InvariantCoords, StdForm, validate_covmat
 
@@ -280,6 +279,7 @@ def _tangent_basis(n: int) -> list[TangentDirection]:
 
 def _curve_tangent(nu: np.ndarray, direction: TangentDirection, step: float) -> np.ndarray:
     """Central difference of Sigma(t) = S(t)^T D(t) S(t) at t = 0."""
+    from scipy.linalg import expm
 
     def sigma_at(t: float) -> np.ndarray:
         d = np.diag(np.repeat(nu + t * np.asarray(direction.d_nu), 2))
@@ -380,6 +380,8 @@ def numeric_std_form_density(std: StdForm, step: float = 1e-5) -> float:
     given step build the tangent vectors.  Proportional to
     :func:`hs_density_std_form` with a spectrum-independent constant.
     """
+    from scipy.linalg import expm
+
     base = std.matrix()
     tangents = []
     for field in ("a", "b", "c_plus", "c_minus"):

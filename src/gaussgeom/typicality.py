@@ -9,16 +9,19 @@ marginal purities with the weight of :func:`energy_weight`.  One exact
 sampler draws the marginal purities against their density, weight times
 seralian-interval length.  The ensemble averages are sample means over
 these draws of the closed-form seralian averages, and the state sampler
-adds a seralian drawn uniformly inside its closed-form interval.
+adds a seralian drawn uniformly inside its closed-form interval.  The
+pure-state (mu = 1) endpoint is closed form in h = E/2, with a power series
+in t = h - 1 below t = 0.1 where the closed form cancels.  Nothing here
+needs scipy.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import DomainError, StdForm
 from .correlations import (
@@ -280,30 +283,68 @@ def energy_constrained_ratio(
 # Pure-state endpoint
 
 
+#: Below this t = E/2 - 1 the pure-state means come from their power series.
+_SERIES_T = 0.1
+#: Series terms; the first omitted one is below 1e-17 relative at t = 0.1.
+_SERIES_TERMS = 16
+#: mean_G = t * sum_j g_j t^j, from ln(1 + x) = sum_k (-1)^(k+1) x^k / k.
+_G_SERIES = [2.0 * (-1) ** j / ((j + 1) * (j + 2) * (j + 3)) for j in range(_SERIES_TERMS)]
+#: ln 2 * mean_E_N = sqrt(2 t) * sum_k e_k t^k, from
+#: arccosh(1 + x) = 2 arcsinh(sqrt(x / 2)) and the arcsinh series.
+_EN_SERIES = [
+    8.0 * (-1) ** k * math.comb(2 * k, k) / (8**k * (2 * k + 1) * (2 * k + 3) * (2 * k + 5))
+    for k in range(_SERIES_TERMS)
+]
+
+
+def _pure_state_means(t: float) -> tuple[float, float]:
+    """(ln 2 * mean E_N, mean G) of the pure-state ensemble at E/2 = 1 + t > 1.
+
+    With h = 1 + t the weight integral is (h - 1)^2 and the numerators are
+    elementary: (h^2 + 1/2) arccosh h - (3/2) h sqrt(h^2 - 1) for E_N and
+    h^2 ln h - 3h^2/2 + 2h - 1/2 for G.  Both cancel to O(t^(5/2)) and O(t^3)
+    as t -> 0, so below :data:`_SERIES_T` the means come from the series of
+    2 * int_0^1 (1 - s) f(1 + t s) ds in t instead, with the limits
+    (8 sqrt 2 / 15) sqrt(t) and t / 3.
+    """
+    if t < _SERIES_T:
+        power = [t**k for k in range(_SERIES_TERMS)]
+        en = math.sqrt(2.0 * t) * math.fsum(c * p for c, p in zip(_EN_SERIES, power))
+        g = t * math.fsum(c * p for c, p in zip(_G_SERIES, power))
+        return en, g
+    h = 1.0 + t
+    root = math.sqrt(t * (2.0 + t))  # sqrt(h^2 - 1)
+    den = t * t
+    en = ((h * h + 0.5) * math.log1p(t + root) - 1.5 * h * root) / den
+    g = (h * h * math.log1p(t) - t - 1.5 * t * t) / den
+    return en, g
+
+
 def pure_state_endpoint(energy: float) -> PureEndpoint:
     """Statistics of Haar-random pure states at fixed energy.
 
     A pure two-mode state is a local symplectic acting on a two-mode
     squeezed form with a single Schmidt parameter nu; the energy constraint
     integrates to the weight w(nu) = E - 2 nu on nu in [1, E/2], with
-    E_N(nu) = arccosh(nu)/ln 2 and G(nu) = ln(nu).  At E = 2 only the
-    vacuum remains and all statistics vanish; for E > 2 all states except
-    the measure-zero point nu = 1 are entangled and steerable.
+    E_N(nu) = arccosh(nu)/ln 2 and G(nu) = ln(nu).  Both means are closed
+    form, with a power series near E = 2 where the closed form cancels (see
+    :func:`_pure_state_means`).  At E = 2 only the vacuum remains and all
+    statistics vanish; for E > 2 all states except the measure-zero point
+    nu = 1 are entangled and steerable.  Raises DomainError for non-finite
+    E or E < 2.
     """
+    if not math.isfinite(energy):
+        raise DomainError(f"energy = {energy} must be finite")
     if energy < 2.0 - 1e-12:
         raise DomainError(f"energy = {energy} must be at least 2")
     if energy <= 2.0 + 1e-12:
         return PureEndpoint(0.0, 0.0, 0.0, 0.0)
-    hi = energy / 2.0
-    opts = dict(epsabs=1e-10, epsrel=1e-10, limit=500)
-    den, _ = quad(lambda v: energy - 2.0 * v, 1.0, hi, **opts)
-    num_en, _ = quad(lambda v: np.arccosh(v) / _LN2 * (energy - 2.0 * v), 1.0, hi, **opts)
-    num_g, _ = quad(lambda v: np.log(v) * (energy - 2.0 * v), 1.0, hi, **opts)
+    en, g = _pure_state_means(energy / 2.0 - 1.0)
     return PureEndpoint(
         prop_entangled=1.0,
-        mean_logneg=num_en / den,
+        mean_logneg=en / _LN2,
         prop_steerable=1.0,
-        mean_steering=num_g / den,
+        mean_steering=g,
     )
 
 

@@ -157,3 +157,28 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "scan", "energy-curves", "--E", "5", "--mu-grid", "1")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("energy", ["nan", "inf"])
+def test_scan_pure_endpoint_non_finite_energy(capsys, energy):
+    code, out, err = run_cli(capsys, "scan", "pure-endpoint", "--E", energy)
+    assert code == 1
+    assert "finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("mu_grid", ["0", "-2"])
+def test_scan_energy_curves_empty_mu_grid(capsys, mu_grid):
+    code, out, err = run_cli(capsys, "scan", "energy-curves", "--E", "5", "--mu-grid", mu_grid)
+    assert code == 1
+    assert "mu_grid must be positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["energy-curves", "pure-endpoint"])
+@pytest.mark.parametrize("energies", [",", ""])
+def test_scan_empty_energy_list(capsys, kind, energies):
+    code, out, err = run_cli(capsys, "scan", kind, "--E", energies)
+    assert code == 1
+    assert "empty" in err
+    assert out == ""

@@ -1,0 +1,64 @@
+"""The numpy-only import path: scipy loads only where a matrix exponential is needed."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Every scan kind, analyze, the sampler and the per-state analysis, at tiny
+# sizes; then the positive control, random_symplectic, which must load scipy.
+_SCRIPT = r"""
+import contextlib, io, sys, tempfile, warnings
+from pathlib import Path
+
+import numpy as np
+import gaussgeom
+from gaussgeom import cli, core, correlations, measures, typicality
+
+def loaded():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+with tempfile.TemporaryDirectory() as tmp:
+    out = str(Path(tmp) / "scan.csv")
+    codes = [
+        run("scan", "purity-plane", "--grid", "4", "--out", out),
+        run("scan", "purity-cut", "--grid", "4", "--out", out),
+        run("scan", "energy-curves", "--E", "5", "--mu-grid", "2", "--evals", "50", "--out", out),
+        run("scan", "pure-endpoint", "--E", "2.1,3", "--out", out),
+    ]
+    path = Path(tmp) / "state.txt"
+    core.write_covmat(path, core.two_mode_squeezed(0.5))
+    codes.append(run("analyze", str(path)))
+assert codes == [0] * 5, codes
+
+states = typicality.sample_energy_constrained(0.5, 5.0, 8, seed=1)
+for sigma in states:
+    nu = core.symplectic_spectrum(sigma)
+    assert core.is_bona_fide(sigma)
+    coords, _ = core.invariants(sigma)
+    core.standard_form(sigma)
+    correlations.log_negativity(coords)
+    correlations.steerability(coords)
+    measures.density_ratio(measures.HILBERT_SCHMIDT, measures.FISHER_RAO, nu)
+assert loaded() == [], loaded()
+
+core.random_symplectic(2, np.random.default_rng(0))
+assert "scipy.linalg" in loaded(), loaded()
+print("ok")
+"""
+
+
+def test_library_and_cli_paths_do_not_import_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

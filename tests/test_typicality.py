@@ -335,7 +335,7 @@ def test_pure_endpoint_proportions_are_one():
 
 def test_pure_endpoint_denominator_closed_form():
     # The weight integral of (E - 2 nu) over [1, E/2] is (E/2 - 1)^2; check
-    # the quadrature-normalized means against a direct evaluation.
+    # the closed-form mean G against a direct evaluation.
     e = 5.0
     ep = pure_state_endpoint(e)
     from scipy.integrate import quad
@@ -366,6 +366,69 @@ def test_pure_endpoint_matches_rejection_sampler():
 def test_pure_endpoint_validation():
     with pytest.raises(DomainError):
         pure_state_endpoint(1.5)
+
+
+@pytest.mark.parametrize("energy", [float("nan"), float("inf"), -float("inf")])
+def test_pure_endpoint_rejects_non_finite_energy(energy):
+    with pytest.raises(DomainError, match="finite"):
+        pure_state_endpoint(energy)
+
+
+def _pure_endpoint_oracle(energy):
+    """Weighted means of arccosh(nu)/ln 2 and ln(nu) by tight quadrature.
+
+    With nu = 1 + t s (t = E/2 - 1) the weight (E - 2 nu) / (E/2 - 1)^2
+    becomes 2 (1 - s) on s in [0, 1]; log1p keeps f(1 + t s) accurate for
+    tiny t, and s = r^2 removes the sqrt(s) endpoint behaviour of arccosh.
+    """
+    from scipy.integrate import quad
+
+    t = energy / 2.0 - 1.0
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+
+    def acosh1p(x):  # arccosh(1 + x)
+        return np.log1p(x + np.sqrt(x * (2.0 + x)))
+
+    en, _ = quad(lambda r: 4.0 * r * (1.0 - r * r) * acosh1p(t * r * r), 0.0, 1.0, **opts)
+    g, _ = quad(lambda s: 2.0 * (1.0 - s) * np.log1p(t * s), 0.0, 1.0, **opts)
+    return en / _LN2, g
+
+
+@pytest.mark.parametrize(
+    "energy",
+    [2 + 1e-10, 2 + 1e-8, 2 + 1e-6, 2 + 1e-4, 2.01, 2.5, 3.0, 4.0, 8.0, 12.0, 40.0, 1000.0],
+)
+def test_pure_endpoint_matches_quadrature(energy):
+    # The closed form cancels near E = 2 (the naive mean G is 0.0 at
+    # E = 2 + 1e-8, against 1.667e-9); the series branch must not.
+    ep = pure_state_endpoint(energy)
+    en, g = _pure_endpoint_oracle(energy)
+    assert ep.mean_logneg == pytest.approx(en, rel=1e-10, abs=0.0)
+    assert ep.mean_steering == pytest.approx(g, rel=1e-10, abs=0.0)
+
+
+def test_pure_endpoint_small_t_limits():
+    energy = 2.0 + 2e-9
+    t = energy / 2.0 - 1.0  # not 1e-9 exactly: 2 + 2e-9 is rounded
+    ep = pure_state_endpoint(energy)
+    assert ep.mean_steering == pytest.approx(t / 3.0, rel=1e-8)
+    assert ep.mean_logneg == pytest.approx(8.0 * np.sqrt(2.0 * t) / 15.0 / _LN2, rel=1e-8)
+
+
+def test_pure_endpoint_means_nondecreasing_across_series_switch():
+    # The series branch ends at t = E/2 - 1 = 0.1, at E = 2.2.
+    for energies in (np.linspace(2.19, 2.21, 4001), np.linspace(2.0 + 1e-9, 6.0, 4001)):
+        eps = [pure_state_endpoint(float(e)) for e in energies]
+        assert np.all(np.diff([ep.mean_logneg for ep in eps]) >= 0.0)
+        assert np.all(np.diff([ep.mean_steering for ep in eps]) >= 0.0)
+
+
+@pytest.mark.parametrize("energy", [2.0 - 1e-12, 2.0 - 5e-13, 2.0 + 5e-13, 2.0 + 1e-12])
+def test_pure_endpoint_vacuum_window(energy):
+    ep = pure_state_endpoint(energy)
+    assert (ep.prop_entangled, ep.mean_logneg, ep.prop_steerable, ep.mean_steering) == (
+        0.0, 0.0, 0.0, 0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
