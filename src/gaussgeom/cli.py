@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import warnings
 
@@ -93,9 +94,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _open_out(path: str):
+    """The output stream and whether this call created the file.
+
+    A file is opened for appending, so that one that exists keeps its
+    content until the scan has rows to replace it with.
+    """
     if path == "-":
         return sys.stdout, False
-    return open(path, "w", newline=""), True
+    created = not os.path.lexists(path)
+    return open(path, "a", newline=""), created
 
 
 def _parse_energies(spec: str) -> list[float]:
@@ -165,22 +172,33 @@ def _scan_rows(args):
 
 
 def _cmd_scan(args) -> int:
+    # The output is opened before the scan, so that a bad path fails at once.
+    try:
+        stream, created = _open_out(args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    done = False
     try:
         header, rows = _scan_rows(args)
-    except (ValueError, core.DomainError) as exc:
+        if stream is not sys.stdout and os.path.isfile(args.out):
+            stream.truncate(0)  # appended writes then start at offset 0
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        stream.flush()
+        done = True
+    except (ValueError, core.DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    stream, close = _open_out(args.out)
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
     finally:
-        if close:
+        if stream is not sys.stdout:
             stream.close()
+            if created and not done:
+                os.remove(args.out)
     return 0
 
 

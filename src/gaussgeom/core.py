@@ -6,17 +6,22 @@ and the vacuum covariance matrix is the identity.  A real symmetric matrix
 is the covariance matrix of a physical state iff Sigma + i*Omega >= 0,
 which is equivalent to all symplectic eigenvalues being >= 1.
 
-Every analysis runs through Hermitian eigenproblems, whose eigenvalues are
-well conditioned and come in exact +- pairs: the physicality test is one
-eigen-solve of Sigma + i*(1 - tol)*Omega, the symplectic spectrum one
-eigen-solve of L^T (i Omega) L for the Cholesky factor Sigma = L L^T, and
-the two-mode invariants need no spectrum at all (the seralian is
-det A + det B + 2 det C).  A symplectic spectrum is defined only for
-positive definite input; anything else raises ValueError.
+Two-mode (4x4) input, the case every analysis here is about, is read once
+into Python floats and handled in closed form from one scalar Cholesky
+factor Sigma = L L^T: the symplectic spectrum, the physicality test and the
+purity all follow from L with no eigen-solve (see :func:`_two_mode_nu`),
+and the seralian is det A + det B + 2 det C.  Other sizes run through one
+Hermitian eigenproblem, whose eigenvalues are well conditioned and come in
+exact +- pairs: the physicality test is one eigen-solve of
+Sigma + i*(1 - tol)*Omega, the symplectic spectrum one eigen-solve of
+L^T (i Omega) L.  A symplectic spectrum is defined only for positive
+definite input; anything else raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,21 +114,101 @@ def validate_covmat(sigma, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     return sigma
 
 
+def _validated(sigma) -> tuple[np.ndarray, list[list[float]] | None]:
+    """:func:`validate_covmat`, plus the rows as Python floats for 4x4 input (else None).
+
+    A 4x4 matrix is read once with ``tolist`` and checked on those scalars,
+    with the messages of :func:`validate_covmat`.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (4, 4):
+        return validate_covmat(sigma), None
+    rows = sigma.tolist()
+    (_, s01, s02, s03), (s10, _, s12, s13), (s20, s21, _, s23), (s30, s31, s32, _) = rows
+    entries = rows[0] + rows[1] + rows[2] + rows[3]
+    if not all(map(math.isfinite, entries)):  # max() would drop a NaN
+        raise ValueError("covariance matrix has non-finite entries")
+    scale = max(1.0, *map(abs, entries))
+    asym = max(
+        abs(s01 - s10), abs(s02 - s20), abs(s03 - s30), abs(s12 - s21), abs(s13 - s31), abs(s23 - s32)
+    )
+    if asym > SYMMETRY_RTOL * scale:
+        raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
+    return sigma, rows
+
+
+def _two_mode_nu(rows: list[list[float]]) -> tuple[float, float] | None:
+    """(nu_-, nu_+) of a validated 4x4 matrix given as rows; None unless it is positive definite.
+
+    Diagonal input gives exactly sqrt(d_0 d_1) and sqrt(d_2 d_3).  Otherwise
+    Sigma = L L^T is factored in scalars (a pivot that is not positive means
+    not positive definite), and the antisymmetric M = L^T Omega L, similar
+    to Omega Sigma, has eigenvalues +-i nu_+ and +-i nu_-.  Its self-dual and
+    anti-self-dual parts a and b give nu_+ = (|a| + |b|)/2, and since
+    nu_+ nu_- = Pf M = det L, nu_- = det L / nu_+ avoids the cancellation in
+    (|a| - |b|)/2.  This is the closed form of two-mode spectra in Delta and
+    det Sigma (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)).
+    """
+    # Only the lower triangle is read, as np.linalg.cholesky reads it.
+    (s00, _, _, _), (s10, s11, _, _), (s20, s21, s22, _), (s30, s31, s32, s33) = rows
+    if not (s10 or s20 or s21 or s30 or s31 or s32):
+        if min(s00, s11, s22, s33) <= 0.0:
+            return None
+        nu_a, nu_b = math.sqrt(s00 * s11), math.sqrt(s22 * s33)
+        return (nu_a, nu_b) if nu_a <= nu_b else (nu_b, nu_a)
+    if not s00 > 0.0:
+        return None
+    l00 = math.sqrt(s00)
+    l10, l20, l30 = s10 / l00, s20 / l00, s30 / l00
+    pivot = s11 - l10 * l10
+    if not pivot > 0.0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21, l31 = (s21 - l20 * l10) / l11, (s31 - l30 * l10) / l11
+    pivot = s22 - (l20 * l20 + l21 * l21)
+    if not pivot > 0.0:
+        return None
+    l22 = math.sqrt(pivot)
+    l32 = (s32 - (l30 * l20 + l31 * l21)) / l22
+    pivot = s33 - (l30 * l30 + l31 * l31 + l32 * l32)
+    if not pivot > 0.0:
+        return None
+    l33 = math.sqrt(pivot)
+    m01 = l00 * l11 + l20 * l31 - l30 * l21
+    m02 = l20 * l32 - l30 * l22
+    m03 = l20 * l33
+    m12 = l21 * l32 - l31 * l22
+    m13 = l21 * l33
+    m23 = l22 * l33
+    nu_plus = 0.5 * (
+        math.hypot(m01 + m23, m02 - m13, m03 + m12) + math.hypot(m01 - m23, m02 + m13, m03 - m12)
+    )
+    # Grouped so that no intermediate leaves the range of the entries.
+    return l00 * l11 * (l22 * l33 / nu_plus), nu_plus
+
+
 def symplectic_spectrum(sigma) -> np.ndarray:
     """Symplectic eigenvalues of a positive definite matrix, sorted ascending.
 
-    With the Cholesky factor Sigma = L L^T, the Hermitian matrix
-    L^T (i Omega) L is similar to i Omega Sigma; its eigenvalues are the
-    exact pairs +-nu_k, so the nu are read off its positive half with one
-    Hermitian eigen-solve and no pairing step.  Exact for diagonal input,
-    where nu_i = sqrt(d_{2i} * d_{2i+1}).  Raises ValueError unless Sigma is
-    positive definite.
+    Two modes: closed form from one scalar Cholesky factor, with no
+    eigen-solve (:func:`_two_mode_nu`).  Other sizes: with Sigma = L L^T,
+    the Hermitian matrix L^T (i Omega) L is similar to i Omega Sigma; its
+    eigenvalues are the exact pairs +-nu_k, so the nu are read off its
+    positive half with one Hermitian eigen-solve and no pairing step.
+    Exact for diagonal input, where nu_i = sqrt(d_{2i} * d_{2i+1}).  Raises
+    ValueError unless Sigma is positive definite.
     """
-    return _spectrum(validate_covmat(sigma))
+    sigma, rows = _validated(sigma)
+    if rows is None:
+        return _spectrum(sigma)
+    nu = _two_mode_nu(rows)
+    if nu is None:
+        raise ValueError(_NOT_POSITIVE_DEFINITE)
+    return np.array(nu)
 
 
 def _spectrum(sigma: np.ndarray) -> np.ndarray:
-    """:func:`symplectic_spectrum` of an already validated matrix."""
+    """Symplectic spectrum of an already validated matrix, any size, by one eigen-solve."""
     n = sigma.shape[0] // 2
     d = np.diagonal(sigma)
     if np.count_nonzero(sigma) == np.count_nonzero(d):  # diagonal input
@@ -142,23 +227,30 @@ def _spectrum(sigma: np.ndarray) -> np.ndarray:
 def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     """True iff Sigma is the covariance matrix of a physical Gaussian state.
 
-    Tests Sigma + i*(1 - tol)*Omega >= 0 with one Hermitian eigen-solve.  By
-    scaling, this holds exactly when Sigma is positive definite and
-    min(nu) >= 1 - tol.  Raises ValueError unless tol < 1.
+    Tests Sigma + i*(1 - tol)*Omega >= 0.  By scaling, this holds exactly
+    when Sigma is positive definite and min(nu) >= 1 - tol, which is how
+    two-mode input is tested: the scalar Cholesky factor of
+    :func:`_two_mode_nu` exists and its nu_- >= 1 - tol, with no
+    eigen-solve.  Other sizes take one Hermitian eigen-solve of the pencil.
+    Raises ValueError unless tol < 1.
 
     In float64 the verdict is only as good as the rounding of the input
     allows: once that moves nu_min by more than ``tol``, physical states
     are rejected.  For locally squeezed two-mode squeezed vacua this starts
-    near r = 3.6, where the largest entry is about 2e3; the library's
-    energy grids (E <= 40) stay far below that.
+    between r = 3.8 and 3.95, where the largest entries are 4e3 to 1e4; the
+    library's energy grids (E <= 40) stay far below that.
     """
-    return _bona_fide(validate_covmat(sigma), tol)
+    sigma, rows = _validated(sigma)
+    if not tol < 1.0:  # also rejects NaN
+        raise ValueError(f"tol = {tol} must be below 1")
+    if rows is None:
+        return _bona_fide(sigma, tol)
+    nu = _two_mode_nu(rows)
+    return nu is not None and nu[0] >= 1.0 - tol
 
 
 def _bona_fide(sigma: np.ndarray, tol: float = BONA_FIDE_TOL) -> bool:
-    """:func:`is_bona_fide` of an already validated matrix."""
-    if not tol < 1.0:  # also rejects NaN
-        raise ValueError(f"tol = {tol} must be below 1")
+    """Sigma + i*(1 - tol)*Omega >= 0 for an already validated matrix, by one eigen-solve."""
     pencil = sigma + 1j * (1.0 - tol) * _omega(sigma.shape[0] // 2)
     return float(np.linalg.eigvalsh(pencil)[0]) >= 0.0
 
@@ -220,21 +312,20 @@ class StdForm:
         return m
 
 
-def _require_two_mode(sigma) -> np.ndarray:
-    sigma = validate_covmat(sigma)
-    if sigma.shape[0] != 4:
+def _require_two_mode(sigma) -> tuple[np.ndarray, list[list[float]]]:
+    """The validated two-mode matrix and its rows as Python floats."""
+    sigma, rows = _validated(sigma)
+    if rows is None:
         raise ValueError(f"expected a two-mode (4x4) covariance matrix, got {sigma.shape}")
-    return sigma
+    return sigma, rows
 
 
-def _block_dets(sigma: np.ndarray) -> tuple[float, float, float]:
-    """det A, det B and det C of a two-mode matrix [[A, C], [C^T, B]], from its entries.
+def _block_dets(rows: list[list[float]]) -> tuple[float, float, float]:
+    """det A, det B and det C of a two-mode matrix [[A, C], [C^T, B]], from its rows.
 
     Raises DomainError unless det A and det B are positive.
     """
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
-        sigma.tolist()
-    )
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     det_a = a00 * a11 - a01 * a10
     det_b = b00 * b11 - b01 * b10
     if det_a <= 0.0 or det_b <= 0.0:
@@ -245,32 +336,41 @@ def _block_dets(sigma: np.ndarray) -> tuple[float, float, float]:
 def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, float]:
     """Invariant coordinates and energy of a two-mode covariance matrix.
 
-    Returns ``(InvariantCoords(mu, mu_a, mu_b, delta), energy)`` with
-    mu = 1/sqrt(det Sigma), the marginal purities 1/sqrt(det A) and
-    1/sqrt(det B) of the diagonal blocks, the seralian
-    delta = det A + det B + 2 det C = nu_1^2 + nu_2^2 and energy = tr(Sigma)/2,
-    all from determinants; no symplectic spectrum is computed.  Input that is
-    not a physical state, positive definite or not, is flagged with
-    NonPhysicalWarning by the test of :func:`is_bona_fide` but the
-    invariants are still returned, which is needed when probing the
+    Returns ``(InvariantCoords(mu, mu_a, mu_b, delta), energy)`` with the
+    marginal purities 1/sqrt(det A) and 1/sqrt(det B) of the diagonal
+    blocks, the seralian delta = det A + det B + 2 det C = nu_1^2 + nu_2^2
+    and energy = tr(Sigma)/2.  The global purity mu = 1/(nu_- nu_+) and the
+    physicality verdict come from the scalar Cholesky factor of
+    :func:`_two_mode_nu`, with no eigen-solve; only input that is not
+    positive definite takes mu = 1/sqrt(det Sigma) from a determinant.
+    Input that is not a physical state, positive definite or not, is
+    flagged with NonPhysicalWarning by the test of :func:`is_bona_fide`
+    but the invariants are still returned, which is needed when probing the
     boundary of the physical region.  Raises ValueError (DomainError for
     blocks with non-positive determinant) when they are undefined.
     """
-    sigma = _require_two_mode(sigma)
-    det_a, det_b, det_c = _block_dets(sigma)
+    sigma, rows = _require_two_mode(sigma)
+    det_a, det_b, det_c = _block_dets(rows)
+    nu = _two_mode_nu(rows)
+    # Below the smallest normal float, 1/(nu_- nu_+) would overflow; det
+    # Sigma = (nu_- nu_+)^2 then underflows and the purity is undefined.
+    if nu is not None and nu[0] * nu[1] >= sys.float_info.min:
+        mu, physical = 1.0 / (nu[0] * nu[1]), nu[0] >= 1.0 - BONA_FIDE_TOL
+    else:
+        mu, physical = _purity(sigma), False
     coords = InvariantCoords(
-        mu=_purity(sigma),
-        mu_a=1.0 / np.sqrt(det_a),
-        mu_b=1.0 / np.sqrt(det_b),
+        mu=mu,
+        mu_a=1.0 / math.sqrt(det_a),
+        mu_b=1.0 / math.sqrt(det_b),
         delta=det_a + det_b + 2.0 * det_c,
     )
-    if warn_nonphysical and not _bona_fide(sigma):
+    if warn_nonphysical and not physical:
         warnings.warn(
             "matrix is not a physical state (Sigma + i*Omega is not positive semidefinite)",
             NonPhysicalWarning,
             stacklevel=2,
         )
-    return coords, 0.5 * float(np.trace(sigma))
+    return coords, 0.5 * (rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3])
 
 
 def _unit_sqrt_inverse(block: np.ndarray, scale: float) -> np.ndarray:
@@ -300,8 +400,8 @@ def standard_form(sigma) -> StdForm:
     symplectic conjugation of the input.  Raises DomainError unless both
     diagonal blocks are positive definite.
     """
-    sigma = _require_two_mode(sigma)
-    det_a, det_b, det_c = _block_dets(sigma)
+    sigma, rows = _require_two_mode(sigma)
+    det_a, det_b, det_c = _block_dets(rows)
     a, b = np.sqrt(det_a), np.sqrt(det_b)
     (n00, n01), (n10, n11) = (
         _unit_sqrt_inverse(sigma[:2, :2], a)

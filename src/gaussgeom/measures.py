@@ -9,6 +9,7 @@ dropped; only the shapes and ratios of the densities are meaningful here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,21 +63,36 @@ def fixed_purity(mu: float) -> MeasureKind:
     return MeasureKind("fixed-purity", mu=mu)
 
 
-def _spectrum(nu) -> np.ndarray:
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.ndim != 1 or nu.size == 0:
+def _spectrum(nu) -> list[float]:
+    """The validated spectrum as Python floats: non-empty, 1D, every nu >= 1 (up to rounding)."""
+    nu = np.asarray(nu, dtype=float)
+    if nu.ndim > 1 or nu.size == 0:
         raise ValueError("spectrum must be a non-empty 1D sequence")
-    if float(nu.min()) < 1.0 - _SPECTRUM_TOL:
-        raise ValueError(f"symplectic eigenvalues must be >= 1, got min {nu.min()}")
+    nu = nu.tolist() if nu.ndim else [nu.item()]
+    lowest = math.nan if any(map(math.isnan, nu)) else min(nu)
+    if not lowest >= 1.0 - _SPECTRUM_TOL:  # also rejects NaN
+        raise ValueError(f"symplectic eigenvalues must be >= 1, got min {lowest}")
     return nu
 
 
-def _repulsion(nu: np.ndarray) -> float:
-    """prod_{l>m} (nu_l^2 - nu_m^2)^2, the eigenvalue repulsion factor."""
-    out = 1.0
-    for l in range(nu.size):
-        for m in range(l):
-            out *= (nu[l] ** 2 - nu[m] ** 2) ** 2
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent for base >= 0 on Python floats; inf where it overflows, as in numpy."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def _repulsion(nu: list[float]) -> float:
+    """prod_{l>m} (nu_l^2 - nu_m^2)^2, the eigenvalue repulsion factor; inf beyond the float range."""
+    try:
+        sq = [v**2 for v in nu]
+        out = 1.0
+        for l in range(len(sq)):
+            for m in range(l):
+                out *= (sq[l] - sq[m]) ** 2
+    except OverflowError:
+        return math.inf
     return out
 
 
@@ -100,9 +116,9 @@ def _prod_exponent(kind: MeasureKind, n: int) -> float:
     return exponent(n)
 
 
-def _off_shell(kind: MeasureKind, nu: np.ndarray) -> bool:
+def _off_shell(kind: MeasureKind, nu: list[float]) -> bool:
     """True iff ``kind`` is the fixed-purity measure and nu lies off its shell."""
-    return kind.tag == "fixed-purity" and abs(float(np.prod(1.0 / nu)) - kind.mu) > 1e-9
+    return kind.tag == "fixed-purity" and abs(math.prod([1.0 / v for v in nu]) - kind.mu) > 1e-9
 
 
 def density_hs(nu) -> float:
@@ -134,10 +150,10 @@ def density(kind: MeasureKind, nu) -> float:
     evaluated pointwise).
     """
     nu = _spectrum(nu)
-    exponent = _prod_exponent(kind, nu.size)
+    exponent = _prod_exponent(kind, len(nu))
     if _off_shell(kind, nu):
         return 0.0
-    return float(np.prod(nu) ** exponent * _repulsion(nu))
+    return _pow(math.prod(nu), exponent) * _repulsion(nu)
 
 
 def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
@@ -152,12 +168,12 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
     if kind_a == kind_b:
         return 1.0
     nu = _spectrum(nu)
-    exponent = _prod_exponent(kind_a, nu.size) - _prod_exponent(kind_b, nu.size)
+    exponent = _prod_exponent(kind_a, len(nu)) - _prod_exponent(kind_b, len(nu))
     if _off_shell(kind_b, nu) or _repulsion(nu) == 0.0:
         raise ValueError("density ratio undefined: denominator density vanishes")
     if _off_shell(kind_a, nu):
         return 0.0
-    return float(np.prod(nu) ** exponent)
+    return _pow(math.prod(nu), exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +331,7 @@ def numeric_metric_density(nu, kind: MeasureKind, step: float = 1e-5) -> float:
     :func:`density_hs` or :func:`density_fr` is constant over spectra.
     A degenerate spectrum gives a singular metric and the value 0.
     """
-    nu = _spectrum(nu)
+    nu = np.array(_spectrum(nu))
     if nu.size > 3:
         raise ValueError("numeric metric density supports at most 3 modes")
     if kind.tag == "hilbert-schmidt":

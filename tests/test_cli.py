@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from gaussgeom import cli
+from gaussgeom import cli, core
 from gaussgeom.core import StdForm, write_covmat
 from gaussgeom.mcint import IntegrationError
 from gaussgeom.typicality import pure_state_endpoint, purity_cut, scan_purity_plane
@@ -182,3 +182,57 @@ def test_scan_empty_energy_list(capsys, kind, energies):
     assert code == 1
     assert "empty" in err
     assert out == ""
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the scan ran")
+
+
+@pytest.mark.parametrize("kind", ["energy-curves", "pure-endpoint"])
+def test_scan_out_into_a_missing_directory(tmp_path, monkeypatch, capsys, kind):
+    # The output is opened before any scan work, which this patch would expose.
+    monkeypatch.setattr(cli.typicality, "energy_constrained_stats", _no_scan)
+    monkeypatch.setattr(cli.typicality, "pure_state_endpoint", _no_scan)
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run_cli(capsys, "scan", kind, "--E", "3", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert stdout == ""
+    assert not out.parent.exists()
+
+
+def test_scan_out_into_a_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "scan", "pure-endpoint", "--E", "3", "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "failure, exit_code", [(core.DomainError("synthetic"), 1), (IntegrationError("synthetic"), 3)]
+)
+def test_failed_scan_removes_the_file_it_created(tmp_path, monkeypatch, capsys, failure, exit_code):
+    def boom(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli.typicality, "energy_constrained_stats", boom)
+    out = tmp_path / "curves.csv"
+    code, _, _ = run_cli(capsys, "scan", "energy-curves", "--E", "5", "--mu-grid", "1",
+                         "--out", str(out))
+    assert code == exit_code
+    assert not out.exists()
+
+
+def test_failed_scan_leaves_an_existing_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "old.csv"
+    out.write_text("old content\n")
+    code, _, _ = run_cli(capsys, "scan", "pure-endpoint", "--E", ",", "--out", str(out))
+    assert code == 1
+    assert out.read_text() == "old content\n"
+
+
+def test_scan_replaces_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "endpoint.csv"
+    out.write_text("a longer line that the new content must not leave behind\n" * 20)
+    assert run_cli(capsys, "scan", "pure-endpoint", "--E", "3,4", "--out", str(out))[0] == 0
+    _, stdout, _ = run_cli(capsys, "scan", "pure-endpoint", "--E", "3,4")
+    assert out.read_text() == stdout

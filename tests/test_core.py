@@ -1,11 +1,14 @@
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from gaussgeom import core
 from gaussgeom.core import (
     BONA_FIDE_TOL,
+    SYMMETRY_RTOL,
     DomainError,
     InvariantCoords,
     NonPhysicalWarning,
@@ -29,6 +32,7 @@ from gaussgeom.core import (
     write_covmat,
 )
 from gaussgeom.correlations import delta_bounds
+from gaussgeom.typicality import sample_energy_constrained
 from conftest import feasible_coords, local_symplectics, oracle_spectrum
 
 
@@ -145,29 +149,179 @@ def test_is_bona_fide_rejects_tolerance_of_one():
             is_bona_fide(np.eye(2), tol=tol)
 
 
-def test_one_hermitian_eigen_solve_per_call(monkeypatch):
+def test_two_modes_take_no_linalg_call_other_sizes_one_eigen_solve(monkeypatch):
     calls = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def counting_eigvalsh(a):
-        calls.append("eigvalsh")
-        return eigvalsh(a)
+    def counting(name):
+        routine = getattr(np.linalg, name)
 
-    def no_eigvals(a):
-        raise AssertionError("general eigensolver called")
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-    sigma = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
-    for fn, want in (
-        (symplectic_spectrum, 1),
-        (is_bona_fide, 1),
-        (invariants, 1),
-        (lambda m: invariants(m, warn_nonphysical=False), 0),
+        return wrapper
+
+    for name in ("eigvalsh", "eigvals", "cholesky", "det"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    two_mode = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
+    for fn in (
+        symplectic_spectrum,
+        is_bona_fide,
+        invariants,
+        lambda m: invariants(m, warn_nonphysical=False),
     ):
         calls.clear()
-        fn(sigma)
-        assert len(calls) == want
+        fn(two_mode)
+        assert calls == []
+    rng = np.random.default_rng(31)
+    for n_modes in (1, 3):
+        sigma = random_covmat(n_modes, rng)
+        for fn in (symplectic_spectrum, is_bona_fide):
+            calls.clear()
+            fn(sigma)
+            assert calls.count("eigvalsh") == 1
+            assert "eigvals" not in calls
+
+
+#: (mu, E) of the benchmark's sampler points.
+_SAMPLER_POINTS = ((0.3, 8.0), (0.05, 12.0), (0.9, 12.0), (0.47, 3.0), (0.4445, 3.0))
+
+
+def _two_mode_oracle_cases():
+    """Two-mode states for comparing the closed form with the N-mode Hermitian path."""
+    rng = np.random.default_rng(33)
+    cases = [random_covmat(2, rng) for _ in range(200)]
+    cases += [scale * sigma for scale in (0.5, 0.9) for sigma in cases[:50]]  # not bona fide
+    cases += [scale * cases[0] for scale in (1e-300, 1e-160, 1e160, 1e300)]  # float range
+    for k, (mu, e) in enumerate(_SAMPLER_POINTS):
+        cases += list(sample_energy_constrained(mu, e, 60, seed=k))
+    cases += [sigma for sigma, _ in _degenerate_spectrum_states()]
+    for r in np.linspace(0.05, 3.5, 70):
+        s = random_local_symplectic(rng)
+        cases.append(s.T @ two_mode_squeezed(r) @ s)
+    return cases
+
+
+def test_two_mode_spectrum_and_verdict_match_the_hermitian_path():
+    # Both paths agree to 1e-12 relative; for strongly squeezed input no
+    # float64 method does better than eps * cond(Sigma), and the two paths
+    # were measured within 0.56 eps * cond(Sigma) of each other.
+    eps = np.finfo(float).eps
+    verdicts = set()
+    for sigma in _two_mode_oracle_cases():
+        want = core._spectrum(sigma)
+        rtol = max(1e-12, 2.0 * eps * np.linalg.cond(sigma))
+        np.testing.assert_allclose(symplectic_spectrum(sigma), want, rtol=rtol, atol=0.0)
+        verdict = is_bona_fide(sigma)
+        assert verdict == core._bona_fide(sigma)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "std",
+    [
+        StdForm(2.0**26, 1.5, 0.5, 0.25),
+        StdForm(2.0**20, 3.0, 1.0, -0.5),
+        StdForm(1e6, 1.25, 0.75, -0.5),
+        StdForm(2.0**30, 1.0, 0.5, 0.5),
+    ],
+)
+def test_two_mode_spectrum_with_far_apart_eigenvalues(std):
+    # nu_+/nu_- up to 1e9: (|a| - |b|)/2 would lose up to 1e-9 of nu_-.
+    # Reference: nu^2 = (Delta -+ sqrt(Delta^2 - 4 det Sigma))/2 in 60 digits.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, cp, cm = (Decimal(v) for v in (std.a, std.b, std.c_plus, std.c_minus))
+        delta = a * a + b * b + 2 * cp * cm
+        root = (delta * delta - 4 * (a * b - cp * cp) * (a * b - cm * cm)).sqrt()
+        want = [float(((delta - root) / 2).sqrt()), float(((delta + root) / 2).sqrt())]
+    np.testing.assert_allclose(symplectic_spectrum(std.matrix()), want, rtol=1e-15, atol=0.0)
+
+
+def test_is_bona_fide_accepts_strongly_squeezed_pure_states():
+    # Locally squeezed two-mode squeezed vacua at r = 3.5 (largest entries
+    # about 4e3): the pencil eigen-solve rejected the first of these, the
+    # closed form keeps nu_- within 2e-10 of 1.  Over 8 seeds of 10 states
+    # per r (step 0.05), its first false negative is at r = 3.8-3.95.
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        s = random_local_symplectic(rng)
+        sigma = s.T @ two_mode_squeezed(3.5) @ s
+        assert is_bona_fide(sigma)
+        np.testing.assert_allclose(symplectic_spectrum(sigma), [1.0, 1.0], rtol=0.0, atol=5e-10)
+
+
+@pytest.mark.parametrize("index", [(0, 1), (3, 2), (0, 0), (3, 3)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_two_mode_single_non_finite_entry_rejected(index, bad):
+    sigma = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
+    sigma[index] = bad
+    for fn in (validate_covmat, symplectic_spectrum, is_bona_fide, invariants):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(sigma)
+
+
+@pytest.mark.parametrize("largest", [0.5, 1.0, 40.0])
+def test_two_mode_symmetry_tolerance(largest):
+    base = StdForm(largest, 0.6 * largest, 0.2 * largest, -0.1 * largest).matrix()
+    step = SYMMETRY_RTOL * max(largest, 1.0)
+    for factor, symmetric in ((0.5, True), (1.5, False)):
+        sigma = base.copy()
+        sigma[3, 1] += factor * step
+        for fn in (symplectic_spectrum, is_bona_fide, lambda m: invariants(m, False)):
+            if symmetric:
+                fn(sigma)
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    fn(sigma)
+
+
+def test_two_mode_list_and_integer_input():
+    rows = [[3, 0, 1, 0], [0, 2, 0, -1], [1, 0, 4, 0], [0, -1, 0, 2]]
+    sigma = np.array(rows, dtype=float)
+    for given in (rows, np.array(rows)):
+        np.testing.assert_array_equal(symplectic_spectrum(given), symplectic_spectrum(sigma))
+        assert is_bona_fide(given) == is_bona_fide(sigma)
+        assert invariants(given) == invariants(sigma)
+
+
+@pytest.mark.parametrize(
+    "rows, invariants_outcome",
+    [
+        # Pivot 0: a negative definite block A with positive det A and det Sigma.
+        ([[-1, 0.5, 0, 0], [0.5, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "warns"),
+        # Pivot 1, negative and exactly zero: det A is not positive.
+        ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], DomainError),
+        ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], DomainError),
+        # Pivot 2: two negative eigenvalues, so det Sigma = 9 is positive.
+        ([[1, 0, 2, 0], [0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1]], "warns"),
+        # Pivot 3: three positive pivots before it make det Sigma negative.
+        ([[1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0], [2, 0, 0, 1]], "determinant"),
+    ],
+)
+def test_two_mode_non_positive_pivot(rows, invariants_outcome):
+    sigma = np.array(rows, dtype=float)
+    for spectrum in (symplectic_spectrum, core._spectrum):
+        with pytest.raises(ValueError, match="^covariance matrix is not positive definite$"):
+            spectrum(sigma)
+    assert not is_bona_fide(sigma) and not core._bona_fide(sigma)
+    if invariants_outcome == "warns":
+        with pytest.warns(NonPhysicalWarning):
+            coords, _ = invariants(sigma)
+        assert coords.mu == pytest.approx(1.0 / np.sqrt(np.linalg.det(sigma)), rel=1e-14)
+    elif invariants_outcome == "determinant":
+        with pytest.raises(ValueError, match="determinant must be positive"):
+            invariants(sigma)
+    else:
+        with pytest.raises(DomainError, match="positive determinant"):
+            invariants(sigma)
+
+
+def test_invariants_of_a_matrix_below_the_float_range():
+    # nu_- nu_+ is about 1e-320, so 1/(nu_- nu_+) overflows and det Sigma underflows.
+    with pytest.raises(ValueError, match="determinant must be positive"):
+        invariants(1e-160 * StdForm(1.5, 1.3, 0.4, -0.2).matrix())
 
 
 def test_spectrum_invariant_under_congruence():

@@ -102,6 +102,14 @@ def test_density_ratio_undefined_where_the_denominator_vanishes():
         density_ratio(MeasureKind("bogus"), FISHER_RAO, [1.2, 2.0])
 
 
+def test_density_ratio_rejects_nan_and_overflows_to_inf():
+    for nu in ([np.nan, 2.0], [2.0, np.nan]):
+        with pytest.raises(ValueError, match=">= 1"):
+            density_ratio(HILBERT_SCHMIDT, FISHER_RAO, nu)
+    assert density_ratio(REDUCED_PURE, HILBERT_SCHMIDT, [1e20, 2e20]) == np.inf
+    assert density_reduced_pure([1.0, 1e160]) == np.inf
+
+
 def test_fixed_purity_density():
     nu = np.array([1.2, 2.0])
     kind = fixed_purity(float(np.prod(1.0 / nu)))
