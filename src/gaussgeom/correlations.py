@@ -213,9 +213,21 @@ def logneg_average(mu: float, mu_a, mu_b, d_min, d_max):
     prop = np.where(point, np.where(d_min < thr, 1.0, 0.0), ent_len / span)
 
     c = 2.0 / mu
-    # t = u - 1 and s = sqrt(u^2 - 1) at both ends of the entangled part
-    # [d_min, d_min + ent_len], along which u falls by dt.
     t1 = np.maximum((2.0 / mu_a**2 + 2.0 / mu_b**2 - c - d_min) / c, 0.0)
+    return prop, _entangled_mean(mu, prop, t1, ent_len, span)
+
+
+def _entangled_mean(mu: float, prop, t1, ent_len, span):
+    """Mean E_N of a uniform seralian on an interval of length ``span``.
+
+    Its entangled part has length ``ent_len`` (the fraction ``prop`` of the
+    interval) and starts at the interval's lower end, where
+    u = (2/mu_A^2 + 2/mu_B^2 - Delta)/(2/mu) equals 1 + ``t1``; see
+    :func:`logneg_average` for the cancellation-free antiderivative step.
+    """
+    c = 2.0 / mu
+    # t = u - 1 and s = sqrt(u^2 - 1) at both ends of the entangled part,
+    # along which u falls by dt.
     dt = ent_len / c
     t2 = np.maximum(t1 - dt, 0.0)
     s1, s2 = np.sqrt(t1 * (2.0 + t1)), np.sqrt(t2 * (2.0 + t2))
@@ -228,7 +240,7 @@ def logneg_average(mu: float, mu_a, mu_b, d_min, d_max):
     # Exactly zero without entangled states (NaN stays NaN); the clamp only
     # absorbs rounding at the threshold.
     mean = np.where(prop > 0.0, np.maximum(mean, 0.0), 0.0 * prop)
-    return prop, mean / (2.0 * _LN2)
+    return mean / (2.0 * _LN2)
 
 
 def classify_region(mu: float, mu_a: float, mu_b: float) -> tuple[RegionClass, float]:

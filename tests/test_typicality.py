@@ -34,7 +34,9 @@ from gaussgeom.typicality import (
     sample_energy_constrained,
     scan_purity_plane,
 )
-from gaussgeom.typicality import _covmats, _draw_purities, _UVSupport
+from gaussgeom import typicality
+from gaussgeom.correlations import logneg_average
+from gaussgeom.typicality import _BLOCK, _covmats, _draw_purities, _uv_statistics, _UVSupport
 from conftest import oracle_spectrum
 
 _LN2 = np.log(2.0)
@@ -208,11 +210,29 @@ def test_energy_ensemble_rejects_non_finite(mu, e):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("final_evals", 1)],
+    [
+        ("final_evals", 1),
+        ("final_evals", 2.5),
+        ("final_evals", 10.0),
+        ("final_evals", np.nan),
+        ("final_evals", np.inf),
+        ("final_evals", True),
+        ("final_evals", "100"),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", True),
+        ("seed", None),
+    ],
 )
 def test_mc_config_rejects_degenerate_sizes(field, value):
     with pytest.raises(ValueError, match=field):
         McConfig(**{field: value})
+
+
+def test_mc_config_accepts_numpy_integers():
+    mc = McConfig(seed=np.int64(3), final_evals=np.int32(50))
+    stats = energy_constrained_stats(0.5, 5.0, mc)
+    assert stats.mean_logneg.n_evals == 50
 
 
 def _stats_tuple(stats):
@@ -515,6 +535,170 @@ def test_sampler_deterministic():
     np.testing.assert_array_equal(s1, s2)
 
 
+def _unblocked_draws(mu, e, count, rng):
+    """Reference acceptance loop: whole batches, boolean-mask selection.
+
+    The same proposals, batch sizes and acceptance test as the blocked
+    sampler, evaluated on every proposal of every batch drawn.  Returns the
+    ``count`` draws (mu_a, mu_b, delta_min, delta_max) and the proposals
+    (u, v, accepted) of all batches.
+    """
+    box = _UVSupport.of(mu, e)
+    v_max = np.sqrt(box.v_sq)
+    draws, proposals = [], []
+    n_acc = n_drawn = 0
+    while n_acc < count:
+        rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
+        batch = min(65_536, max(1024, int(1.1 * (count - n_acc) / rate)))
+        u = rng.uniform(box.u_lo, e, batch)
+        v = rng.uniform(-v_max, v_max, batch)
+        r = rng.random(batch)
+        n_drawn += batch
+        mu_a = 1.0 / np.maximum(0.5 * (u + v), 1.0)
+        mu_b = 1.0 / np.maximum(0.5 * (u - v), 1.0)
+        excess = energy_weight(mu_a, mu_b, e) * (mu_a * mu_b) ** 2
+        ok = r * box.rho_max < excess * box.length(u, v)
+        proposals.append((u, v, ok))
+        mu_a, mu_b = mu_a[ok], mu_b[ok]
+        lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
+        draws.append((mu_a[valid], mu_b[valid], lo[valid], hi[valid]))
+        n_acc += int(valid.sum())
+    return (
+        tuple(np.concatenate(parts)[:count] for parts in zip(*draws)),
+        tuple(np.concatenate(parts) for parts in zip(*proposals)),
+    )
+
+
+# The four benchmark energy-curve points, two points next to the support
+# edge mu = 4/E^2 and a box that reaches past the pure marginals.
+_ORACLE_POINTS = [
+    (0.7222222222222222, 3.0),
+    (0.58, 5.0),
+    (0.53125, 8.0),
+    (0.5138888888888888, 12.0),
+    (4.0 / 9.0 * (1.0 + 1e-4), 3.0),
+    (4.0 / 144.0 * (1.0 + 1e-4), 12.0),
+    (0.02, 40.0),
+]
+
+
+@pytest.mark.parametrize("mu,e", _ORACLE_POINTS)
+@pytest.mark.parametrize("count,seed", [(1, 3), (777, 4), (30_000, 5)])
+def test_draw_purities_matches_the_unblocked_loop(mu, e, count, seed):
+    want, _ = _unblocked_draws(mu, e, count, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    got = _draw_purities(mu, e, count, rng)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    # The generator is left where the unblocked loop leaves it.
+    ref_rng = np.random.default_rng(seed)
+    _unblocked_draws(mu, e, count, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("mu,e", _ORACLE_POINTS)
+def test_uv_statistics_match_logneg_average_on_oracle_draws(mu, e):
+    (mu_a, mu_b, d_min, d_max), (u, v, ok) = _unblocked_draws(
+        mu, e, 20_000, np.random.default_rng(8)
+    )
+    u, v = u[ok][: mu_a.size], v[ok][: mu_a.size]
+    box = _UVSupport.of(mu, e)
+    got = np.empty((4, u.size))
+    _uv_statistics(mu, box, u, v, got)
+    prop, mean_en = logneg_average(mu, mu_a, mu_b, d_min, d_max)
+    mu_min = np.minimum(mu_a, mu_b)
+    np.testing.assert_array_equal(got[2], (mu_min < mu).astype(float))
+    # Relative to the terms that cancel: the entangled length is a
+    # difference of terms of size u^2, divided by L, and G is a log near 1.
+    interval_scale = u * u / box.length(u, v)
+    for g, w, scale in (
+        (got[0], prop, interval_scale),
+        (got[1], mean_en, interval_scale),
+        (got[3], np.maximum(np.log(mu / mu_min), 0.0), 1.0),
+    ):
+        assert np.all(np.abs(g - w) <= 1e-13 * (np.abs(w) + scale))
+
+
+def test_draw_purities_replaces_an_empty_rounding_sliver(monkeypatch):
+    # A draw with L(u, v) > 0 whose seralian bounds round to an empty
+    # interval is replaced, so every returned interval is nonempty.
+    calls = []
+
+    def first_draw_empty(mu, mu_a, mu_b):
+        lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
+        if not calls:
+            lo[0], hi[0], valid[0] = np.nan, np.nan, False
+        calls.append(mu_a.size)
+        return lo, hi, valid
+
+    monkeypatch.setattr(typicality, "delta_bounds_batch", first_draw_empty)
+    mu_a, mu_b, d_min, d_max = _draw_purities(0.53125, 8.0, 500, np.random.default_rng(2))
+    assert calls == [500, 1]
+    want, _ = _unblocked_draws(0.53125, 8.0, 500, np.random.default_rng(2))
+    np.testing.assert_array_equal(mu_a[:499], want[0][1:])
+    assert mu_a.size == 500 and np.all(d_min <= d_max)
+
+
+def test_sampler_states_unchanged_at_fixed_seeds(monkeypatch):
+    # Values of the unblocked sampler loop.
+    s = sample_energy_constrained(0.4, 6.0, 3, seed=9)
+    np.testing.assert_allclose(
+        s[0],
+        [
+            [1.5228498323264417, 2.19307205365422, -0.970463005323499, 0.606802057899927],
+            [2.19307205365422, 5.717990516089023, -0.3066551209359495, 0.6633455234187228],
+            [-0.970463005323499, -0.3066551209359495, 3.6288161911692627, 0.3073799417337889],
+            [0.606802057899927, 0.6633455234187228, 0.3073799417337889, 1.1303434604152713],
+        ],
+        rtol=1e-12,
+    )
+    s = sample_energy_constrained(0.53125, 8.0, 20_000, seed=5)
+    np.testing.assert_allclose(
+        s[-1],
+        [
+            [2.067796604023561, 1.4605951189992066, -1.9229015077140925, -1.1600046211485606],
+            [1.4605951189992066, 7.34016276934661, -3.3014193126067983, 3.093790410442045],
+            [-1.9229015077140925, -3.3014193126067983, 2.7923782118736273, -0.2718724992211661],
+            [-1.1600046211485606, 3.093790410442045, -0.2718724992211661, 3.7996624147562033],
+        ],
+        rtol=1e-12,
+    )
+    # Bit for bit against the sampler run on the unblocked loop.
+    monkeypatch.setattr(
+        typicality, "_draw_purities", lambda mu, e, n, rng: _unblocked_draws(mu, e, n, rng)[0]
+    )
+    np.testing.assert_array_equal(sample_energy_constrained(0.53125, 8.0, 20_000, seed=5), s)
+
+
+@pytest.mark.parametrize("mu,e", [(0.53125, 8.0), (4.0 / 9.0 * (1.0 + 1e-4), 3.0)])
+@pytest.mark.parametrize("count", [5, 10_000, 30_000])
+def test_energy_weight_sees_each_evaluated_proposal_once(monkeypatch, mu, e, count):
+    calls = []
+
+    def recording_weight(mu_a, mu_b, energy):
+        calls.append(np.array(mu_a))
+        return energy_weight(mu_a, mu_b, energy)
+
+    monkeypatch.setattr(typicality, "energy_weight", recording_weight)
+    runs = (
+        lambda seed: energy_constrained_stats(mu, e, McConfig(seed=seed, final_evals=count)),
+        lambda seed: sample_energy_constrained(mu, e, count, seed=seed),
+    )
+    for seed, run in enumerate(runs):
+        calls.clear()
+        run(seed)
+        _, (u, v, ok) = _unblocked_draws(mu, e, count, np.random.default_rng(seed))
+        sizes = [c.size for c in calls]
+        evaluated = sum(sizes)
+        assert max(sizes) <= _BLOCK
+        # Every evaluated proposal, in order, each once ...
+        np.testing.assert_array_equal(
+            np.concatenate(calls), 1.0 / np.maximum(0.5 * (u + v), 1.0)[:evaluated]
+        )
+        # ... and evaluation stops at the slice that completes the count.
+        assert ok[:evaluated].sum() >= count > ok[: evaluated - sizes[-1]].sum()
+
+
 @pytest.mark.parametrize("mu,e,seed", [(0.3, 8.0, 10), (0.45, 5.0, 20), (0.6, 12.0, 30)])
 def test_sampler_matches_integrator(mu, e, seed):
     n = 25_000
@@ -590,7 +774,7 @@ def test_sampler_validation():
         sample_energy_constrained(0.5, 5.0, 0)
 
 
-@pytest.mark.parametrize("count", [2.5, 10.0, "10", None])
+@pytest.mark.parametrize("count", [2.5, 10.0, "10", None, True])
 def test_sampler_rejects_non_integer_count(count):
     with pytest.raises(ValueError, match="count must be an integer"):
         sample_energy_constrained(0.3, 8.0, count)
