@@ -118,7 +118,11 @@ def _validated(sigma) -> tuple[np.ndarray, list[list[float]] | None]:
     """:func:`validate_covmat`, plus the rows as Python floats for 4x4 input (else None).
 
     A 4x4 matrix is read once with ``tolist`` and checked on those scalars,
-    with the messages of :func:`validate_covmat`.
+    with the verdicts and messages of :func:`validate_covmat`.  A finite sum
+    of the entries proves every entry finite; only a sum that is not (a
+    non-finite entry, or finite entries that overflow it) takes the
+    per-entry test.  The largest asymmetry and the scale max(1, |entries|)
+    are computed only for input that is not exactly symmetric.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (4, 4):
@@ -126,14 +130,15 @@ def _validated(sigma) -> tuple[np.ndarray, list[list[float]] | None]:
     rows = sigma.tolist()
     (_, s01, s02, s03), (s10, _, s12, s13), (s20, s21, _, s23), (s30, s31, s32, _) = rows
     entries = rows[0] + rows[1] + rows[2] + rows[3]
-    if not all(map(math.isfinite, entries)):  # max() would drop a NaN
+    if not math.isfinite(sum(entries)) and not all(map(math.isfinite, entries)):
         raise ValueError("covariance matrix has non-finite entries")
-    scale = max(1.0, *map(abs, entries))
-    asym = max(
-        abs(s01 - s10), abs(s02 - s20), abs(s03 - s30), abs(s12 - s21), abs(s13 - s31), abs(s23 - s32)
-    )
-    if asym > SYMMETRY_RTOL * scale:
-        raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
+    if s01 != s10 or s02 != s20 or s03 != s30 or s12 != s21 or s13 != s31 or s23 != s32:
+        asym = max(
+            abs(s01 - s10), abs(s02 - s20), abs(s03 - s30),
+            abs(s12 - s21), abs(s13 - s31), abs(s23 - s32),
+        )
+        if asym > SYMMETRY_RTOL * max(1.0, *map(abs, entries)):
+            raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
     return sigma, rows
 
 

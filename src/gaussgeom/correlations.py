@@ -9,6 +9,7 @@ closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,7 +67,7 @@ class RegionClass(Enum):
     @classmethod
     def of_proportion(cls, prop: float) -> "RegionClass":
         """Class of a point from its entangled proportion (NaN: no physical states)."""
-        if np.isnan(prop):
+        if math.isnan(prop):
             return cls.UNPHYSICAL
         if prop >= 1.0:
             return cls.ALL_ENTANGLED
@@ -88,52 +89,104 @@ def partial_transpose(sigma) -> np.ndarray:
     return _PT @ sigma @ _PT
 
 
-def ppt_spectrum(coords: InvariantCoords) -> PptSpectrum:
-    """Symplectic spectrum of the partially transposed state from invariants.
+def _purities(coords: InvariantCoords) -> tuple[float, float, float]:
+    """(mu, mu_A, mu_B) as Python floats; DomainError unless each is positive and finite."""
+    mu, mu_a, mu_b = float(coords.mu), float(coords.mu_a), float(coords.mu_b)
+    if not (0.0 < mu < math.inf and 0.0 < mu_a < math.inf and 0.0 < mu_b < math.inf):
+        for name, value in (("mu", mu), ("mu_a", mu_a), ("mu_b", mu_b)):
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} = {value} must be positive and finite")
+    return mu, mu_a, mu_b
 
-    Uses Delta~ = 2/mu_A^2 + 2/mu_B^2 - Delta, the seralian of the partially
-    transposed standard form (a, b, c+, -c-).  For physical coordinates the
-    discriminant Delta~^2 - 4/mu^2 is nonnegative; a clearly negative value
-    raises DomainError.
-    """
-    mu = coords.mu
-    d_tilde = 2.0 / coords.mu_a**2 + 2.0 / coords.mu_b**2 - coords.delta
-    disc = d_tilde * d_tilde - 4.0 / mu**2
+
+def _ppt_nu(coords: InvariantCoords) -> tuple[float, float]:
+    """(nu~_-, nu~_+) from invariants on Python floats; see :func:`ppt_spectrum`."""
+    mu, mu_a, mu_b = _purities(coords)
+    try:
+        d_tilde = 2.0 / mu_a**2 + 2.0 / mu_b**2 - float(coords.delta)
+        disc = d_tilde * d_tilde - 4.0 / mu**2
+    except ArithmeticError:  # a purity whose square leaves the float range
+        raise DomainError("purities too far from 1 for the float range") from None
+    if not 0.0 < d_tilde < math.inf:  # also rejects NaN
+        raise DomainError(
+            f"PPT seralian Delta~ = {d_tilde:.3e} must be positive and finite; "
+            "coordinates do not describe a physical state"
+        )
     scale = max(1.0, d_tilde * d_tilde)
-    if disc < -1e-9 * scale:
+    if not disc >= -1e-9 * scale:  # also rejects NaN
         raise DomainError(
             f"PPT discriminant is negative ({disc:.3e}); "
             "coordinates do not describe a physical state"
         )
-    nu_plus = float(np.sqrt(0.5 * (d_tilde + np.sqrt(max(disc, 0.0)))))
+    nu_plus = math.sqrt(0.5 * (d_tilde + math.sqrt(max(disc, 0.0))))
     # The stable root: enforces nu~_+ nu~_- = 1/mu instead of subtracting;
     # at a zero discriminant (nu~_+ = nu~_-) rounding may leave it above nu~_+.
     nu_minus = min(1.0 / (mu * nu_plus), nu_plus)
-    return PptSpectrum(nu_tilde_minus=nu_minus, nu_tilde_plus=nu_plus)
+    if not nu_minus > 0.0:  # 1/(mu nu~_+) underflows
+        raise DomainError("nu_tilde_minus underflows: coordinates outside the float range")
+    return nu_minus, nu_plus
+
+
+def ppt_spectrum(coords: InvariantCoords) -> PptSpectrum:
+    """Symplectic spectrum of the partially transposed state from invariants.
+
+    Uses Delta~ = 2/mu_A^2 + 2/mu_B^2 - Delta, the seralian of the partially
+    transposed standard form (a, b, c+, -c-).  For physical coordinates
+    Delta~ is positive and the discriminant Delta~^2 - 4/mu^2 nonnegative.
+    Raises DomainError unless the purities are positive and finite, when
+    Delta~ is not positive or the discriminant is clearly negative, and
+    when an intermediate value leaves the float range.
+    """
+    return PptSpectrum(*_ppt_nu(coords))
 
 
 def log_negativity(coords: InvariantCoords) -> float:
-    """Logarithmic negativity E_N = max(0, -log2(nu~_-))."""
-    return max(0.0, -float(np.log2(ppt_spectrum(coords).nu_tilde_minus)))
+    """Logarithmic negativity E_N = max(0, -log2(nu~_-)).
+
+    Raises DomainError where :func:`ppt_spectrum` does.
+    """
+    return max(0.0, -math.log2(_ppt_nu(coords)[0]))
+
+
+def _steering(mu: float, marginal: float) -> float:
+    """max(0, ln(mu/marginal)) of positive purities.
+
+    Raises DomainError when the ratio leaves the float range.
+    """
+    ratio = mu / marginal
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"mu/marginal purity = {mu}/{marginal} is outside the float range")
+    return max(0.0, math.log(ratio))
 
 
 def steerability_a_to_b(coords: InvariantCoords) -> float:
-    """Directional Gaussian steering measure max(0, ln(mu/mu_A))."""
-    return max(0.0, float(np.log(coords.mu / coords.mu_a)))
+    """Directional Gaussian steering measure max(0, ln(mu/mu_A)).
+
+    Raises DomainError unless the purities are positive and finite.
+    """
+    mu, mu_a, _ = _purities(coords)
+    return _steering(mu, mu_a)
 
 
 def steerability_b_to_a(coords: InvariantCoords) -> float:
-    """Directional Gaussian steering measure max(0, ln(mu/mu_B))."""
-    return max(0.0, float(np.log(coords.mu / coords.mu_b)))
+    """Directional Gaussian steering measure max(0, ln(mu/mu_B)).
+
+    Raises DomainError unless the purities are positive and finite.
+    """
+    mu, _, mu_b = _purities(coords)
+    return _steering(mu, mu_b)
 
 
 def steerability(coords: InvariantCoords) -> float:
     """Steerability G = max(0, ln(mu/mu_A), ln(mu/mu_B)) in natural log units.
 
     Positive iff the state is steerable in at least one direction, which
-    happens iff mu exceeds the smaller marginal purity.
+    happens iff mu exceeds the smaller marginal purity; since ln is
+    monotone, G = max(0, ln(mu/min(mu_A, mu_B))).  Raises DomainError
+    unless the purities are positive and finite.
     """
-    return max(steerability_a_to_b(coords), steerability_b_to_a(coords))
+    mu, mu_a, mu_b = _purities(coords)
+    return _steering(mu, min(mu_a, mu_b))
 
 
 def delta_threshold(mu: float, mu_a: float, mu_b: float) -> float:

@@ -165,7 +165,7 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
     spectrum (except for equal kinds) or off the shell of a fixed-purity
     denominator.  Off the shell of a fixed-purity numerator the ratio is 0.
     """
-    if kind_a == kind_b:
+    if kind_a.tag == kind_b.tag and kind_a.mu == kind_b.mu:
         return 1.0
     nu = _spectrum(nu)
     exponent = _prod_exponent(kind_a, len(nu)) - _prod_exponent(kind_b, len(nu))

@@ -74,8 +74,7 @@ class McConfig:
     final_evals: int = 80_000
 
     def __post_init__(self):
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _require_seed(self.seed)
         if not _is_int(self.final_evals) or self.final_evals < 2:
             raise ValueError(
                 f"final_evals must be an integer of at least 2, got {self.final_evals!r}"
@@ -84,6 +83,12 @@ class McConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is a non-negative integer (not a bool, not None)."""
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -570,9 +575,12 @@ def sample_energy_constrained(
     interval, the squeezing parameter lambda_A uniform on the
     energy-constraint segment and the four rotation angles uniform.  Every
     returned matrix has energy E exactly (to rounding) and passes the
-    physicality test.
+    physicality test.  Raises DomainError outside the ensemble's support
+    and ValueError unless ``seed`` is a non-negative integer and ``count``
+    a positive one.
     """
     EnergyEnsemble(mu, energy, seed)
+    _require_seed(seed)
     if not _is_int(count):
         raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:

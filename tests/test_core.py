@@ -252,11 +252,28 @@ def test_is_bona_fide_accepts_strongly_squeezed_pure_states():
         np.testing.assert_allclose(symplectic_spectrum(sigma), [1.0, 1.0], rtol=0.0, atol=5e-10)
 
 
-@pytest.mark.parametrize("index", [(0, 1), (3, 2), (0, 0), (3, 3)])
+def _validation_outcome(validate, sigma):
+    """The message of the ValueError that ``validate`` raises on ``sigma``, or None."""
+    try:
+        validate(sigma)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_FIRST_INDICES = [(0, 1), (3, 2), (0, 0), (3, 3)]
+_ALL_INDICES = _FIRST_INDICES + [
+    (i, j) for i in range(4) for j in range(4) if (i, j) not in _FIRST_INDICES
+]
+
+
+@pytest.mark.parametrize("index", _ALL_INDICES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_two_mode_single_non_finite_entry_rejected(index, bad):
     sigma = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
     sigma[index] = bad
+    outcome = _validation_outcome(core._validated, sigma)
+    assert outcome == _validation_outcome(validate_covmat, sigma)
     for fn in (validate_covmat, symplectic_spectrum, is_bona_fide, invariants):
         with pytest.raises(ValueError, match="non-finite"):
             fn(sigma)
@@ -266,15 +283,37 @@ def test_two_mode_single_non_finite_entry_rejected(index, bad):
 def test_two_mode_symmetry_tolerance(largest):
     base = StdForm(largest, 0.6 * largest, 0.2 * largest, -0.1 * largest).matrix()
     step = SYMMETRY_RTOL * max(largest, 1.0)
-    for factor, symmetric in ((0.5, True), (1.5, False)):
-        sigma = base.copy()
-        sigma[3, 1] += factor * step
-        for fn in (symplectic_spectrum, is_bona_fide, lambda m: invariants(m, False)):
-            if symmetric:
-                fn(sigma)
-            else:
-                with pytest.raises(ValueError, match="not symmetric"):
+    assert _validation_outcome(core._validated, base) is None
+    for index in ((3, 1), (1, 0), (2, 0), (0, 3), (2, 1), (3, 2)):
+        for factor, symmetric in ((0.5, True), (1.5, False)):
+            sigma = base.copy()
+            sigma[index] += factor * step
+            outcome = _validation_outcome(core._validated, sigma)
+            assert outcome == _validation_outcome(validate_covmat, sigma)
+            assert (outcome is None) == symmetric
+            for fn in (symplectic_spectrum, is_bona_fide, lambda m: invariants(m, False)):
+                if symmetric:
                     fn(sigma)
+                else:
+                    with pytest.raises(ValueError, match="not symmetric"):
+                        fn(sigma)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1e308, 0, 0, 0], [0, 1e308, 0, 0], [0, 0, 1e308, 0], [0, 0, 0, 1e308]],
+        [[1e308, -1e308, 0, 0], [-1e308, 1e308, 0, 0], [0, 0, 1e308, 1e308], [0, 0, 1e308, 1e308]],
+        [[-1e308, 0, 1e308, 0], [0, -1e308, 0, -1e308], [1e308, 0, -1e308, 0], [0, -1e308, 0, 1]],
+    ],
+)
+def test_two_mode_finite_entries_whose_sum_overflows_are_accepted(rows):
+    sigma = np.array(rows, dtype=float)
+    assert not np.isfinite(sum(sigma.ravel().tolist()))  # the sum overflows
+    assert _validation_outcome(validate_covmat, sigma) is None
+    checked, got_rows = core._validated(sigma)
+    np.testing.assert_array_equal(checked, sigma)
+    assert got_rows == rows
 
 
 def test_two_mode_list_and_integer_input():

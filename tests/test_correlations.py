@@ -1,11 +1,15 @@
+import itertools
 import logging
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from gaussgeom import core
 from gaussgeom.core import (
+    BONA_FIDE_TOL,
     DomainError,
     InvariantCoords,
     StdForm,
@@ -13,7 +17,9 @@ from gaussgeom.core import (
     invariants,
     is_bona_fide,
     random_local_symplectic,
+    symplectic_spectrum,
     two_mode_squeezed,
+    validate_covmat,
 )
 from gaussgeom.correlations import (
     RegionClass,
@@ -29,6 +35,8 @@ from gaussgeom.correlations import (
     steerability_a_to_b,
     steerability_b_to_a,
 )
+from gaussgeom.measures import FISHER_RAO, HILBERT_SCHMIDT, density_ratio
+from gaussgeom.typicality import sample_energy_constrained
 from conftest import (
     feasible_coords,
     local_symplectics,
@@ -107,6 +115,93 @@ def test_steerability_examples():
     assert steerability_b_to_a(InvariantCoords(0.5, 0.5, 0.4, 3.0)) == pytest.approx(
         np.log(1.25), abs=1e-12
     )
+
+
+_PER_STATE = (ppt_spectrum, log_negativity, steerability, steerability_a_to_b, steerability_b_to_a)
+
+
+@pytest.mark.parametrize(
+    "fn, coords, match",
+    [
+        # Delta~ < 0: numpy's sqrt used to warn, then PptSpectrum raised ValueError.
+        (log_negativity, InvariantCoords(0.5, 0.9, 0.9, 50.0), "Delta~ = -4.506e\\+01 must be"),
+        (ppt_spectrum, InvariantCoords(0.5, 0.9, 0.9, 50.0), "Delta~"),
+        (log_negativity, InvariantCoords(0.5, 0.6, 0.6, math.nan), "Delta~ = nan"),
+        (log_negativity, InvariantCoords(0.0, 0.6, 0.6, 5.0), "mu = 0.0 must be positive"),
+        # mu_A = 0 used to raise ZeroDivisionError, a negative purity to warn in log.
+        (steerability, InvariantCoords(0.5, 0.0, 0.6, 3.0), "mu_a = 0.0 must be positive"),
+        (steerability_a_to_b, InvariantCoords(0.5, 0.0, 0.6, 3.0), "mu_a = 0.0"),
+        (steerability, InvariantCoords(-0.5, 0.4, 0.6, 3.0), "mu = -0.5 must be positive"),
+        (steerability_b_to_a, InvariantCoords(0.5, 0.4, -0.6, 3.0), "mu_b = -0.6"),
+        (steerability, InvariantCoords(0.5, math.inf, 0.6, 3.0), "mu_a = inf"),
+        (steerability, InvariantCoords(1e-300, 1e300, 1e300, 3.0), "outside the float range"),
+        (log_negativity, InvariantCoords(0.5, 1e-200, 0.6, 3.0), "float range"),
+    ],
+)
+def test_invalid_coordinates_raise_domain_error(fn, coords, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            fn(coords)
+
+
+def test_per_state_measures_are_finite_or_raise_domain_error():
+    values = (-1.0, 0.0, 5e-324, 1e-200, 1e-160, 0.3, 1.0, 1.7, 1e160, 1e200, math.inf, math.nan)
+    deltas = (-1e300, -2.0, 0.0, 2.0, 13.0, 1e300, math.inf, math.nan)
+    finite = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu, mu_a, mu_b, delta in itertools.product(values, values, values, deltas):
+            coords = InvariantCoords(mu, mu_a, mu_b, delta)
+            for fn in _PER_STATE:
+                try:
+                    out = fn(coords)
+                except DomainError:
+                    continue
+                finite += 1
+                if fn is ppt_spectrum:
+                    assert 0.0 < out.nu_tilde_minus <= out.nu_tilde_plus < math.inf
+                else:
+                    assert 0.0 <= out < math.inf
+    assert finite > 0
+
+
+def _numpy_log_negativity(coords):
+    """E_N by the numpy scalar formulas that log_negativity used before it moved to math."""
+    d_tilde = 2.0 / coords.mu_a**2 + 2.0 / coords.mu_b**2 - coords.delta
+    disc = d_tilde * d_tilde - 4.0 / coords.mu**2
+    nu_plus = float(np.sqrt(0.5 * (d_tilde + np.sqrt(max(disc, 0.0)))))
+    nu_minus = min(1.0 / (coords.mu * nu_plus), nu_plus)
+    return max(0.0, -float(np.log2(nu_minus)))
+
+
+def _numpy_steerability(coords):
+    """G as the larger of the two directional numpy logarithms."""
+    return max(
+        0.0, float(np.log(coords.mu / coords.mu_a)), float(np.log(coords.mu / coords.mu_b))
+    )
+
+
+def test_per_state_analysis_matches_the_numpy_formulas_on_sampler_states():
+    # numpy's log/log2 and libm's differ by one ulp on about 0.2 % of inputs,
+    # so the values agree to 1e-15, not bit for bit.
+    points = ((0.3, 8.0), (0.05, 12.0), (0.9, 12.0), (0.47, 3.0), (0.4445, 3.0))
+    checked = 0
+    for k, (mu, e) in enumerate(points):
+        for sigma in sample_energy_constrained(mu, e, 200, seed=40 + k):
+            validate_covmat(sigma)
+            nu_minus, _ = core._two_mode_nu(sigma.tolist())
+            assert is_bona_fide(sigma) == (nu_minus >= 1.0 - BONA_FIDE_TOL)
+            coords, _ = invariants(sigma)
+            nu = symplectic_spectrum(sigma)
+            for got, want in (
+                (log_negativity(coords), _numpy_log_negativity(coords)),
+                (steerability(coords), _numpy_steerability(coords)),
+                (density_ratio(HILBERT_SCHMIDT, FISHER_RAO, nu), float(np.prod(nu)) ** -5.0),
+            ):
+                assert abs(got - want) <= 1e-15 * max(abs(want), 1.0)
+            checked += 1
+    assert checked == 1000
 
 
 def test_correlations_invariant_under_local_symplectics():

@@ -59,6 +59,10 @@ def test_density_ratio_examples():
         1 / 32, rel=1e-12
     )
     assert density_ratio(FISHER_RAO, FISHER_RAO, [1.0, 1.0]) == 1.0
+    # Equal kinds need equal purities too: [1, 2] lies on the mu = 0.5 shell,
+    # where the mu = 0.3 numerator vanishes.
+    assert density_ratio(fixed_purity(0.5), MeasureKind("fixed-purity", 0.5), [1.0, 1.0]) == 1.0
+    assert density_ratio(fixed_purity(0.3), fixed_purity(0.5), [1.0, 2.0]) == 0.0
     r1 = density_ratio(HILBERT_SCHMIDT, FISHER_RAO, [1.0, 4.0])
     r2 = density_ratio(HILBERT_SCHMIDT, FISHER_RAO, [np.sqrt(2.0), 2.0 * np.sqrt(2.0)])
     assert abs(r1 - r2) < 1e-9 * abs(r1)

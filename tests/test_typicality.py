@@ -780,6 +780,16 @@ def test_sampler_rejects_non_integer_count(count):
         sample_energy_constrained(0.3, 8.0, count)
 
 
+@pytest.mark.parametrize("seed", [1.5, None, True, -1])
+def test_sampler_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # 1.5 used to leak numpy's TypeError; None and True were accepted, None
+    # with a draw that cannot be reproduced.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_energy_constrained(0.3, 8.0, 10, seed=seed)
+
+
 def test_sampler_covers_energy_curve_grid():
     # Every point of the criterion-7 energy curves, the first of them right
     # next to the support edge mu = 4/E^2, and the boundary point that the
