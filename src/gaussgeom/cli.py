@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import os
 import sys
 import warnings
@@ -15,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import core, typicality
-from .correlations import log_negativity, steerability
+from .correlations import RegionClass, log_negativity, steerability
 from .mcint import IntegrationError
 from .typicality import McConfig
 
@@ -27,6 +29,7 @@ Covariance matrix files: first line N, then 2N rows of 2N numbers.
 """
 
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussgeom",
@@ -63,33 +66,41 @@ def _fmt(value) -> str:
     return f"{value:.10g}"
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        sigma = core.read_covmat(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _analysis(sigma, tol: float) -> tuple[list[str], bool]:
+    """The report lines of ``analyze`` and whether the matrix is bona fide."""
     n = sigma.shape[0] // 2
-    try:
-        nu = core.symplectic_spectrum(sigma)
-        physical = core.is_bona_fide(sigma, tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"modes: {n}")
-    print(f"bona fide: {'yes' if physical else 'no'} (tol={args.tol:g})")
-    print("symplectic spectrum:", " ".join(f"{v:.12g}" for v in nu))
-    print(f"purity mu: {core.purity(sigma):.12g}")
-    print(f"energy E: {core.energy(sigma):.12g}")
-    print(f"seralian Delta: {float(np.sum(nu**2)):.12g}")
+    nu = core.symplectic_spectrum(sigma)
+    physical = core.is_bona_fide(sigma, tol=tol)
+    lines = [
+        f"modes: {n}",
+        f"bona fide: {'yes' if physical else 'no'} (tol={tol:g})",
+        "symplectic spectrum: " + " ".join(f"{v:.12g}" for v in nu),
+        f"purity mu: {core.purity(sigma):.12g}",
+        f"energy E: {core.energy(sigma):.12g}",
+        f"seralian Delta: {float(np.sum(nu**2)):.12g}",
+    ]
     if n == 2:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", core.NonPhysicalWarning)
             coords, _ = core.invariants(sigma)
-        print(f"marginal purity mu_A: {coords.mu_a:.12g}")
-        print(f"marginal purity mu_B: {coords.mu_b:.12g}")
-        print(f"log negativity E_N: {log_negativity(coords):.12g}")
-        print(f"steerability G: {steerability(coords):.12g}")
+        lines += [
+            f"marginal purity mu_A: {coords.mu_a:.12g}",
+            f"marginal purity mu_B: {coords.mu_b:.12g}",
+            f"log negativity E_N: {log_negativity(coords):.12g}",
+            f"steerability G: {steerability(coords):.12g}",
+        ]
+    return lines, physical
+
+
+def _cmd_analyze(args) -> int:
+    # Every value is computed before the first line is printed, so that a
+    # failure leaves an error message and no partial report.
+    try:
+        lines, physical = _analysis(core.read_covmat(args.path), args.tol)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0 if physical else 2
 
 
@@ -115,20 +126,33 @@ def _parse_energies(spec: str) -> list[float]:
     return energies
 
 
+def _purity_rows(mu: float, grid_size: int, plane: bool) -> list[list[str]]:
+    """CSV rows of the purity-plane or purity-cut scan, straight from the grid arrays.
+
+    Each grid value is formatted once; Unphysical points (code 0) get empty
+    statistics.  The fields are those of :func:`_fmt` on the library records.
+    """
+    values, codes, props, means = typicality._purity_grid(mu, grid_size, plane)
+    coords = [_fmt(v) for v in values.tolist()]
+    stats = zip(codes.tolist(), props.tolist(), means.tolist())
+    if not plane:
+        return [
+            [v, f"{p:.10g}", f"{m:.10g}"] if code else [v, "", ""]
+            for v, (code, p, m) in zip(coords, stats)
+        ]
+    classes = [region.value for region in RegionClass]
+    return [
+        [a, b, classes[code], f"{p:.10g}", f"{m:.10g}"] if code else [a, b, classes[0], "", ""]
+        for (a, b), (code, p, m) in zip(itertools.product(coords, repeat=2), stats)
+    ]
+
+
 def _scan_rows(args):
     if args.kind == "purity-plane":
         header = ["mu_a", "mu_b", "class", "prop_entangled", "mean_EN"]
-        cells = typicality.scan_purity_plane(args.mu, args.grid)
-        rows = [
-            [_fmt(c.mu_a), _fmt(c.mu_b), c.region.value, _fmt(c.prop_entangled), _fmt(c.mean_logneg)]
-            for c in cells
-        ]
-        return header, rows
+        return header, _purity_rows(args.mu, args.grid, plane=True)
     if args.kind == "purity-cut":
-        header = ["mu_ab", "prop_entangled", "mean_EN"]
-        points = typicality.purity_cut(args.mu, args.grid)
-        rows = [[_fmt(p.mu_ab), _fmt(p.prop_entangled), _fmt(p.mean_logneg)] for p in points]
-        return header, rows
+        return ["mu_ab", "prop_entangled", "mean_EN"], _purity_rows(args.mu, args.grid, plane=False)
     if args.kind == "energy-curves":
         header = [
             "E", "mu",

@@ -35,6 +35,9 @@ __all__ = [
 
 _LN2 = float(np.log(2.0))
 
+#: Smallest global purity of the seralian bounds: 1/mu^2 = 2**1022 stays finite.
+_MU_MIN = 2.0**-511
+
 #: Momentum inversion of the second mode.
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -67,13 +70,18 @@ class RegionClass(Enum):
     @classmethod
     def of_proportion(cls, prop: float) -> "RegionClass":
         """Class of a point from its entangled proportion (NaN: no physical states)."""
-        if math.isnan(prop):
-            return cls.UNPHYSICAL
-        if prop >= 1.0:
-            return cls.ALL_ENTANGLED
-        if prop <= 0.0:
-            return cls.ALL_SEPARABLE
-        return cls.COEXISTENCE
+        return tuple(cls)[int(_region_codes(prop))]
+
+
+def _region_codes(prop) -> np.ndarray:
+    """Positions in ``tuple(RegionClass)`` of entangled proportions, elementwise.
+
+    The one classification rule: NaN (no physical states) is Unphysical,
+    code 0; a proportion >= 1 is AllEntangled, <= 0 AllSeparable, and
+    anything in between Coexistence.
+    """
+    prop = np.asarray(prop, dtype=float)
+    return np.where(np.isnan(prop), 0, 2 + (prop >= 1.0) - (prop <= 0.0))
 
 
 def partial_transpose(sigma) -> np.ndarray:
@@ -210,10 +218,13 @@ def delta_bounds_batch(mu: float, mu_a, mu_b):
 
     Returns ``(delta_min, delta_max, valid)`` arrays; entries where ``valid``
     is False carry NaN bounds.  Raises DomainError when mu or any marginal
-    purity lies outside (0, 1].
+    purity lies outside (0, 1], and when mu is below 2**-511 (about
+    1.5e-154), where the cap 1 + 1/mu^2 leaves the float range.
     """
     if not 0.0 < mu <= 1.0 + 1e-9:
         raise DomainError(f"mu = {mu} must lie in (0, 1]")
+    if mu < _MU_MIN:
+        raise DomainError(f"mu = {mu} is below {_MU_MIN:.3g}: 1/mu^2 leaves the float range")
     mu = min(mu, 1.0)
     mu_a = np.atleast_1d(np.asarray(mu_a, dtype=float))
     mu_b = np.atleast_1d(np.asarray(mu_b, dtype=float))
@@ -233,7 +244,8 @@ def delta_bounds(mu: float, mu_a: float, mu_b: float) -> tuple[float, float] | N
     physical state exists (for instance when the marginal purities exceed
     sqrt(mu) on the symmetric cut).  With a = 1/mu_A and b = 1/mu_B the
     interval is closed form: Delta_min = 2/mu + (a - b)^2 and
-    Delta_max = min((a + b)^2 - 2/mu, 1 + 1/mu^2).
+    Delta_max = min((a + b)^2 - 2/mu, 1 + 1/mu^2).  Raises DomainError
+    where :func:`delta_bounds_batch` does, so also for mu below 2**-511.
     """
     d_min, d_max, valid = delta_bounds_batch(mu, mu_a, mu_b)
     if not bool(valid[0]):

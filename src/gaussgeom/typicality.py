@@ -20,6 +20,7 @@ Nothing here needs scipy.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .correlations import (
     log_negativity,  # noqa: F401  (re-exported: callers import it from here)
     logneg_average,
     _entangled_mean,
+    _region_codes,
 )
 from .mcint import McEstimate
 
@@ -188,20 +190,34 @@ def mean_logneg_fixed_purities(mu: float, mu_a: float, mu_b: float) -> float:
     return float(logneg_average(mu, mu_a, mu_b, *bounds)[1])
 
 
-def _fixed_purity_rows(mu: float, mu_a: np.ndarray, mu_b: np.ndarray):
-    """Region class, entangled proportion and mean E_N per point, in one batched pass.
+def _purity_grid(mu: float, grid_size: int, plane: bool):
+    """Grid values and, per point, region code, entangled proportion and mean E_N.
 
-    Points without physical states carry None statistics.
+    The grid values are (i+1)/grid_size.  The points are every pair of them,
+    (mu_A, mu_B) with mu_A the slower index, over the plane, or the values
+    along the symmetric cut mu_A = mu_B.  Region codes are positions in
+    ``tuple(RegionClass)``; points without physical states (code 0,
+    Unphysical) carry NaN statistics.  All four results are arrays.
     """
+    if grid_size < 1:
+        raise ValueError("grid_size must be positive")
+    values = np.arange(1, grid_size + 1) / grid_size
+    if plane:
+        mu_a, mu_b = np.repeat(values, grid_size), np.tile(values, grid_size)
+    else:
+        mu_a = mu_b = values
     d_min, d_max, _ = delta_bounds_batch(mu, mu_a, mu_b)
     props, means = logneg_average(mu, mu_a, mu_b, d_min, d_max)
-    rows = []
-    for prop, mean in zip(props.tolist(), means.tolist()):
-        region = RegionClass.of_proportion(prop)
-        if region is RegionClass.UNPHYSICAL:
-            prop = mean = None
-        rows.append((region, prop, mean))
-    return rows
+    return values, _region_codes(props), props, means
+
+
+def _point_stats(codes, props, means):
+    """(region, proportion, mean E_N) per point, with None statistics where Unphysical."""
+    regions = tuple(RegionClass)
+    return [
+        (regions[code], prop, mean) if code else (regions[0], None, None)
+        for code, prop, mean in zip(codes.tolist(), props.tolist(), means.tolist())
+    ]
 
 
 def scan_purity_plane(mu: float, grid_size: int) -> list[PurityPlaneCell]:
@@ -210,23 +226,21 @@ def scan_purity_plane(mu: float, grid_size: int) -> list[PurityPlaneCell]:
     The grid covers (0, 1]^2 with values (i+1)/grid_size.  Cells without
     physical states are marked Unphysical and carry empty statistics.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be positive")
-    values = [(i + 1) / grid_size for i in range(grid_size)]
-    pairs = [(mu_a, mu_b) for mu_a in values for mu_b in values]
-    mu_a, mu_b = np.array(pairs).T
-    rows = _fixed_purity_rows(mu, mu_a, mu_b)
-    return [PurityPlaneCell(a, b, *row) for (a, b), row in zip(pairs, rows)]
+    values, codes, props, means = _purity_grid(mu, grid_size, plane=True)
+    pairs = itertools.product(values.tolist(), repeat=2)
+    return [
+        PurityPlaneCell(mu_a, mu_b, *stats)
+        for (mu_a, mu_b), stats in zip(pairs, _point_stats(codes, props, means))
+    ]
 
 
 def purity_cut(mu: float, grid_size: int) -> list[PurityCutPoint]:
     """Scan along the symmetric cut mu_A = mu_B at fixed global purity."""
-    if grid_size < 1:
-        raise ValueError("grid_size must be positive")
-    values = [(i + 1) / grid_size for i in range(grid_size)]
-    m = np.array(values)
-    rows = _fixed_purity_rows(mu, m, m)
-    return [PurityCutPoint(v, *row) for v, row in zip(values, rows)]
+    values, codes, props, means = _purity_grid(mu, grid_size, plane=False)
+    return [
+        PurityCutPoint(v, *stats)
+        for v, stats in zip(values.tolist(), _point_stats(codes, props, means))
+    ]
 
 
 # ---------------------------------------------------------------------------

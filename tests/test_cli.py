@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ def test_analyze_negative_definite_matrix(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-300])
+def test_analyze_underflowing_determinant(tmp_path, capsys, scale):
+    path = tmp_path / "tiny.txt"
+    write_covmat(path, scale * np.eye(4))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and "determinant" in err
+    assert out == ""
+
+
 def test_analyze_rejects_tolerance_of_one(tmp_path, capsys):
     path = tmp_path / "vac.txt"
     write_covmat(path, np.eye(4))
@@ -77,37 +88,89 @@ def test_analyze_single_mode(tmp_path, capsys):
     assert "mu_A" not in out
 
 
-def test_scan_purity_cut_round_trip(tmp_path, capsys):
+def _per_cell_fmt(value) -> str:
+    """Field formatting of one record value, as the per-cell CSV writer had it."""
+    return "" if value is None else f"{value:.10g}"
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+_SCAN_MUS = [0.1, 0.3, 0.5, 0.9, 1.0]
+_SCAN_GRIDS = [1, 2, 12, 100]
+
+
+@pytest.mark.parametrize("grid", _SCAN_GRIDS)
+@pytest.mark.parametrize("mu", _SCAN_MUS)
+def test_scan_purity_cut_round_trip(tmp_path, capsys, mu, grid):
     out_path = tmp_path / "cut.csv"
     code, _, _ = run_cli(
-        capsys, "scan", "purity-cut", "--mu", "0.5", "--grid", "25", "--out", str(out_path)
+        capsys, "scan", "purity-cut", "--mu", repr(mu), "--grid", str(grid), "--out", str(out_path)
     )
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
-    assert len(rows) == 25
-    library = purity_cut(0.5, 25)
-    for row, point in zip(rows, library):
-        assert float(row["mu_ab"]) == pytest.approx(point.mu_ab, rel=1e-9)
-        if point.prop_entangled is None:
-            assert row["prop_entangled"] == ""
-        else:
-            assert float(row["prop_entangled"]) == pytest.approx(point.prop_entangled, abs=1e-9)
-            assert float(row["mean_EN"]) == pytest.approx(point.mean_logneg, abs=1e-8)
+    rows = [
+        [_per_cell_fmt(v) for v in (p.mu_ab, p.prop_entangled, p.mean_logneg)]
+        for p in purity_cut(mu, grid)
+    ]
+    expected = _csv_text(["mu_ab", "prop_entangled", "mean_EN"], rows)
+    assert out_path.read_text() == expected
 
 
-def test_scan_purity_plane_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("grid", _SCAN_GRIDS)
+@pytest.mark.parametrize("mu", _SCAN_MUS)
+def test_scan_purity_plane_round_trip(tmp_path, capsys, mu, grid):
     out_path = tmp_path / "plane.csv"
     code, _, _ = run_cli(
-        capsys, "scan", "purity-plane", "--mu", "0.5", "--grid", "12", "--out", str(out_path)
+        capsys, "scan", "purity-plane", "--mu", repr(mu), "--grid", str(grid), "--out", str(out_path)
     )
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
-    assert len(rows) == 144
-    cells = scan_purity_plane(0.5, 12)
-    classes = {r["class"] for r in rows}
-    assert "Unphysical" in classes and "AllEntangled" in classes
-    for row, cell in zip(rows, cells):
-        assert row["class"] == cell.region.value
+    rows = [
+        [_per_cell_fmt(c.mu_a), _per_cell_fmt(c.mu_b), c.region.value,
+         _per_cell_fmt(c.prop_entangled), _per_cell_fmt(c.mean_logneg)]
+        for c in scan_purity_plane(mu, grid)
+    ]
+    expected = _csv_text(["mu_a", "mu_b", "class", "prop_entangled", "mean_EN"], rows)
+    assert out_path.read_text() == expected
+
+
+def test_parser_is_reused_without_carrying_options(capsys):
+    cli._build_parser.cache_clear()
+    first = run_cli(capsys, "scan", "purity-plane", "--grid", "4")
+    assert run_cli(capsys, "scan", "purity-plane", "--mu", "0.3", "--grid", "4")[0] == 0
+    again = run_cli(capsys, "scan", "purity-plane", "--grid", "4")
+    assert again == first
+    assert again == run_cli(capsys, "scan", "purity-plane", "--mu", "0.5", "--grid", "4")
+    assert first[0] == 0 and first[1] != ""
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_analyze_after_a_scan_sees_no_scan_options(tmp_path, capsys):
+    path = tmp_path / "vac.txt"
+    write_covmat(path, np.eye(4))
+    cli._build_parser.cache_clear()
+    fresh = run_cli(capsys, "analyze", str(path))
+    assert run_cli(capsys, "scan", "purity-cut", "--mu", "0.3", "--grid", "3")[0] == 0
+    assert run_cli(capsys, "analyze", str(path)) == fresh
+    parser = cli._build_parser()
+    parser.parse_args(["scan", "purity-cut", "--mu", "0.3", "--grid", "3"])
+    args = parser.parse_args(["analyze", str(path)])
+    assert vars(args) == {"command": "analyze", "path": str(path), "tol": core.BONA_FIDE_TOL}
+
+
+@pytest.mark.parametrize("kind", ["purity-plane", "purity-cut"])
+@pytest.mark.parametrize("mu", ["1e-200", "1e-320", "5e-324"])
+def test_scan_tiny_global_purity_exits_cleanly(capsys, kind, mu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "scan", kind, "--mu", mu, "--grid", "2")
+    assert code == 1
+    assert err.startswith("error: ") and "float range" in err
+    assert out == ""
 
 
 def test_scan_pure_endpoint(tmp_path, capsys):

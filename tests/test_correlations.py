@@ -34,6 +34,7 @@ from gaussgeom.correlations import (
     steerability,
     steerability_a_to_b,
     steerability_b_to_a,
+    _region_codes,
 )
 from gaussgeom.measures import FISHER_RAO, HILBERT_SCHMIDT, density_ratio
 from gaussgeom.typicality import sample_energy_constrained
@@ -339,6 +340,29 @@ def test_classify_region_examples():
     region, prop = classify_region(0.5, 0.69, 0.69)
     assert region is RegionClass.ALL_SEPARABLE
     assert prop == 0.0
+
+
+_PINNED_PROPORTIONS = [
+    (math.nan, RegionClass.UNPHYSICAL),
+    (-0.0, RegionClass.ALL_SEPARABLE),
+    (0.0, RegionClass.ALL_SEPARABLE),
+    (5e-324, RegionClass.COEXISTENCE),
+    (0.5, RegionClass.COEXISTENCE),
+    (1.0 - 2.0**-53, RegionClass.COEXISTENCE),
+    (1.0, RegionClass.ALL_ENTANGLED),
+    (1.5, RegionClass.ALL_ENTANGLED),
+]
+
+
+def test_region_classification_batched_and_scalar():
+    props = np.array([prop for prop, _ in _PINNED_PROPORTIONS])
+    expected = [region for _, region in _PINNED_PROPORTIONS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = _region_codes(props)
+        assert [tuple(RegionClass)[code] for code in codes.tolist()] == expected
+        assert [RegionClass.of_proportion(prop) for prop in props.tolist()] == expected
+    assert _region_codes(props.reshape(2, 4)).shape == (2, 4)
 
 
 def test_classify_region_linear_cut():

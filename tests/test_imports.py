@@ -62,3 +62,19 @@ def test_library_and_cli_paths_do_not_import_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_import_builds_no_argument_parser():
+    script = (
+        "import gaussgeom\n"
+        "from gaussgeom import cli\n"
+        "assert cli._build_parser.cache_info().currsize == 0\n"
+        "assert cli.main(['scan', 'purity-cut', '--grid', '2', '--out', '-']) == 0\n"
+        "assert cli._build_parser.cache_info().currsize == 1\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from gaussgeom.core import (
 )
 from gaussgeom.correlations import (
     RegionClass,
+    classify_region,
     delta_bounds,
     delta_bounds_batch,
     log_negativity,
@@ -140,6 +141,57 @@ def test_purity_cut_rows():
     assert points[-1].region is RegionClass.UNPHYSICAL
     physical = [p for p in points if p.region is not RegionClass.UNPHYSICAL]
     assert physical and all(p.mean_logneg is not None for p in physical)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9, 1.0])
+def test_purity_scans_match_the_per_point_functions(mu):
+    cells = scan_purity_plane(mu, 9)
+    assert [(c.mu_a, c.mu_b) for c in cells] == [
+        ((i + 1) / 9, (j + 1) / 9) for i in range(9) for j in range(9)
+    ]
+    points = purity_cut(mu, 9)
+    assert [p.mu_ab for p in points] == [(i + 1) / 9 for i in range(9)]
+    records = [(c.mu_a, c.mu_b, c) for c in cells] + [(p.mu_ab, p.mu_ab, p) for p in points]
+    for mu_a, mu_b, rec in records:
+        region, prop = classify_region(mu, mu_a, mu_b)
+        assert rec.region is region
+        if region is RegionClass.UNPHYSICAL:
+            assert rec.prop_entangled is None and rec.mean_logneg is None
+        else:
+            assert rec.prop_entangled == pytest.approx(prop, abs=1e-15)
+            mean = mean_logneg_fixed_purities(mu, mu_a, mu_b)
+            assert rec.mean_logneg == pytest.approx(mean, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("mu", [1e-200, 1e-320, 5e-324])
+def test_tiny_global_purity_raises_domain_error(mu):
+    # Below 2**-511, 1/mu^2 leaves the float range; every entry point says so.
+    calls = [
+        lambda: delta_bounds(mu, 0.5, 0.5),
+        lambda: delta_bounds(mu, 1e-100, 1e-100),
+        lambda: delta_bounds_batch(mu, [0.5], [0.5]),
+        lambda: classify_region(mu, 0.5, 0.5),
+        lambda: mean_logneg_fixed_purities(mu, 0.5, 0.5),
+        lambda: scan_purity_plane(mu, 3),
+        lambda: purity_cut(mu, 3),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="float range"):
+                call()
+
+
+def test_smallest_global_purity_gives_finite_results():
+    mu, m = 2.0**-511, 2.0**-256  # mu_A mu_B = mu / 2: physical
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d_min, d_max = delta_bounds(mu, m, m)
+        assert np.isfinite([d_min, d_max]).all() and d_min <= d_max
+        assert classify_region(mu, m, m) == (RegionClass.ALL_SEPARABLE, 0.0)
+        assert mean_logneg_fixed_purities(mu, m, m) == 0.0
+        assert {c.region for c in scan_purity_plane(mu, 3)} == {RegionClass.UNPHYSICAL}
+        assert {p.region for p in purity_cut(mu, 3)} == {RegionClass.UNPHYSICAL}
 
 
 # ---------------------------------------------------------------------------
