@@ -7,7 +7,6 @@ non-physical matrix; the report is still printed), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import os
@@ -207,9 +206,8 @@ def _cmd_scan(args) -> int:
         header, rows = _scan_rows(args)
         if stream is not sys.stdout and os.path.isfile(args.out):
             stream.truncate(0)  # appended writes then start at offset 0
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        # No field of any scan needs CSV quoting.
+        stream.write("".join(",".join(row) + "\n" for row in [header, *rows]))
         stream.flush()
         done = True
     except (ValueError, core.DomainError, OSError) as exc:

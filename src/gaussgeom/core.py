@@ -21,7 +21,6 @@ definite input; anything else raises ValueError.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -261,15 +260,27 @@ def _bona_fide(sigma: np.ndarray, tol: float = BONA_FIDE_TOL) -> bool:
 
 
 def purity(sigma) -> float:
-    """Global purity mu = 1/sqrt(det Sigma) = prod(1/nu_k)."""
-    return _purity(validate_covmat(sigma))
+    """Global purity mu = 1/sqrt(det Sigma) = prod(1/nu_k); see :func:`_purity`."""
+    sigma, rows = _validated(sigma)
+    return _purity(sigma, None if rows is None else _two_mode_nu(rows))
 
 
-def _purity(sigma: np.ndarray) -> float:
-    det = float(np.linalg.det(sigma))
-    if det <= 0.0:
-        raise ValueError("determinant must be positive to define a purity")
-    return 1.0 / np.sqrt(det)
+def _purity(sigma: np.ndarray, nu: tuple[float, float] | None) -> float:
+    """1/sqrt(det Sigma) from the two-mode (nu_-, nu_+) if given, else from a log-determinant.
+
+    det Sigma, which overflows for large physical states (1e80 * I, say), is never
+    formed.  Raises ValueError unless it is positive and does not under- or overflow.
+    """
+    if nu is None:
+        sign, log_det = np.linalg.slogdet(sigma)
+        if not sign > 0.0:
+            raise ValueError("determinant must be positive to define a purity")
+        nu_prod = math.exp(0.5 * log_det) if log_det < 1419.0 else math.inf  # exp overflow
+    else:
+        nu_prod = nu[0] * nu[1]
+    if not 2.0**-511 <= nu_prod < math.inf:  # det Sigma = nu_prod^2 a normal float or above
+        raise ValueError("determinant must be positive and in the float range to define a purity")
+    return 1.0 / nu_prod
 
 
 def energy(sigma) -> float:
@@ -347,7 +358,7 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
     and energy = tr(Sigma)/2.  The global purity mu = 1/(nu_- nu_+) and the
     physicality verdict come from the scalar Cholesky factor of
     :func:`_two_mode_nu`, with no eigen-solve; only input that is not
-    positive definite takes mu = 1/sqrt(det Sigma) from a determinant.
+    positive definite takes mu = 1/sqrt(det Sigma) from a log-determinant.
     Input that is not a physical state, positive definite or not, is
     flagged with NonPhysicalWarning by the test of :func:`is_bona_fide`
     but the invariants are still returned, which is needed when probing the
@@ -357,14 +368,9 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
     sigma, rows = _require_two_mode(sigma)
     det_a, det_b, det_c = _block_dets(rows)
     nu = _two_mode_nu(rows)
-    # Below the smallest normal float, 1/(nu_- nu_+) would overflow; det
-    # Sigma = (nu_- nu_+)^2 then underflows and the purity is undefined.
-    if nu is not None and nu[0] * nu[1] >= sys.float_info.min:
-        mu, physical = 1.0 / (nu[0] * nu[1]), nu[0] >= 1.0 - BONA_FIDE_TOL
-    else:
-        mu, physical = _purity(sigma), False
+    physical = nu is not None and nu[0] >= 1.0 - BONA_FIDE_TOL
     coords = InvariantCoords(
-        mu=mu,
+        mu=_purity(sigma, nu),
         mu_a=1.0 / math.sqrt(det_a),
         mu_b=1.0 / math.sqrt(det_b),
         delta=det_a + det_b + 2.0 * det_c,
@@ -431,6 +437,23 @@ def _seralian_edges(mu, a, b):
     return 2.0 / mu + (a - b) ** 2, (a + b) ** 2 - 2.0 / mu
 
 
+def _std_form_c(mu, a, b, delta):
+    """(c+, c-) of the standard form (a, b) at purity mu and a seralian between the edges.
+
+    Elementwise.  With p = c+ c- = (delta - a^2 - b^2)/2, ab - |p| - 1/mu is half the
+    distance from delta to the nearer edge, so gap = c+^2 + c-^2 - 2|p| =
+    (ab - |p| - 1/mu)(ab - |p| + 1/mu)/ab and (c+^2 - c-^2)^2 = gap (gap + 4|p|)
+    have no cancellation and vanish on an edge, where c+ = |c-| to rounding.
+    """
+    lo, hi = _seralian_edges(mu, a, b)
+    p = 0.5 * (delta - a * a - b * b)
+    half = 0.5 * np.maximum(np.minimum(delta - lo, hi - delta), 0.0)
+    gap = half * (half + 2.0 / mu) / (a * b)
+    abs_p = np.abs(p)
+    c_plus = np.sqrt(0.5 * (2.0 * abs_p + gap + np.sqrt(gap * (gap + 4.0 * abs_p))))
+    return c_plus, p / np.where(c_plus > 0.0, c_plus, 1.0)
+
+
 def cm_from_invariants(coords: InvariantCoords) -> StdForm:
     """Reconstruct the standard form from invariant coordinates.
 
@@ -456,17 +479,8 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
         raise DomainError(
             f"delta = {delta} above the maximum min((1/mu_a + 1/mu_b)^2 - 2/mu, 1 + 1/mu^2) = {top}"
         )
-    ab = a * b
-    p = 0.5 * (delta - a * a - b * b)
-    # ab - |p| - 1/mu is half the distance from delta to the nearer edge, so
-    # gap = c+^2 + c-^2 - 2|p| = (ab - |p| - 1/mu)(ab - |p| + 1/mu)/ab and
-    # (c+^2 - c-^2)^2 = gap (gap + 4|p|) have no cancellation and vanish on
-    # an edge.  c+ c- = p then fixes c- with the c+ >= |c-| convention.
-    half = 0.5 * max(min(delta - lo, hi - delta), 0.0)
-    gap = half * (half + 2.0 / mu) / ab
-    c_plus = float(np.sqrt(0.5 * (2.0 * abs(p) + gap + np.sqrt(gap * (gap + 4.0 * abs(p))))))
-    c_minus = p / c_plus if c_plus > 0.0 else 0.0
-    if c_plus * c_plus > ab * (1.0 + 1e-12):
+    c_plus, c_minus = (float(c) for c in _std_form_c(mu, a, b, delta))
+    if c_plus * c_plus > a * b * (1.0 + 1e-12):
         raise DomainError("reconstructed matrix would not be positive definite")
     return StdForm(a=a, b=b, c_plus=c_plus, c_minus=c_minus)
 

@@ -112,7 +112,6 @@ def _ppt_nu(coords: InvariantCoords) -> tuple[float, float]:
     mu, mu_a, mu_b = _purities(coords)
     try:
         d_tilde = 2.0 / mu_a**2 + 2.0 / mu_b**2 - float(coords.delta)
-        disc = d_tilde * d_tilde - 4.0 / mu**2
     except ArithmeticError:  # a purity whose square leaves the float range
         raise DomainError("purities too far from 1 for the float range") from None
     if not 0.0 < d_tilde < math.inf:  # also rejects NaN
@@ -120,13 +119,16 @@ def _ppt_nu(coords: InvariantCoords) -> tuple[float, float]:
             f"PPT seralian Delta~ = {d_tilde:.3e} must be positive and finite; "
             "coordinates do not describe a physical state"
         )
-    scale = max(1.0, d_tilde * d_tilde)
-    if not disc >= -1e-9 * scale:  # also rejects NaN
+    # Delta~^2 - 4/mu^2 = low * high, kept as factors because Delta~^2
+    # overflows for large states; disc >= -1e-9 max(1, Delta~)^2 over high.
+    low, high = d_tilde - 2.0 / mu, d_tilde + 2.0 / mu
+    span = max(1.0, d_tilde)
+    if not low >= -1e-9 * span * (span / high):  # also rejects NaN
         raise DomainError(
-            f"PPT discriminant is negative ({disc:.3e}); "
+            f"PPT discriminant is negative ({low * high:.3e}); "
             "coordinates do not describe a physical state"
         )
-    nu_plus = math.sqrt(0.5 * (d_tilde + math.sqrt(max(disc, 0.0))))
+    nu_plus = math.sqrt(0.5 * (d_tilde + math.sqrt(max(low, 0.0)) * math.sqrt(high)))
     # The stable root: enforces nu~_+ nu~_- = 1/mu instead of subtracting;
     # at a zero discriminant (nu~_+ = nu~_-) rounding may leave it above nu~_+.
     nu_minus = min(1.0 / (mu * nu_plus), nu_plus)
@@ -140,7 +142,8 @@ def ppt_spectrum(coords: InvariantCoords) -> PptSpectrum:
 
     Uses Delta~ = 2/mu_A^2 + 2/mu_B^2 - Delta, the seralian of the partially
     transposed standard form (a, b, c+, -c-).  For physical coordinates
-    Delta~ is positive and the discriminant Delta~^2 - 4/mu^2 nonnegative.
+    Delta~ is positive and the discriminant Delta~^2 - 4/mu^2, formed as
+    (Delta~ - 2/mu)(Delta~ + 2/mu), nonnegative.
     Raises DomainError unless the purities are positive and finite, when
     Delta~ is not positive or the discriminant is clearly negative, and
     when an intermediate value leaves the float range.
@@ -200,17 +203,24 @@ def steerability(coords: InvariantCoords) -> float:
 def delta_threshold(mu: float, mu_a: float, mu_b: float) -> float:
     """Seralian value below which states at these purities are entangled.
 
-    From nu~_- < 1: Delta < 2/mu_A^2 + 2/mu_B^2 - 1 - 1/mu^2.
+    From nu~_- < 1: Delta < 2/mu_A^2 + 2/mu_B^2 - 1 - 1/mu^2.  Raises
+    DomainError where :func:`delta_bounds_batch` does.
     """
+    _require_purities(mu, mu_a, mu_b)
     return 2.0 / mu_a**2 + 2.0 / mu_b**2 - 1.0 - 1.0 / mu**2
 
 
-def _require_marginals(mu_a: np.ndarray, mu_b: np.ndarray) -> None:
-    """Raise DomainError unless every marginal purity lies in (0, 1]."""
-    for name, val in (("mu_a", mu_a), ("mu_b", mu_b)):
-        bad = ~((val > 0.0) & (val <= 1.0 + 1e-9))
+def _require_purities(mu: float, mu_a, mu_b) -> None:
+    """Raise DomainError unless mu and every marginal purity lie in [2**-511, 1] (to 1e-9)."""
+    for name, val in (("mu", mu), ("mu_a", mu_a), ("mu_b", mu_b)):
+        val = np.asarray(val, dtype=float)
+        bad = ~((val >= _MU_MIN) & (val <= 1.0 + 1e-9))  # NaN is bad too
         if np.any(bad):
-            raise DomainError(f"{name} = {val[bad].flat[0]} must lie in (0, 1]")
+            value = val[bad].flat[0]
+            why = "must lie in (0, 1]"
+            if 0.0 < value < 1.0:
+                why = f"is below {_MU_MIN:.3g}: 1/{name}^2 leaves the float range"
+            raise DomainError(f"{name} = {value} {why}")
 
 
 def delta_bounds_batch(mu: float, mu_a, mu_b):
@@ -218,17 +228,13 @@ def delta_bounds_batch(mu: float, mu_a, mu_b):
 
     Returns ``(delta_min, delta_max, valid)`` arrays; entries where ``valid``
     is False carry NaN bounds.  Raises DomainError when mu or any marginal
-    purity lies outside (0, 1], and when mu is below 2**-511 (about
-    1.5e-154), where the cap 1 + 1/mu^2 leaves the float range.
+    purity lies outside (0, 1], and when one is below 2**-511 (about
+    1.5e-154), where its inverse square leaves the float range.
     """
-    if not 0.0 < mu <= 1.0 + 1e-9:
-        raise DomainError(f"mu = {mu} must lie in (0, 1]")
-    if mu < _MU_MIN:
-        raise DomainError(f"mu = {mu} is below {_MU_MIN:.3g}: 1/mu^2 leaves the float range")
-    mu = min(mu, 1.0)
     mu_a = np.atleast_1d(np.asarray(mu_a, dtype=float))
     mu_b = np.atleast_1d(np.asarray(mu_b, dtype=float))
-    _require_marginals(mu_a, mu_b)
+    _require_purities(mu, mu_a, mu_b)
+    mu = min(mu, 1.0)
     a, b = 1.0 / mu_a, 1.0 / mu_b
     d_min, d_max = _seralian_edges(mu, a, b)
     d_max = np.minimum(d_max, 1.0 + 1.0 / mu**2)
@@ -267,13 +273,12 @@ def logneg_average(mu: float, mu_a, mu_b, d_min, d_max):
     difference of that antiderivative between the ends is formed without
     cancellation (through log1p and a difference of squares), so the
     narrow intervals near mu = 1 keep full accuracy.  Raises DomainError
-    when any marginal purity lies outside (0, 1].
+    where :func:`delta_bounds_batch` does.
     """
-    _require_marginals(np.asarray(mu_a, dtype=float), np.asarray(mu_b, dtype=float))
+    thr = delta_threshold(mu, mu_a, mu_b)  # checks the purities first
     width = d_max - d_min
     point = width == 0.0
     span = np.where(point, 1.0, width)  # divisor; a point has no width to divide by
-    thr = delta_threshold(mu, mu_a, mu_b)
     ent_len = np.clip(np.minimum(d_max, thr) - d_min, 0.0, width)
     prop = np.where(point, np.where(d_min < thr, 1.0, 0.0), ent_len / span)
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .typicality import McEstimate  # defined there; re-exported here
+
 __all__ = [
     "IntegrationError",
     "McEstimate",
@@ -32,16 +34,6 @@ _NONFINITE_LIMIT = 1e-3
 
 class IntegrationError(RuntimeError):
     """Monte Carlo integration failed (bad integrand or degenerate sampling)."""
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo result: value, standard error, iteration consistency, cost."""
-
-    value: float
-    std_error: float
-    chi2_per_dof: float
-    n_evals: int
 
 
 def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:

@@ -11,11 +11,11 @@ seralian-interval length, in u = 1/mu_A + 1/mu_B and v = 1/mu_A - 1/mu_B.
 It tests its proposals in cache-sized blocks and stops at the block that
 completes the requested number of draws.  The ensemble averages are sample
 means of the closed-form seralian averages, taken block by block straight
-from the accepted (u, v); the state sampler maps the draws to marginal
-purities and adds a seralian drawn uniformly inside its closed-form
-interval.  The pure-state (mu = 1) endpoint is closed form in h = E/2, with
-a power series in t = h - 1 below t = 0.1 where the closed form cancels.
-Nothing here needs scipy.
+from the accepted (u, v); the state sampler builds each state from them
+too, with a seralian uniform on its interval and the standard form of core.
+The pure-state (mu = 1) endpoint is closed form in h = E/2, with a power
+series in t = h - 1 below t = 0.1 where the closed form cancels.  Nothing
+here needs scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, StdForm
+from .core import DomainError, StdForm, _std_form_c
 from .correlations import (
     RegionClass,
     delta_bounds,
@@ -37,7 +37,6 @@ from .correlations import (
     _entangled_mean,
     _region_codes,
 )
-from .mcint import McEstimate
 
 __all__ = [
     "McConfig",
@@ -133,6 +132,16 @@ class LocalSympSample:
     def __post_init__(self):
         if self.lambda_a < 1.0 or self.lambda_b < 1.0:
             raise ValueError("lambda parameters must be >= 1")
+
+
+@dataclass(frozen=True)
+class McEstimate:
+    """Monte Carlo result: value, standard error, iteration consistency, cost."""
+
+    value: float
+    std_error: float
+    chi2_per_dof: float
+    n_evals: int
 
 
 @dataclass(frozen=True)
@@ -328,9 +337,9 @@ def energy_constrained_ratio(
     """
     mc = mc or McConfig()
     EnergyEnsemble(mu, energy, mc.seed)
-    rng = np.random.default_rng(mc.seed)
-    mu_a, mu_b, d_min, d_max = _draw_purities(mu, energy, mc.final_evals, rng)
-    return _sample_mean(inner(mu_a, mu_b, d_min, d_max) / (d_max - d_min))
+    a, b, lo, length = _draw_intervals(mu, energy, mc.final_evals, np.random.default_rng(mc.seed))
+    hi = lo + length
+    return _sample_mean(inner(1.0 / a, 1.0 / b, lo, hi) / (hi - lo))
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +473,6 @@ def assemble_covmat(std: StdForm, sample: LocalSympSample) -> np.ndarray:
     )[0]
 
 
-def _std_form_arrays(mu: float, mu_a, mu_b, delta):
-    """Vectorized standard-form reconstruction for feasible coordinates."""
-    a, b = 1.0 / mu_a, 1.0 / mu_b
-    ab = a * b
-    p = 0.5 * (delta - a * a - b * b)
-    t = np.maximum((ab * ab + p * p - 1.0 / mu**2) / ab, 0.0)
-    disc = np.maximum(t * t - 4.0 * p * p, 0.0)
-    c_plus = np.sqrt(0.5 * (t + np.sqrt(disc)))
-    c_minus = np.where(c_plus > 0.0, p / np.where(c_plus > 0.0, c_plus, 1.0), 0.0)
-    return a, b, c_plus, c_minus
-
-
 @dataclass(frozen=True)
 class _UVSupport:
     """Support of the marginal-purity density in u = 1/mu_A + 1/mu_B, v = 1/mu_A - 1/mu_B.
@@ -516,7 +513,7 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
     are accepted with probability (E - u) L / rho_max, where E - u is
     :func:`energy_weight` times (mu_A mu_B)^2 at the purities 1/max(x, 1),
     1/max(y, 1) (the clamp keeps them in (0, 1]; clamped proposals have
-    L <= 0 and are rejected).  Every accepted draw has L > 0.
+    L <= 0 and are rejected).  Every accepted draw has L > 0: the one support test.
 
     Each batch draws u, v and the acceptance variates with one generator
     call each, sized for the draws still missing at the acceptance seen so
@@ -553,25 +550,17 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
                 return
 
 
-def _draw_purities(mu: float, energy: float, count: int, rng: np.random.Generator):
-    """Marginal purities and seralian intervals of ``count`` ensemble draws.
+def _draw_intervals(mu: float, energy: float, count: int, rng: np.random.Generator):
+    """Standard-form diagonals and seralian intervals of ``count`` ensemble draws.
 
-    The accepted (u, v) of :func:`_accepted_uv` map to the purities
-    1/max(x, 1) and 1/max(y, 1), and only these get their seralian bounds.
-    A rounding sliver that :func:`delta_bounds_batch` finds empty is
-    replaced by a fresh draw.  Returns (mu_a, mu_b, delta_min, delta_max)
-    arrays.
+    Each accepted (u, v) of :func:`_accepted_uv` gives a = max((u + v)/2, 1), b =
+    max((u - v)/2, 1) and the interval from 2/mu + v^2 of length L(u, v) > 0.
     """
     box = _UVSupport.of(mu, energy)
     u, v = (np.concatenate(parts) for parts in zip(*_accepted_uv(box, energy, count, rng)))
-    mu_a = 1.0 / np.maximum(0.5 * (u + v), 1.0)
-    mu_b = 1.0 / np.maximum(0.5 * (u - v), 1.0)
-    lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
-    draws = (mu_a, mu_b, lo, hi)
-    if valid.all():
-        return draws
-    rest = _draw_purities(mu, energy, count - int(valid.sum()), rng)
-    return tuple(np.concatenate([x[valid], y]) for x, y in zip(draws, rest))
+    a = np.maximum(0.5 * (u + v), 1.0)
+    b = np.maximum(0.5 * (u - v), 1.0)
+    return a, b, 2.0 / mu + v * v, box.length(u, v)
 
 
 def sample_energy_constrained(
@@ -585,9 +574,10 @@ def sample_energy_constrained(
     acceptance is bounded away from zero on the whole support: about
     8/105 next to the edge mu = 4/E^2, up to 1/3 towards mu = 1 and not
     below 1/30 anywhere (its large-E limit near mu = 1/E), so the run time
-    is bounded everywhere.  The seralian is uniform on its closed-form
-    interval, the squeezing parameter lambda_A uniform on the
-    energy-constraint segment and the four rotation angles uniform.  Every
+    is bounded everywhere.  The seralian is uniform on the interval of each
+    accepted (u, v) (:func:`_draw_intervals`), lambda_A uniform on
+    [1, (E - b)/a] and the four rotation angles uniform; c+ and c- come
+    from :func:`~gaussgeom.core._std_form_c`.  Every
     returned matrix has energy E exactly (to rounding) and passes the
     physicality test.  Raises DomainError outside the ensemble's support
     and ValueError unless ``seed`` is a non-negative integer and ``count``
@@ -600,10 +590,9 @@ def sample_energy_constrained(
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
-    mu_a, mu_b, d_min, d_max = _draw_purities(mu, energy, count, rng)
-    delta = d_min + rng.random(count) * (d_max - d_min)
-    lam_a = rng.uniform(1.0, mu_a * (energy - 1.0 / mu_b))
-    lam_b = mu_b * (energy - lam_a / mu_a)
+    a, b, d_min, length = _draw_intervals(mu, energy, count, rng)
+    delta = d_min + rng.random(count) * length
+    lam_a = rng.uniform(1.0, (energy - b) / a)
+    lam_b = (energy - a * lam_a) / b
     angles = rng.uniform(0.0, 2.0 * np.pi, (count, 4))
-    a, b, c_plus, c_minus = _std_form_arrays(mu, mu_a, mu_b, delta)
-    return _covmats(a, b, c_plus, c_minus, lam_a, lam_b, angles)
+    return _covmats(a, b, *_std_form_c(mu, a, b, delta), lam_a, lam_b, angles)

@@ -63,6 +63,30 @@ def test_analyze_underflowing_determinant(tmp_path, capsys, scale):
     assert out == ""
 
 
+@pytest.mark.parametrize("scale, mu", [(1e80, "1e-160"), (1e150, "1e-300")])
+def test_analyze_thermal_state_with_large_entries(tmp_path, capsys, scale, mu):
+    # det Sigma = scale^4 overflows, but no reported value needs it.
+    path = tmp_path / "hot.txt"
+    write_covmat(path, scale * np.eye(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert f"purity mu: {mu}\n" in out
+    assert "log negativity E_N: 0\n" in out and "steerability G: 0\n" in out
+
+
+def test_analyze_thermal_state_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "hotter.txt"
+    write_covmat(path, 1e300 * np.eye(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and "float range" in err
+    assert out == ""
+
+
 def test_analyze_rejects_tolerance_of_one(tmp_path, capsys):
     path = tmp_path / "vac.txt"
     write_covmat(path, np.eye(4))
@@ -171,6 +195,28 @@ def test_scan_tiny_global_purity_exits_cleanly(capsys, kind, mu):
     assert code == 1
     assert err.startswith("error: ") and "float range" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["purity-plane", "--mu", "0.3", "--grid", "12"],
+        ["purity-cut", "--mu", "0.9", "--grid", "12"],
+        ["energy-curves", "--E", "3,8", "--mu-grid", "2", "--evals", "500"],
+        ["pure-endpoint", "--E", "2,2.1,3,40"],
+    ],
+)
+def test_scan_csv_is_what_a_csv_writer_writes(tmp_path, capsys, argv):
+    out = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, "scan", *argv, "--out", str(out))
+    assert code == 0
+    header, rows = cli._scan_rows(cli._build_parser().parse_args(["scan", *argv]))
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert out.read_text() == want.getvalue()
+    assert len(rows) > 1
 
 
 def test_scan_pure_endpoint(tmp_path, capsys):

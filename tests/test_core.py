@@ -391,6 +391,25 @@ def test_purity_invariant_under_symplectic():
         assert abs(purity(s.T @ sigma @ s) - purity(sigma)) < 1e-9 * purity(sigma) + 1e-9
 
 
+@pytest.mark.parametrize(
+    "scale, n_modes, mu",
+    [(1e80, 1, 1e-80), (1e80, 2, 1e-160), (1e150, 2, 1e-300), (1e80, 3, 1e-240), (1e100, 3, 1e-300)],
+)
+def test_purity_of_thermal_states_with_large_entries(scale, n_modes, mu):
+    # det Sigma = scale^(2N) overflows; the purity scale^-N is still a float.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert purity(scale * np.eye(2 * n_modes)) == pytest.approx(mu, rel=1e-13)
+
+
+@pytest.mark.parametrize("sigma", [1e300 * np.eye(4), 1e110 * np.eye(6), 1e-100 * np.eye(4)])
+def test_purity_outside_the_float_range_raises(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            purity(sigma)
+
+
 def test_det_equals_product_of_squared_eigenvalues():
     rng = np.random.default_rng(4)
     for n in (1, 2, 3):
@@ -520,6 +539,49 @@ def test_cm_from_invariants_round_trip():
             rtol=1e-9,
             atol=1e-9,
         )
+
+
+def _discriminant_c(mu, a, b, delta):
+    """The standard form's (c+, c-) from the discriminant t^2 - 4p^2.
+
+    The library's earlier sampler formula, kept as a control: on an edge
+    the discriminant is a difference of nearly equal terms, so its square
+    root splits c+ from |c-| by about the square root of a rounding error.
+    """
+    ab = a * b
+    p = 0.5 * (delta - a * a - b * b)
+    t = np.maximum((ab * ab + p * p - 1.0 / mu**2) / ab, 0.0)
+    disc = np.maximum(t * t - 4.0 * p * p, 0.0)
+    c_plus = np.sqrt(0.5 * (t + np.sqrt(disc)))
+    return c_plus, np.where(c_plus > 0.0, p / np.where(c_plus > 0.0, c_plus, 1.0), 0.0)
+
+
+def _edge_split(c_of):
+    """Largest (c+ - |c-|)/c+ of ``c_of`` with the seralian exactly on an edge.
+
+    Over 60 purities mu and 4 000 random marginal pairs each, on the lower
+    edge 2/mu + (a - b)^2 and on the upper edge (a + b)^2 - 2/mu wherever
+    each is an end of the physical interval (about 50 000 points).
+    """
+    rng = np.random.default_rng(0)
+    worst, points = 0.0, 0
+    for mu in rng.uniform(0.02, 1.0, 60):
+        a, b = 1.0 / rng.uniform(0.02, 1.0, (2, 4_000))
+        lo, hi = core._seralian_edges(mu, a, b)
+        top = np.minimum(hi, 1.0 + 1.0 / mu**2)
+        for delta, on_edge in ((lo, lo <= top), (hi, (lo <= hi) & (hi == top))):
+            c_plus, c_minus = c_of(mu, a[on_edge], b[on_edge], delta[on_edge])
+            worst = max(worst, ((c_plus - np.abs(c_minus)) / c_plus).max(initial=0.0))
+            points += on_edge.sum()
+    assert points > 40_000
+    return worst
+
+
+def test_std_form_c_keeps_c_plus_equal_to_abs_c_minus_on_both_edges():
+    eps = np.finfo(float).eps
+    assert _edge_split(core._std_form_c) <= 4.0 * eps
+    # The discriminant form misses the same bound by far more than rounding.
+    assert _edge_split(_discriminant_c) > 1e-6
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

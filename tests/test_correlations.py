@@ -406,3 +406,35 @@ def test_batched_kernels_reject_bad_marginals_without_warning():
             delta_bounds_batch(0.5, [0.0, 0.5], [0.5, 0.5])
         with pytest.raises(DomainError):
             logneg_average(0.5, np.array([0.0]), np.array([0.5]), np.array([4.0]), np.array([5.0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: delta_threshold(1e-200, 0.5, 0.5),
+        lambda: delta_threshold(0.5, 1e-200, 0.5),
+        lambda: logneg_average(1e-200, np.array([0.5]), np.array([0.5]), 4.0, 5.0),
+        lambda: logneg_average(0.5, np.array([0.5]), np.array([1e-200]), 4.0, 5.0),
+        lambda: delta_bounds(0.5, 1e-200, 1.0),
+        lambda: delta_bounds_batch(0.5, [0.5, 0.5], [0.5, 1e-200]),
+    ],
+)
+def test_purities_below_the_float_range_raise_domain_error(call):
+    # Below 2**-511 the inverse square of mu or of a marginal purity leaves
+    # the float range: a DomainError, not a ZeroDivisionError or a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range"):
+            call()
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e150])
+def test_log_negativity_of_thermal_states_with_large_entries(scale):
+    # Delta~^2 and 4/mu^2 overflow here; their difference, a product, does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coords, _ = core.invariants(scale * np.eye(4))
+        nu = ppt_spectrum(coords)
+        assert log_negativity(coords) == 0.0 and steerability(coords) == 0.0
+    assert nu.nu_tilde_minus == pytest.approx(scale, rel=1e-15)
+    assert nu.nu_tilde_plus == pytest.approx(scale, rel=1e-15)

@@ -37,7 +37,14 @@ from gaussgeom.typicality import (
 )
 from gaussgeom import typicality
 from gaussgeom.correlations import logneg_average
-from gaussgeom.typicality import _BLOCK, _covmats, _draw_purities, _uv_statistics, _UVSupport
+from gaussgeom.typicality import (
+    _BLOCK,
+    _accepted_uv,
+    _covmats,
+    _draw_intervals,
+    _uv_statistics,
+    _UVSupport,
+)
 from conftest import oracle_spectrum
 
 _LN2 = np.log(2.0)
@@ -572,11 +579,11 @@ def test_sampler_at_a_box_reaching_past_the_pure_marginals():
     assert box.u_lo - np.sqrt(box.v_sq) <= 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mu_a, mu_b, d_min, d_max = _draw_purities(mu, e, 5_000, np.random.default_rng(3))
+        a, b, d_min, length = _draw_intervals(mu, e, 5_000, np.random.default_rng(3))
         sigmas = sample_energy_constrained(mu, e, 2_000, seed=3)
-    for m in (mu_a, mu_b):
-        assert np.all((m > 0.0) & (m <= 1.0))
-    assert np.all(np.isfinite(d_min) & np.isfinite(d_max) & (d_min <= d_max))
+    for x in (a, b):
+        assert np.all(x >= 1.0)
+    assert np.all(np.isfinite(d_min) & np.isfinite(length) & (length > 0.0))
     assert np.abs(0.5 * np.einsum("nii->n", sigmas) - e).max() < 1e-9
     assert all(is_bona_fide(s) for s in sigmas)
 
@@ -592,7 +599,8 @@ def _unblocked_draws(mu, e, count, rng):
 
     The same proposals, batch sizes and acceptance test as the blocked
     sampler, evaluated on every proposal of every batch drawn.  Returns the
-    ``count`` draws (mu_a, mu_b, delta_min, delta_max) and the proposals
+    purities and :func:`delta_bounds_batch` bounds (mu_a, mu_b, delta_min,
+    delta_max) of the first ``count`` accepted proposals and the proposals
     (u, v, accepted) of all batches.
     """
     box = _UVSupport.of(mu, e)
@@ -612,9 +620,9 @@ def _unblocked_draws(mu, e, count, rng):
         ok = r * box.rho_max < excess * box.length(u, v)
         proposals.append((u, v, ok))
         mu_a, mu_b = mu_a[ok], mu_b[ok]
-        lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
-        draws.append((mu_a[valid], mu_b[valid], lo[valid], hi[valid]))
-        n_acc += int(valid.sum())
+        lo, hi, _ = delta_bounds_batch(mu, mu_a, mu_b)
+        draws.append((mu_a, mu_b, lo, hi))
+        n_acc += int(ok.sum())
     return (
         tuple(np.concatenate(parts)[:count] for parts in zip(*draws)),
         tuple(np.concatenate(parts) for parts in zip(*proposals)),
@@ -637,15 +645,26 @@ _ORACLE_POINTS = [
 @pytest.mark.parametrize("mu,e", _ORACLE_POINTS)
 @pytest.mark.parametrize("count,seed", [(1, 3), (777, 4), (30_000, 5)])
 def test_draw_purities_matches_the_unblocked_loop(mu, e, count, seed):
-    want, _ = _unblocked_draws(mu, e, count, np.random.default_rng(seed))
+    ref_rng = np.random.default_rng(seed)
+    (mu_a, mu_b, lo, hi), (u, v, ok) = _unblocked_draws(mu, e, count, ref_rng)
+    u, v = u[ok][:count], v[ok][:count]
     rng = np.random.default_rng(seed)
-    got = _draw_purities(mu, e, count, rng)
-    for g, w in zip(got, want):
+    got = _accepted_uv(_UVSupport.of(mu, e), e, count, rng)
+    for g, w in zip((np.concatenate(parts) for parts in zip(*got)), (u, v)):
         np.testing.assert_array_equal(g, w)
     # The generator is left where the unblocked loop leaves it.
-    ref_rng = np.random.default_rng(seed)
-    _unblocked_draws(mu, e, count, ref_rng)
     assert rng.random() == ref_rng.random()
+    # The draws' standard form and seralian interval come from (u, v), not
+    # from the purities and their seralian bounds, so the two agree to
+    # rounding: a and b to 2 eps, the interval ends to 4 eps relative to
+    # the terms of size u^2 + 1/mu^2 that the edges subtract.
+    eps = np.finfo(float).eps
+    a, b, d_min, length = _draw_intervals(mu, e, count, np.random.default_rng(seed))
+    np.testing.assert_allclose(a, 1.0 / mu_a, rtol=2.0 * eps, atol=0.0)
+    np.testing.assert_allclose(b, 1.0 / mu_b, rtol=2.0 * eps, atol=0.0)
+    edge_terms = u * u + 1.0 / mu**2
+    assert np.all(np.abs(d_min - lo) <= 4.0 * eps * edge_terms)
+    assert np.all(np.abs(d_min + length - hi) <= 4.0 * eps * edge_terms)
 
 
 @pytest.mark.parametrize("mu,e", _ORACLE_POINTS)
@@ -671,24 +690,14 @@ def test_uv_statistics_match_logneg_average_on_oracle_draws(mu, e):
         assert np.all(np.abs(g - w) <= 1e-13 * (np.abs(w) + scale))
 
 
-def test_draw_purities_replaces_an_empty_rounding_sliver(monkeypatch):
-    # A draw with L(u, v) > 0 whose seralian bounds round to an empty
-    # interval is replaced, so every returned interval is nonempty.
-    calls = []
-
-    def first_draw_empty(mu, mu_a, mu_b):
-        lo, hi, valid = delta_bounds_batch(mu, mu_a, mu_b)
-        if not calls:
-            lo[0], hi[0], valid[0] = np.nan, np.nan, False
-        calls.append(mu_a.size)
-        return lo, hi, valid
-
-    monkeypatch.setattr(typicality, "delta_bounds_batch", first_draw_empty)
-    mu_a, mu_b, d_min, d_max = _draw_purities(0.53125, 8.0, 500, np.random.default_rng(2))
-    assert calls == [500, 1]
-    want, _ = _unblocked_draws(0.53125, 8.0, 500, np.random.default_rng(2))
-    np.testing.assert_array_equal(mu_a[:499], want[0][1:])
-    assert mu_a.size == 500 and np.all(d_min <= d_max)
+@pytest.mark.parametrize("mu,e", _ORACLE_POINTS)
+def test_draw_intervals_are_nonempty(mu, e):
+    # The acceptance test L(u, v) > 0 is the sampler's only support test,
+    # so every draw has a seralian interval of positive length.
+    a, b, d_min, length = _draw_intervals(mu, e, 30_000, np.random.default_rng(6))
+    assert np.all(length > 0.0)
+    assert np.all(d_min <= d_min + length)
+    assert np.all((a >= 1.0) & (b >= 1.0) & (a + b < e))
 
 
 def test_sampler_states_unchanged_at_fixed_seeds(monkeypatch):
@@ -716,9 +725,11 @@ def test_sampler_states_unchanged_at_fixed_seeds(monkeypatch):
         rtol=1e-12,
     )
     # Bit for bit against the sampler run on the unblocked loop.
-    monkeypatch.setattr(
-        typicality, "_draw_purities", lambda mu, e, n, rng: _unblocked_draws(mu, e, n, rng)[0]
-    )
+    def unblocked_uv(box, e, count, rng):
+        _, (u, v, ok) = _unblocked_draws(0.53125, e, count, rng)
+        yield u[ok][:count], v[ok][:count]
+
+    monkeypatch.setattr(typicality, "_accepted_uv", unblocked_uv)
     np.testing.assert_array_equal(sample_energy_constrained(0.53125, 8.0, 20_000, seed=5), s)
 
 
