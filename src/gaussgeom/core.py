@@ -10,17 +10,20 @@ Two-mode (4x4) input, the case every analysis here is about, is read once
 into Python floats and handled in closed form from one scalar Cholesky
 factor Sigma = L L^T: the symplectic spectrum, the physicality test and the
 purity all follow from L with no eigen-solve (see :func:`_two_mode_nu`),
-and the seralian is det A + det B + 2 det C.  Other sizes run through one
-Hermitian eigenproblem, whose eigenvalues are well conditioned and come in
-exact +- pairs: the physicality test is one eigen-solve of
-Sigma + i*(1 - tol)*Omega, the symplectic spectrum one eigen-solve of
-L^T (i Omega) L.  A symplectic spectrum is defined only for positive
-definite input; anything else raises ValueError.
+and the seralian is det A + det B + 2 det C.  The last such read is kept
+(:func:`_two_mode_read`), so back-to-back calls on one matrix validate and
+factor it once.  Other sizes run through one Hermitian eigenproblem, whose
+eigenvalues are well conditioned and come in exact +- pairs: the
+physicality test is one eigen-solve of Sigma + i*(1 - tol)*Omega, the
+symplectic spectrum one eigen-solve of L^T (i Omega) L.  A symplectic
+spectrum is defined only for positive definite input; anything else raises
+ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,6 +65,8 @@ BONA_FIDE_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
 _NOT_POSITIVE_DEFINITE = "covariance matrix is not positive definite"
+
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 class DomainError(ValueError):
@@ -141,10 +146,39 @@ def _validated(sigma) -> tuple[np.ndarray, list[list[float]] | None]:
     return sigma, rows
 
 
+#: The last two-mode read (key, rows, nu) of :func:`_two_mode_read`.  It is
+#: replaced whole, so that a thread sees one read or the next, never a mix.
+_last_read: tuple[bytes, list[list[float]], tuple[float, float] | None] = (b"", [], None)
+
+
+def _two_mode_read(sigma):
+    """:func:`_validated` plus, for 4x4 input, :func:`_two_mode_nu`: (sigma, rows, nu).
+
+    The last 4x4 read is kept under the float64 bytes of the matrix, so that
+    the per-state calls on one matrix validate and factor it once.  A matrix
+    changed in place has other bytes and is read again; input that fails
+    validation raises and is not kept.  The kept rows are shared between
+    calls and only read.  Other sizes give (sigma, None, None).
+    """
+    global _last_read
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (4, 4):
+        return validate_covmat(sigma), None, None
+    key = sigma.tobytes()
+    last = _last_read
+    if last[0] == key:
+        return sigma, last[1], last[2]
+    sigma, rows = _validated(sigma)
+    nu = _two_mode_nu(rows)
+    _last_read = (key, rows, nu)
+    return sigma, rows, nu
+
+
 def _two_mode_nu(rows: list[list[float]]) -> tuple[float, float] | None:
     """(nu_-, nu_+) of a validated 4x4 matrix given as rows; None unless it is positive definite.
 
-    Diagonal input gives exactly sqrt(d_0 d_1) and sqrt(d_2 d_3).  Otherwise
+    Diagonal input gives exactly sqrt(d_0 d_1) and sqrt(d_2 d_3), or
+    sqrt(d_0) sqrt(d_1) where the product is not a normal float.  Otherwise
     Sigma = L L^T is factored in scalars (a pivot that is not positive means
     not positive definite), and the antisymmetric M = L^T Omega L, similar
     to Omega Sigma, has eigenvalues +-i nu_+ and +-i nu_-.  Its self-dual and
@@ -158,7 +192,7 @@ def _two_mode_nu(rows: list[list[float]]) -> tuple[float, float] | None:
     if not (s10 or s20 or s21 or s30 or s31 or s32):
         if min(s00, s11, s22, s33) <= 0.0:
             return None
-        nu_a, nu_b = math.sqrt(s00 * s11), math.sqrt(s22 * s33)
+        nu_a, nu_b = _sqrt_product(s00, s11), _sqrt_product(s22, s33)
         return (nu_a, nu_b) if nu_a <= nu_b else (nu_b, nu_a)
     if not s00 > 0.0:
         return None
@@ -191,21 +225,29 @@ def _two_mode_nu(rows: list[list[float]]) -> tuple[float, float] | None:
     return l00 * l11 * (l22 * l33 / nu_plus), nu_plus
 
 
+def _sqrt_product(x: float, y: float) -> float:
+    """sqrt(x y) of positive floats; sqrt(x) sqrt(y) where x y under- or overflows."""
+    product = x * y
+    if _FLOAT_MIN <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(x) * math.sqrt(y)
+
+
 def symplectic_spectrum(sigma) -> np.ndarray:
     """Symplectic eigenvalues of a positive definite matrix, sorted ascending.
 
     Two modes: closed form from one scalar Cholesky factor, with no
-    eigen-solve (:func:`_two_mode_nu`).  Other sizes: with Sigma = L L^T,
-    the Hermitian matrix L^T (i Omega) L is similar to i Omega Sigma; its
+    eigen-solve (:func:`_two_mode_nu`), read once for all the per-state
+    calls on the same matrix (:func:`_two_mode_read`).  Other sizes: with
+    Sigma = L L^T, the Hermitian matrix L^T (i Omega) L is similar to i Omega Sigma; its
     eigenvalues are the exact pairs +-nu_k, so the nu are read off its
     positive half with one Hermitian eigen-solve and no pairing step.
     Exact for diagonal input, where nu_i = sqrt(d_{2i} * d_{2i+1}).  Raises
     ValueError unless Sigma is positive definite.
     """
-    sigma, rows = _validated(sigma)
+    sigma, rows, nu = _two_mode_read(sigma)
     if rows is None:
         return _spectrum(sigma)
-    nu = _two_mode_nu(rows)
     if nu is None:
         raise ValueError(_NOT_POSITIVE_DEFINITE)
     return np.array(nu)
@@ -235,7 +277,9 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     when Sigma is positive definite and min(nu) >= 1 - tol, which is how
     two-mode input is tested: the scalar Cholesky factor of
     :func:`_two_mode_nu` exists and its nu_- >= 1 - tol, with no
-    eigen-solve.  Other sizes take one Hermitian eigen-solve of the pencil.
+    eigen-solve and from the same read as the other per-state calls on the
+    matrix (:func:`_two_mode_read`).  Other sizes take one Hermitian
+    eigen-solve of the pencil.
     Raises ValueError unless tol < 1.
 
     In float64 the verdict is only as good as the rounding of the input
@@ -244,12 +288,11 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     between r = 3.8 and 3.95, where the largest entries are 4e3 to 1e4; the
     library's energy grids (E <= 40) stay far below that.
     """
-    sigma, rows = _validated(sigma)
+    sigma, rows, nu = _two_mode_read(sigma)
     if not tol < 1.0:  # also rejects NaN
         raise ValueError(f"tol = {tol} must be below 1")
     if rows is None:
         return _bona_fide(sigma, tol)
-    nu = _two_mode_nu(rows)
     return nu is not None and nu[0] >= 1.0 - tol
 
 
@@ -261,8 +304,8 @@ def _bona_fide(sigma: np.ndarray, tol: float = BONA_FIDE_TOL) -> bool:
 
 def purity(sigma) -> float:
     """Global purity mu = 1/sqrt(det Sigma) = prod(1/nu_k); see :func:`_purity`."""
-    sigma, rows = _validated(sigma)
-    return _purity(sigma, None if rows is None else _two_mode_nu(rows))
+    sigma, _, nu = _two_mode_read(sigma)
+    return _purity(sigma, nu)
 
 
 def _purity(sigma: np.ndarray, nu: tuple[float, float] | None) -> float:
@@ -289,7 +332,7 @@ def energy(sigma) -> float:
     E is proportional to the number of excitations.  Unlike the purities and
     the seralian it is not invariant under local symplectic transformations.
     """
-    return 0.5 * float(np.trace(validate_covmat(sigma)))
+    return 0.5 * float(np.trace(_two_mode_read(sigma)[0]))
 
 
 @dataclass(frozen=True)
@@ -328,12 +371,10 @@ class StdForm:
         return m
 
 
-def _require_two_mode(sigma) -> tuple[np.ndarray, list[list[float]]]:
-    """The validated two-mode matrix and its rows as Python floats."""
-    sigma, rows = _validated(sigma)
+def _require_two_mode(sigma: np.ndarray, rows: list[list[float]] | None) -> None:
+    """Raise ValueError unless the validated matrix is two-mode, that is, has rows."""
     if rows is None:
         raise ValueError(f"expected a two-mode (4x4) covariance matrix, got {sigma.shape}")
-    return sigma, rows
 
 
 def _block_dets(rows: list[list[float]]) -> tuple[float, float, float]:
@@ -357,17 +398,19 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
     blocks, the seralian delta = det A + det B + 2 det C = nu_1^2 + nu_2^2
     and energy = tr(Sigma)/2.  The global purity mu = 1/(nu_- nu_+) and the
     physicality verdict come from the scalar Cholesky factor of
-    :func:`_two_mode_nu`, with no eigen-solve; only input that is not
-    positive definite takes mu = 1/sqrt(det Sigma) from a log-determinant.
+    :func:`_two_mode_nu`, with no eigen-solve and from the same read as
+    the other per-state calls on the matrix (:func:`_two_mode_read`); only
+    input that is not positive definite takes mu = 1/sqrt(det Sigma) from a
+    log-determinant.
     Input that is not a physical state, positive definite or not, is
     flagged with NonPhysicalWarning by the test of :func:`is_bona_fide`
     but the invariants are still returned, which is needed when probing the
     boundary of the physical region.  Raises ValueError (DomainError for
     blocks with non-positive determinant) when they are undefined.
     """
-    sigma, rows = _require_two_mode(sigma)
+    sigma, rows, nu = _two_mode_read(sigma)
+    _require_two_mode(sigma, rows)
     det_a, det_b, det_c = _block_dets(rows)
-    nu = _two_mode_nu(rows)
     physical = nu is not None and nu[0] >= 1.0 - BONA_FIDE_TOL
     coords = InvariantCoords(
         mu=_purity(sigma, nu),
@@ -411,7 +454,8 @@ def standard_form(sigma) -> StdForm:
     symplectic conjugation of the input.  Raises DomainError unless both
     diagonal blocks are positive definite.
     """
-    sigma, rows = _require_two_mode(sigma)
+    sigma, rows = _validated(sigma)
+    _require_two_mode(sigma, rows)
     det_a, det_b, det_c = _block_dets(rows)
     a, b = np.sqrt(det_a), np.sqrt(det_b)
     (n00, n01), (n10, n11) = (

@@ -96,6 +96,28 @@ def _repulsion(nu: list[float]) -> float:
     return out
 
 
+def _repulsion_vanishes(nu: list[float]) -> bool:
+    """Whether :func:`_repulsion` of a validated spectrum is 0.0, mostly without the product.
+
+    The product is 0.0 where two squared nu are equal, and from three modes
+    on it can also underflow; it is inf where a square overflows.  Two modes
+    are decided by the squares: distinct squares of nu >= 1 - tol differ by
+    far too much for their factor to underflow.  More modes skip the product
+    only when the sorted squares lie at least 1 apart, so that every factor
+    is at least 1.
+    """
+    try:
+        sq = [v**2 for v in nu]
+    except OverflowError:  # the product is inf
+        return False
+    if len(sq) <= 2:
+        return len(sq) == 2 and sq[0] == sq[1] < math.inf  # inf - inf gives a NaN factor
+    sq.sort()
+    if all(hi - lo >= 1.0 for lo, hi in zip(sq, sq[1:])):
+        return False
+    return _repulsion(nu) == 0.0
+
+
 #: Exponent of prod(nu_k) in the eigenvalue density of each kind on N modes;
 #: every density is this power times the repulsion factor (and, for the
 #: fixed-purity kind, the shell factor of :func:`_off_shell`).
@@ -169,7 +191,7 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
         return 1.0
     nu = _spectrum(nu)
     exponent = _prod_exponent(kind_a, len(nu)) - _prod_exponent(kind_b, len(nu))
-    if _off_shell(kind_b, nu) or _repulsion(nu) == 0.0:
+    if _off_shell(kind_b, nu) or _repulsion_vanishes(nu):
         raise ValueError("density ratio undefined: denominator density vanishes")
     if _off_shell(kind_a, nu):
         return 0.0

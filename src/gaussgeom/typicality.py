@@ -421,12 +421,14 @@ _SAMPLER_BATCH = 65_536
 _BLOCK = 16_384
 
 
-def _local_blocks(lam: np.ndarray, inner: np.ndarray, outer: np.ndarray):
+def _local_blocks(lam_m1: np.ndarray, inner: np.ndarray, outer: np.ndarray):
     """Entries s[i][j] of the batched Sp(2) elements O(outer) diag(w, 1/w) O(inner).
 
-    O(t) = [[cos t, sin t], [-sin t, cos t]] and lambda = (w^2 + 1/w^2)/2.
+    O(t) = [[cos t, sin t], [-sin t, cos t]] and lambda = (w^2 + 1/w^2)/2, given
+    as lambda - 1, so that w^2 = lambda + sqrt(lambda^2 - 1) keeps its digits
+    next to lambda = 1.
     """
-    w = np.sqrt(lam + np.sqrt(lam * lam - 1.0))
+    w = np.sqrt(1.0 + lam_m1 + np.sqrt(lam_m1 * (lam_m1 + 2.0)))
     ci, si, co, so = np.cos(inner), np.sin(inner), np.cos(outer), np.sin(outer)
     wc, ws, vc, vs = w * ci, w * si, ci / w, si / w
     return (
@@ -435,17 +437,18 @@ def _local_blocks(lam: np.ndarray, inner: np.ndarray, outer: np.ndarray):
     )
 
 
-def _covmats(a, b, c_plus, c_minus, lam_a, lam_b, angles) -> np.ndarray:
+def _covmats(a, b, c_plus, c_minus, lam_a_m1, lam_b_m1, angles) -> np.ndarray:
     """Batched covariance matrices (S_A + S_B)^T sigma_std (S_A + S_B).
 
     sigma_std has blocks a I, b I and C = diag(c_plus, c_minus); the result
     has blocks a S_A^T S_A, b S_B^T S_B and S_A^T C S_B, formed entrywise
-    (exactly symmetric).  ``angles`` holds the columns (inner A, outer A,
-    inner B, outer B).
+    (exactly symmetric).  The squeezings come as lambda_A - 1 and
+    lambda_B - 1 (:func:`_local_blocks`), and ``angles`` holds the columns
+    (inner A, outer A, inner B, outer B).
     """
-    sa = _local_blocks(lam_a, angles[:, 0], angles[:, 1])
-    sb = _local_blocks(lam_b, angles[:, 2], angles[:, 3])
-    sigma = np.empty((len(lam_a), 4, 4))
+    sa = _local_blocks(lam_a_m1, angles[:, 0], angles[:, 1])
+    sb = _local_blocks(lam_b_m1, angles[:, 2], angles[:, 3])
+    sigma = np.empty((len(lam_a_m1), 4, 4))
     for i in range(2):
         for j in range(2):
             sigma[:, i, j] = a * (sa[0][i] * sa[0][j] + sa[1][i] * sa[1][j])
@@ -467,8 +470,8 @@ def assemble_covmat(std: StdForm, sample: LocalSympSample) -> np.ndarray:
         std.b,
         std.c_plus,
         std.c_minus,
-        np.array([sample.lambda_a]),
-        np.array([sample.lambda_b]),
+        np.array([sample.lambda_a - 1.0]),
+        np.array([sample.lambda_b - 1.0]),
         np.array([sample.angles], dtype=float),
     )[0]
 
@@ -563,6 +566,16 @@ def _draw_intervals(mu: float, energy: float, count: int, rng: np.random.Generat
     return a, b, 2.0 / mu + v * v, box.length(u, v)
 
 
+def _squeezings(energy, a, b, r):
+    """(lambda_A - 1, lambda_B - 1) at energy E for uniform draws r in [0, 1).
+
+    lambda_A = 1 + (E - b - a) r / a is uniform on [1, (E - b)/a], and
+    lambda_B = (E - a lambda_A)/b = 1 + (E - b - a)(1 - r)/b.
+    """
+    spare = energy - b - a
+    return spare * r / a, spare * (1.0 - r) / b
+
+
 def sample_energy_constrained(
     mu: float, energy: float, count: int, seed: int = 0
 ) -> np.ndarray:
@@ -592,7 +605,7 @@ def sample_energy_constrained(
     rng = np.random.default_rng(seed)
     a, b, d_min, length = _draw_intervals(mu, energy, count, rng)
     delta = d_min + rng.random(count) * length
-    lam_a = rng.uniform(1.0, (energy - b) / a)
-    lam_b = (energy - a * lam_a) / b
+    lam_a_m1, lam_b_m1 = _squeezings(energy, a, b, rng.random(count))
     angles = rng.uniform(0.0, 2.0 * np.pi, (count, 4))
-    return _covmats(a, b, *_std_form_c(mu, a, b, delta), lam_a, lam_b, angles)
+    return _covmats(a, b, *_std_form_c(mu, a, b, delta), lam_a_m1, lam_b_m1, angles)
+

@@ -44,6 +44,22 @@ def test_analyze_nonphysical_exit_code(tmp_path, capsys):
     assert "symplectic spectrum" in out  # report still printed
 
 
+def test_analyze_reads_a_two_mode_matrix_once(tmp_path, capsys, monkeypatch):
+    # The spectrum, verdict, purity and invariants share one Cholesky read.
+    calls = []
+    two_mode_nu = core._two_mode_nu
+    monkeypatch.setattr(core, "_two_mode_nu", lambda rows: calls.append(rows) or two_mode_nu(rows))
+    monkeypatch.setattr(core, "_last_read", (b"", [], None))
+    for sigma, want in ((StdForm(1.5, 1.3, 0.4, -0.2).matrix(), 0), (0.5 * np.eye(4), 2)):
+        calls.clear()
+        path = tmp_path / "state.txt"
+        write_covmat(path, sigma)
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == want
+        assert ("bona fide: no" in out) is (want == 2)
+        assert len(calls) == 1
+
+
 def test_analyze_negative_definite_matrix(tmp_path, capsys):
     path = tmp_path / "neg.txt"
     write_covmat(path, -np.eye(4))

@@ -1,3 +1,6 @@
+import re
+import sys
+import threading
 import warnings
 from decimal import Decimal, localcontext
 
@@ -361,6 +364,213 @@ def test_invariants_of_a_matrix_below_the_float_range():
     # nu_- nu_+ is about 1e-320, so 1/(nu_- nu_+) overflows and det Sigma underflows.
     with pytest.raises(ValueError, match="determinant must be positive"):
         invariants(1e-160 * StdForm(1.5, 1.3, 0.4, -0.2).matrix())
+
+
+@pytest.mark.parametrize(
+    "sigma, nu, physical",
+    [
+        (1e160 * np.eye(4), [1e160, 1e160], True),
+        (1e-170 * np.eye(4), [1e-170, 1e-170], False),
+        (np.diag([1e200, 1e180, 3.0, 2.0]), [6.0**0.5, 1e190], True),
+        (np.diag([1e-200, 1e-180, 3.0, 2.0]), [1e-190, 6.0**0.5], False),
+    ],
+)
+def test_diagonal_spectrum_whose_products_leave_the_float_range(sigma, nu, physical):
+    # d_0 d_1 overflows or underflows; sqrt(d_0) sqrt(d_1) does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(symplectic_spectrum(sigma), nu)
+        assert is_bona_fide(sigma) is physical
+
+
+# ---------------------------------------------------------------------------
+# One read per two-mode matrix: back-to-back calls share the validated rows
+# and (nu_-, nu_+) of the last 4x4 matrix.
+
+
+def _reads(sigma) -> tuple:
+    """Every per-state two-mode call on sigma, back to back, as comparable values."""
+    coords, energy_ = invariants(sigma, warn_nonphysical=False)
+    return (
+        symplectic_spectrum(sigma).tobytes(),
+        is_bona_fide(sigma),
+        is_bona_fide(sigma, tol=0.5),
+        coords,
+        energy_,
+        purity(sigma),
+        energy(sigma),
+    )
+
+
+def _fresh_reads(sigma) -> tuple:
+    """:func:`_reads` with the kept read emptied before every call: the uncached path."""
+
+    def fresh(fn, *args, **kwargs):
+        core._last_read = (b"", [], None)
+        return fn(sigma, *args, **kwargs)
+
+    coords, energy_ = fresh(invariants, warn_nonphysical=False)
+    return (
+        fresh(symplectic_spectrum).tobytes(),
+        fresh(is_bona_fide),
+        fresh(is_bona_fide, tol=0.5),
+        coords,
+        energy_,
+        fresh(purity),
+        fresh(energy),
+    )
+
+
+def _counting_two_mode_nu(monkeypatch) -> list:
+    """Record every :func:`core._two_mode_nu` call, starting from an empty kept read."""
+    calls = []
+    two_mode_nu = core._two_mode_nu
+
+    def counting(rows):
+        calls.append(rows)
+        return two_mode_nu(rows)
+
+    monkeypatch.setattr(core, "_two_mode_nu", counting)
+    monkeypatch.setattr(core, "_last_read", (b"", [], None))
+    return calls
+
+
+def test_two_mode_calls_on_one_matrix_factor_it_once(monkeypatch):
+    calls = _counting_two_mode_nu(monkeypatch)
+    sigma = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
+    _reads(sigma)
+    _reads(sigma.copy())
+    assert len(calls) == 1
+    # Other sizes and the standard form keep their own path.
+    symplectic_spectrum(np.eye(2))
+    standard_form(StdForm(1.7, 1.2, 0.3, 0.1).matrix())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mu, e", _SAMPLER_POINTS)
+def test_two_mode_read_matches_the_uncached_path_on_sampler_states(mu, e):
+    for sigma in sample_energy_constrained(mu, e, 150, seed=13):
+        assert _reads(sigma) == _fresh_reads(sigma)
+
+
+def test_two_mode_read_sees_a_matrix_changed_in_place():
+    sigma = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
+    before = _reads(sigma)
+    sigma[1, 1] = 1.75
+    sigma[0, 3] = sigma[3, 0] = 0.125
+    after = _reads(sigma)
+    assert after != before
+    assert after == _fresh_reads(sigma)
+    sigma *= 0.5  # no longer a physical state
+    assert is_bona_fide(sigma) is False
+    assert _reads(sigma) == _fresh_reads(sigma)
+    sigma[0, 1] += 1.0  # no longer symmetric
+    with pytest.raises(ValueError, match="not symmetric"):
+        symplectic_spectrum(sigma)
+
+
+def test_two_mode_read_of_list_and_array_input(monkeypatch):
+    calls = _counting_two_mode_nu(monkeypatch)
+    sigma = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
+    want = _fresh_reads(sigma)
+    core._last_read = (b"", [], None)
+    calls.clear()
+    assert _reads(sigma.tolist()) == want
+    assert _reads(sigma) == want
+    assert _reads(tuple(map(tuple, sigma.tolist()))) == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[1.0, np.nan, 0, 0], [np.nan, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "covariance matrix has non-finite entries"),
+        ([[1.0, 0.5, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "covariance matrix is not symmetric (max asymmetry 5.000e-01)"),
+        (np.eye(3), "covariance matrix must be 2N x 2N, got 3 rows"),
+        (np.ones((4, 2)), "covariance matrix must be square, got shape (4, 2)"),
+    ],
+)
+def test_invalid_matrix_right_after_a_valid_one(bad, message):
+    good = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
+    want = _fresh_reads(good)
+    for fn in (symplectic_spectrum, is_bona_fide, purity, energy, invariants):
+        fn(good)
+        kept = core._last_read
+        for _ in range(2):  # a failed validation is not kept
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn(bad)
+            assert core._last_read is kept
+    assert _reads(good) == want
+
+
+def test_non_positive_definite_matrix_right_after_a_valid_one():
+    good, bad = StdForm(1.5, 1.3, 0.4, -0.2).matrix(), -np.eye(4)
+    for _ in range(2):
+        assert is_bona_fide(good) is True
+        with pytest.raises(ValueError, match="not positive definite"):
+            symplectic_spectrum(bad)
+        assert is_bona_fide(bad) is False
+        with pytest.warns(NonPhysicalWarning):
+            coords, _ = invariants(bad)
+        assert coords == InvariantCoords(1.0, 1.0, 1.0, 2.0)
+
+
+def test_two_matrices_called_alternately():
+    rng = np.random.default_rng(43)
+    first, second = random_covmat(2, rng), 0.3 * random_covmat(2, rng)
+    wants = _fresh_reads(first), _fresh_reads(second)
+    assert wants[0][1] is True and wants[1][1] is False
+    for _ in range(3):
+        assert (_reads(first), _reads(second)) == wants
+    # Call by call, each call switching the kept read.
+    calls = (
+        (lambda m: symplectic_spectrum(m).tobytes(), 0),
+        (is_bona_fide, 1),
+        (lambda m: invariants(m, warn_nonphysical=False), slice(3, 5)),
+        (purity, 5),
+        (energy, 6),
+    )
+    for fn, field in calls:
+        for sigma, want in zip((first, second, first), (wants[0], wants[1], wants[0])):
+            assert fn(sigma) == want[field]
+
+
+def test_two_mode_read_from_several_threads():
+    # More threads than cores, switching inside the calls; each checks its own
+    # matrices against values computed beforehand.
+    n_threads = 4
+    rng = np.random.default_rng(47)
+    groups = [[random_covmat(2, rng, nu_max=5.0) for _ in range(30)] for _ in range(n_threads)]
+    groups[1] = [0.3 * sigma for sigma in groups[1]]  # mostly not bona fide
+    groups[2] = groups[0][::-1]  # the same matrices in another order
+    wants = [[_fresh_reads(sigma) for sigma in group] for group in groups]
+    barrier = threading.Barrier(n_threads)
+    checked = [0] * n_threads
+    mismatches = []
+
+    def work(k):
+        barrier.wait()
+        for _ in range(150):
+            for sigma, want in zip(groups[k], wants[k]):
+                if _reads(sigma) != want:
+                    mismatches.append(k)
+                checked[k] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert checked == [4500] * n_threads
+    assert mismatches == []
 
 
 def test_spectrum_invariant_under_congruence():

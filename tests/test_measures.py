@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from gaussgeom import measures
 from gaussgeom.core import InvariantCoords, cm_from_invariants, random_symplectic, symplectic_form
 from gaussgeom.correlations import delta_bounds
 from gaussgeom.measures import (
@@ -112,6 +115,55 @@ def test_density_ratio_rejects_nan_and_overflows_to_inf():
             density_ratio(HILBERT_SCHMIDT, FISHER_RAO, nu)
     assert density_ratio(REDUCED_PURE, HILBERT_SCHMIDT, [1e20, 2e20]) == np.inf
     assert density_reduced_pure([1.0, 1e160]) == np.inf
+
+
+def _zero_test_spectra() -> list[list[float]]:
+    """Spectra for the repulsion zero test: random, degenerate, near overflow, underflowing."""
+    rng = np.random.default_rng(17)
+    spectra = []
+    for n in (1, 2, 3, 4):
+        for _ in range(150):
+            nu = rng.uniform(1.0, 10.0, n).tolist()
+            spectra.append(nu)
+            if n > 1:
+                j, k = rng.choice(n, 2, replace=False)
+                spectra.append(nu[:j] + [nu[k]] + nu[j + 1 :])  # an equal pair
+            spectra.append([1.0 + x * 1e-15 for x in rng.integers(0, 4, n).tolist()])
+    # v**2 overflows from v = 1.3407807929942597e154 on.
+    for big in (1e154, 1.3407807929942596e154, 1.3407807929942597e154, 1.4e154, 1e200):
+        spectra += [[big, big], [big, 2.0 * big], [1.5, big, big], [big, big, 1.5, 2.5]]
+    spectra += [
+        [1.0, 1e100],  # a factor overflows
+        [1.0, 1e70, 1e70],  # the product overflows before the zero factor: NaN
+        [1.0, 1e70, 1e70, 3.0],
+        [math.inf, 2.0],
+        [math.inf, math.inf],
+        [1.5, math.inf, math.inf],
+        [1.5, 2.5, math.inf],
+        [1.0 - 1e-10, 1.0 - 1e-10],
+        [1.0 - 1e-10, 1.0],
+    ]
+    # Many modes close together: the product underflows without an equal pair.
+    for n in (5, 8, 12, 20, 40):
+        spectra.append([1.0 + k * 1e-12 for k in range(n)])
+        spectra.append([1.0 + k * 1e-3 for k in range(n)])
+        spectra.append(list(range(1, n + 1)))
+        spectra.append(sorted(rng.uniform(1.0, 1.001, n).tolist()))
+    return spectra
+
+
+def test_repulsion_zero_test_has_the_verdict_of_the_product():
+    verdicts = set()
+    for nu in _zero_test_spectra():
+        want = measures._repulsion(nu) == 0.0
+        assert measures._repulsion_vanishes(nu) is want, nu
+        verdicts.add((len(nu) > 2, want))
+        if want:
+            with pytest.raises(ValueError, match="vanishes"):
+                density_ratio(HILBERT_SCHMIDT, FISHER_RAO, nu)
+        else:
+            density_ratio(HILBERT_SCHMIDT, FISHER_RAO, nu)
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_fixed_purity_density():

@@ -1,6 +1,7 @@
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from scipy.stats import ks_2samp
 from gaussgeom.core import (
     DomainError,
     InvariantCoords,
+    StdForm,
     cm_from_invariants,
     invariants,
     is_bona_fide,
@@ -733,6 +735,47 @@ def test_sampler_states_unchanged_at_fixed_seeds(monkeypatch):
     np.testing.assert_array_equal(sample_energy_constrained(0.53125, 8.0, 20_000, seed=5), s)
 
 
+def _exact_covmat(std, lam_a_m1, lam_b_m1, angles):
+    """(S_A + S_B)^T sigma_std (S_A + S_B) from exact lambda - 1, at the working precision."""
+
+    def local(lam_m1, inner, outer):
+        w = mpmath.sqrt(1 + lam_m1 + mpmath.sqrt(lam_m1 * (lam_m1 + 2)))
+        rot = [mpmath.matrix([[mpmath.cos(t), mpmath.sin(t)], [-mpmath.sin(t), mpmath.cos(t)]])
+               for t in (inner, outer)]
+        return rot[1] * mpmath.diag([w, 1 / w]) * rot[0]
+
+    sa, sb = local(lam_a_m1, *angles[:2]), local(lam_b_m1, *angles[2:])
+    s = mpmath.zeros(4, 4)
+    for i in range(2):
+        for j in range(2):
+            s[i, j], s[2 + i, 2 + j] = sa[i, j], sb[i, j]
+    return s.T * mpmath.matrix(std.matrix().tolist()) * s
+
+
+def test_sampled_state_next_to_lambda_one_keeps_its_digits():
+    # Replays the draw of sample_energy_constrained(0.4445, 3, 1000, seed=8)
+    # and evaluates its state nearest lambda_B = 1 at 50 digits.
+    mu, e, count = 0.4445, 3.0, 1000
+    rng = np.random.default_rng(8)
+    a, b, d_min, length = _draw_intervals(mu, e, count, rng)
+    delta = d_min + rng.random(count) * length
+    r = rng.random(count)
+    angles = rng.uniform(0.0, 2.0 * np.pi, (count, 4))
+    c_plus, c_minus = typicality._std_form_c(mu, a, b, delta)
+    k = int(np.argmin((e - b - a) * (1.0 - r) / b))
+    with mpmath.workdps(50):
+        spare = mpmath.mpf(e) - mpmath.mpf(a[k]) - mpmath.mpf(b[k])
+        lam_a_m1 = spare * mpmath.mpf(r[k]) / mpmath.mpf(a[k])
+        lam_b_m1 = spare * (1 - mpmath.mpf(r[k])) / mpmath.mpf(b[k])
+        assert 1e-10 < lam_b_m1 < 1e-9
+        std = StdForm(a[k], b[k], c_plus[k], c_minus[k])
+        want = _exact_covmat(std, lam_a_m1, lam_b_m1, [mpmath.mpf(t) for t in angles[k]])
+        want = np.array(want.tolist(), dtype=float)
+    got = sample_energy_constrained(mu, e, count, seed=8)[k]
+    error = np.abs(got - want).max() / np.abs(want).max()
+    assert error <= 1e-14, error
+
+
 @pytest.mark.parametrize("mu,e", [(0.53125, 8.0), (4.0 / 9.0 * (1.0 + 1e-4), 3.0)])
 @pytest.mark.parametrize("count", [5, 10_000, 30_000])
 def test_energy_weight_sees_each_evaluated_proposal_once(monkeypatch, mu, e, count):
@@ -961,7 +1004,9 @@ def test_assemble_covmat_is_a_row_of_the_batched_builder(
     lam_a_all, lam_b_all = np.array([1.5, 2.5, 3.5]), np.array([3.5, 2.5, 1.5])
     all_angles = np.full((3, 4), 0.25)
     lam_a_all[row], lam_b_all[row], all_angles[row] = lam_a, lam_b, angles
-    batch = _covmats(std.a, std.b, std.c_plus, std.c_minus, lam_a_all, lam_b_all, all_angles)
+    batch = _covmats(
+        std.a, std.b, std.c_plus, std.c_minus, lam_a_all - 1.0, lam_b_all - 1.0, all_angles
+    )
     scale = np.abs(sigma).max()
     np.testing.assert_allclose(sigma, batch[row], rtol=0.0, atol=1e-13 * scale)
     np.testing.assert_array_equal(sigma, sigma.T)
