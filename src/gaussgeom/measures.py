@@ -97,25 +97,20 @@ def _repulsion(nu: list[float]) -> float:
 
 
 def _repulsion_vanishes(nu: list[float]) -> bool:
-    """Whether :func:`_repulsion` of a validated spectrum is 0.0, mostly without the product.
+    """Whether :func:`_repulsion` of a validated spectrum is 0.0.
 
-    The product is 0.0 where two squared nu are equal, and from three modes
-    on it can also underflow; it is inf where a square overflows.  Two modes
-    are decided by the squares: distinct squares of nu >= 1 - tol differ by
-    far too much for their factor to underflow.  More modes skip the product
-    only when the sorted squares lie at least 1 apart, so that every factor
-    is at least 1.
+    Two modes are decided by their squares, without the product: it is 0.0
+    only where the squares are equal, since distinct squares of nu >= 1 - tol
+    differ by far too much for the factor to underflow, and inf where a
+    square overflows.  Other mode counts form the product.
     """
+    if len(nu) != 2:
+        return _repulsion(nu) == 0.0
     try:
-        sq = [v**2 for v in nu]
+        sq0, sq1 = nu[0] ** 2, nu[1] ** 2
     except OverflowError:  # the product is inf
         return False
-    if len(sq) <= 2:
-        return len(sq) == 2 and sq[0] == sq[1] < math.inf  # inf - inf gives a NaN factor
-    sq.sort()
-    if all(hi - lo >= 1.0 for lo, hi in zip(sq, sq[1:])):
-        return False
-    return _repulsion(nu) == 0.0
+    return sq0 == sq1 < math.inf  # inf - inf gives a NaN factor
 
 
 #: Exponent of prod(nu_k) in the eigenvalue density of each kind on N modes;

@@ -1,7 +1,6 @@
 import time
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -737,6 +736,7 @@ def test_sampler_states_unchanged_at_fixed_seeds(monkeypatch):
 
 def _exact_covmat(std, lam_a_m1, lam_b_m1, angles):
     """(S_A + S_B)^T sigma_std (S_A + S_B) from exact lambda - 1, at the working precision."""
+    import mpmath
 
     def local(lam_m1, inner, outer):
         w = mpmath.sqrt(1 + lam_m1 + mpmath.sqrt(lam_m1 * (lam_m1 + 2)))
@@ -755,6 +755,8 @@ def _exact_covmat(std, lam_a_m1, lam_b_m1, angles):
 def test_sampled_state_next_to_lambda_one_keeps_its_digits():
     # Replays the draw of sample_energy_constrained(0.4445, 3, 1000, seed=8)
     # and evaluates its state nearest lambda_B = 1 at 50 digits.
+    import mpmath
+
     mu, e, count = 0.4445, 3.0, 1000
     rng = np.random.default_rng(8)
     a, b, d_min, length = _draw_intervals(mu, e, count, rng)
