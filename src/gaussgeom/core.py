@@ -96,12 +96,12 @@ def _omega(n_modes: int) -> np.ndarray:
     return omega
 
 
-def validate_covmat(sigma, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def validate_covmat(sigma) -> np.ndarray:
     """Check shape and symmetry of a candidate covariance matrix.
 
     Returns the input as a float array.  Raises ValueError for non-square,
-    odd-dimensional, non-finite or non-symmetric (relative to the largest
-    entry) input.
+    odd-dimensional, non-finite or non-symmetric input: an asymmetry above
+    ``SYMMETRY_RTOL`` times max(1, largest entry).
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -113,7 +113,7 @@ def validate_covmat(sigma, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise ValueError("covariance matrix has non-finite entries")
     scale = max(largest, 1.0)
     asym = float(np.abs(sigma - sigma.T).max())
-    if asym > rtol * scale:
+    if asym > SYMMETRY_RTOL * scale:
         raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
     return sigma
 
@@ -242,8 +242,10 @@ def symplectic_spectrum(sigma) -> np.ndarray:
     Sigma = L L^T, the Hermitian matrix L^T (i Omega) L is similar to i Omega Sigma; its
     eigenvalues are the exact pairs +-nu_k, so the nu are read off its
     positive half with one Hermitian eigen-solve and no pairing step.
-    Exact for diagonal input, where nu_i = sqrt(d_{2i} * d_{2i+1}).  Raises
-    ValueError unless Sigma is positive definite.
+    Diagonal input of any size is exact, by the two-mode rule:
+    nu_i = sqrt(d_{2i} d_{2i+1}), or sqrt(d_{2i}) sqrt(d_{2i+1}) where the
+    product is not a normal float.  Raises ValueError unless Sigma is
+    positive definite.
     """
     sigma, rows, nu = _two_mode_read(sigma)
     if rows is None:
@@ -254,14 +256,17 @@ def symplectic_spectrum(sigma) -> np.ndarray:
 
 
 def _spectrum(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of an already validated matrix, any size, by one eigen-solve."""
+    """Symplectic spectrum of an already validated matrix, any size, by one eigen-solve.
+
+    Diagonal input takes :func:`_sqrt_product` per mode, as two-mode input does.
+    """
     n = sigma.shape[0] // 2
     d = np.diagonal(sigma)
     if np.count_nonzero(sigma) == np.count_nonzero(d):  # diagonal input
         d = d.tolist()
         if min(d) <= 0.0:
             raise ValueError(_NOT_POSITIVE_DEFINITE)
-        return np.sqrt(np.sort(np.multiply(d[0::2], d[1::2])))
+        return np.array(sorted(map(_sqrt_product, d[0::2], d[1::2])))
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:

@@ -310,19 +310,9 @@ def _tangent_basis(n: int) -> list[TangentDirection]:
     return dirs
 
 
-def _curve_tangent(nu: np.ndarray, direction: TangentDirection, step: float) -> np.ndarray:
-    """Central difference of Sigma(t) = S(t)^T D(t) S(t) at t = 0."""
-    from scipy.linalg import expm
-
-    def sigma_at(t: float) -> np.ndarray:
-        d = np.diag(np.repeat(nu + t * np.asarray(direction.d_nu), 2))
-        h = direction.hamiltonian()
-        if not np.any(h):
-            return d
-        s = expm(t * h)
-        return s.T @ d @ s
-
-    return (sigma_at(step) - sigma_at(-step)) / (2.0 * step)
+def _group_tangent(base: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """d/dt of S(t)^T Sigma S(t) at t = 0 for S(t) = exp(t G): G^T Sigma + Sigma G."""
+    return gen.T @ base + base @ gen
 
 
 def _gram_sqrt_det(base: np.ndarray, tangents: list[np.ndarray], quad) -> float:
@@ -339,11 +329,13 @@ def _gram_sqrt_det(base: np.ndarray, tangents: list[np.ndarray], quad) -> float:
     return float(np.sqrt(det)) if det > 0.0 else 0.0
 
 
-def numeric_metric_density(nu, kind: MeasureKind, step: float = 1e-5) -> float:
+def numeric_metric_density(nu, kind: MeasureKind) -> float:
     """Numerically computed sqrt(det g) over the (nu, X, Y, Z) tangent basis.
 
-    The tangent vectors are obtained by central finite differences of the
-    group action, so this validates the closed-form densities without
+    The tangent vectors are exact: along Sigma(t) = S(t)^T D(t) S(t) with
+    S(t) = exp(t H) and D = diag(nu_1, nu_1, ..., nu_N, nu_N), the
+    derivative at t = 0 is dD + H^T D + D H.  The metric comes from the line
+    elements alone, so this validates the closed-form densities without
     re-deriving them: for a fixed mode number the ratio to
     :func:`density_hs` or :func:`density_fr` is constant over spectra.
     A degenerate spectrum gives a singular metric and the value 0.
@@ -358,7 +350,10 @@ def numeric_metric_density(nu, kind: MeasureKind, step: float = 1e-5) -> float:
     else:
         raise ValueError(f"no line element available for measure kind {kind.tag!r}")
     base = np.diag(np.repeat(nu, 2))
-    tangents = [_curve_tangent(nu, d, step) for d in _tangent_basis(nu.size)]
+    tangents = [
+        np.diag(np.repeat(d.d_nu, 2)) + _group_tangent(base, d.hamiltonian())
+        for d in _tangent_basis(nu.size)
+    ]
     return _gram_sqrt_det(base, tangents, quad)
 
 
@@ -405,28 +400,16 @@ def _local_generators() -> list[np.ndarray]:
 _LOCAL_GENERATORS = _local_generators()
 
 
-def numeric_std_form_density(std: StdForm, step: float = 1e-5) -> float:
+def numeric_std_form_density(std: StdForm) -> float:
     """Numeric sqrt(det g) of the HS metric in standard-form coordinates.
 
     The ten coordinates are (a, b, c+, c-) plus the six local symplectic
-    group directions around the identity; central differences with the
-    given step build the tangent vectors.  Proportional to
-    :func:`hs_density_std_form` with a spectrum-independent constant.
+    group directions around the identity, with exact tangent vectors: the
+    matrix is linear in (a, b, c+, c-), and a local generator G moves it by
+    G^T Sigma + Sigma G.  Proportional to :func:`hs_density_std_form` with
+    a spectrum-independent constant.
     """
-    from scipy.linalg import expm
-
     base = std.matrix()
-    tangents = []
-    for field in ("a", "b", "c_plus", "c_minus"):
-        vals = {f: getattr(std, f) for f in ("a", "b", "c_plus", "c_minus")}
-        plus, minus = dict(vals), dict(vals)
-        plus[field] += step
-        minus[field] -= step
-        tangents.append((StdForm(**plus).matrix() - StdForm(**minus).matrix()) / (2.0 * step))
-    for gen in _LOCAL_GENERATORS:
-        s_plus = expm(step * gen)
-        s_minus = expm(-step * gen)
-        tangents.append(
-            (s_plus.T @ base @ s_plus - s_minus.T @ base @ s_minus) / (2.0 * step)
-        )
+    tangents = [StdForm(*unit).matrix() for unit in np.eye(4)]
+    tangents += [_group_tangent(base, gen) for gen in _LOCAL_GENERATORS]
     return _gram_sqrt_det(base, tangents, line_element_hs)

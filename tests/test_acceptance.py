@@ -102,7 +102,7 @@ def test_criterion_2_metric_density_validation():
             ratios.append(numeric_metric_density(nu, kind) / closed(nu))
         ratios = np.array(ratios)
         spread = (ratios.max() - ratios.min()) / ratios.mean()
-        assert spread < 1e-5, f"{kind.tag}: relative spread {spread:.2e}"
+        assert spread < 1e-12, f"{kind.tag}: relative spread {spread:.2e}"
     elapsed = time.time() - start
     assert elapsed < 30.0
     print(f"\n[PASS] criterion 2: numeric metric densities match closed forms ({elapsed:.1f}s)")
@@ -127,7 +127,7 @@ def test_criterion_3_std_form_density_validation():
         ratios.append(numeric_std_form_density(std) / hs_density_std_form(std))
     ratios = np.array(ratios)
     spread = (ratios.max() - ratios.min()) / ratios.mean()
-    assert spread < 1e-4, f"relative spread {spread:.2e}"
+    assert spread < 1e-12, f"relative spread {spread:.2e}"
     elapsed = time.time() - start
     assert elapsed < 60.0
     print(f"\n[PASS] criterion 3: standard-form volume density validated ({elapsed:.1f}s)")

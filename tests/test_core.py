@@ -373,6 +373,10 @@ def test_invariants_of_a_matrix_below_the_float_range():
         (1e-170 * np.eye(4), [1e-170, 1e-170], False),
         (np.diag([1e200, 1e180, 3.0, 2.0]), [6.0**0.5, 1e190], True),
         (np.diag([1e-200, 1e-180, 3.0, 2.0]), [1e-190, 6.0**0.5], False),
+        (1e160 * np.eye(2), [1e160], True),
+        (1e-170 * np.eye(2), [1e-170], False),
+        (1e160 * np.eye(6), [1e160, 1e160, 1e160], True),
+        (1e-170 * np.eye(6), [1e-170, 1e-170, 1e-170], False),
     ],
 )
 def test_diagonal_spectrum_whose_products_leave_the_float_range(sigma, nu, physical):

@@ -7,8 +7,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every scan kind, analyze, the sampler and the per-state analysis, at tiny
-# sizes; then the positive control, random_symplectic, which must load scipy.
+# Every scan kind, analyze, the sampler, the per-state analysis and the numeric
+# metric densities, at tiny sizes; then the positive control, random_symplectic,
+# which must load scipy.
 _SCRIPT = r"""
 import contextlib, io, sys, tempfile, warnings
 from pathlib import Path
@@ -46,6 +47,9 @@ for sigma in states:
     correlations.log_negativity(coords)
     correlations.steerability(coords)
     measures.density_ratio(measures.HILBERT_SCHMIDT, measures.FISHER_RAO, nu)
+measures.numeric_metric_density([1.2, 2.1], measures.FISHER_RAO)
+measures.numeric_metric_density([1.2, 2.1], measures.HILBERT_SCHMIDT)
+measures.numeric_std_form_density(core.StdForm(2.0, 1.5, 0.8, -0.3))
 assert loaded() == [], loaded()
 
 core.random_symplectic(2, np.random.default_rng(0))

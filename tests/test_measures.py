@@ -231,12 +231,33 @@ def test_numeric_metric_density_constancy_fr():
         nu = _well_separated_spectrum(rng, 2)
         ratios.append(numeric_metric_density(nu, FISHER_RAO) / density_fr(nu))
     ratios = np.array(ratios)
-    assert (ratios.max() - ratios.min()) / ratios.mean() < 1e-5
+    assert (ratios.max() - ratios.min()) / ratios.mean() < 1e-12
+
+
+# fr and hs: numeric sqrt(det g) over density_fr and density_hs on n modes.
+@pytest.mark.parametrize(
+    "n, fr, hs",
+    [(1, 2.0, 2.0**-1.5), (2, 4.0, math.sqrt(3.0) / 256.0), (3, 8.0, 2.0**-17)],
+    ids=["1", "2", "3"],
+)
+def test_numeric_metric_density_constants(n, fr, hs):
+    rng = np.random.default_rng(25 + n)
+    for _ in range(3):
+        nu = _well_separated_spectrum(rng, n, gap=0.3)
+        assert numeric_metric_density(nu, FISHER_RAO) / density_fr(nu) == pytest.approx(
+            fr, rel=1e-12, abs=0.0
+        )
+        assert numeric_metric_density(nu, HILBERT_SCHMIDT) / density_hs(nu) == pytest.approx(
+            hs, rel=1e-12, abs=0.0
+        )
 
 
 def test_numeric_metric_density_edge_cases():
     assert numeric_metric_density([1.0], HILBERT_SCHMIDT) > 0.0
     assert numeric_metric_density([1.5, 1.5], FISHER_RAO) == 0.0
+    for nu in ([2.0, 2.0, 3.0], [1.2, 1.2, 1.2]):
+        assert numeric_metric_density(nu, FISHER_RAO) == 0.0
+        assert numeric_metric_density(nu, HILBERT_SCHMIDT) == 0.0
     with pytest.raises(ValueError, match="line element"):
         numeric_metric_density([1.5], REDUCED_PURE)
 
@@ -273,4 +294,6 @@ def test_numeric_std_form_density_proportional():
         std = _random_interior_std_form(rng)
         ratios.append(numeric_std_form_density(std) / hs_density_std_form(std))
     ratios = np.array(ratios)
-    assert (ratios.max() - ratios.min()) / ratios.mean() < 1e-4
+    assert (ratios.max() - ratios.min()) / ratios.mean() < 1e-12
+    # The two-mode Hilbert-Schmidt constant of numeric_metric_density.
+    np.testing.assert_allclose(ratios, math.sqrt(3.0) / 256.0, rtol=1e-12, atol=0.0)
