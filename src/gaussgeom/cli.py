@@ -7,9 +7,11 @@ non-physical matrix; the report is still printed), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import os
+import stat
 import sys
 import warnings
 
@@ -106,13 +108,19 @@ def _cmd_analyze(args) -> int:
 def _open_out(path: str):
     """The output stream and whether this call created the file.
 
-    A file is opened for appending, so that one that exists keeps its
-    content until the scan has rows to replace it with.
+    The file is opened for writing at offset 0 with neither ``O_APPEND`` nor
+    ``O_TRUNC``, so one that exists keeps its content until the scan writes
+    its rows over it (:func:`_cmd_scan` then cuts it at their end).  Writing
+    in place keeps the file's blocks; on ext4 a truncation to zero would
+    free them and make the close start writing the new data back.  Nothing
+    is synced, so after a crash the file may hold old bytes, or old and new
+    rows mixed, at its new length.
     """
     if path == "-":
         return sys.stdout, False
     created = not os.path.lexists(path)
-    return open(path, "a", newline=""), created
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    return open(fd, "w", newline=""), created
 
 
 def _parse_energies(spec: str) -> list[float]:
@@ -195,20 +203,33 @@ def _scan_rows(args):
 
 
 def _cmd_scan(args) -> int:
-    # The output is opened before the scan, so that a bad path fails at once.
+    """Run one scan, write its CSV to ``--out`` and return the exit code.
+
+    The output is opened before the scan, so that a bad path fails at once,
+    and written only once every row is computed, so that a scan that fails
+    leaves an existing file byte-identical.  A regular file is written from
+    offset 0 and cut at the end of the new rows; if the write fails part
+    way, it is cut at what was written, so while the machine keeps running
+    it never holds new rows followed by the old tail.  Other outputs
+    (``-``, ``/dev/null``, a FIFO) are never cut.  A file this call created
+    is removed on failure.
+    """
     try:
         stream, created = _open_out(args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    done = False
+    to_file = stream is not sys.stdout
+    regular = to_file and stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+    began = done = False
     try:
         header, rows = _scan_rows(args)
-        if stream is not sys.stdout and os.path.isfile(args.out):
-            stream.truncate(0)  # appended writes then start at offset 0
+        began = True
         # No field of any scan needs CSV quoting.
         stream.write("".join(",".join(row) + "\n" for row in [header, *rows]))
         stream.flush()
+        if regular:
+            stream.truncate()  # an older, longer file ends with the new rows
         done = True
     except (ValueError, core.DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -217,10 +238,21 @@ def _cmd_scan(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:
-        if stream is not sys.stdout:
-            stream.close()
-            if created and not done:
+        if to_file and not done:
+            # Cut a regular file at what reached it, so that no old tail
+            # follows the new rows.  The error is reported already, so a
+            # failure to cut or to close (which retries the unwritten rest
+            # from that offset) is ignored.
+            with contextlib.suppress(OSError):
+                if began and regular:
+                    fd = stream.fileno()
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            with contextlib.suppress(OSError):
+                stream.close()
+            if created:
                 os.remove(args.out)
+        elif to_file:
+            stream.close()
     return 0
 
 

@@ -68,6 +68,8 @@ _NOT_POSITIVE_DEFINITE = "covariance matrix is not positive definite"
 
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 
+_SQUARE_MAX = float(np.nextafter(2.0**512, 0.0))  # the largest float whose square is finite
+
 
 class DomainError(ValueError):
     """Requested parameters lie outside the physical state space."""
@@ -481,9 +483,12 @@ def _seralian_edges(mu, a, b):
     a = 1/mu_A and b = 1/mu_B; elementwise on arrays.  A real standard form
     exists between the two edges, and c+^2 = c-^2 on both.  The physical
     interval is [2/mu + (a - b)^2, min((a + b)^2 - 2/mu, 1 + 1/mu^2)], where
-    1 + 1/mu^2 is the seralian at nu_- = 1.
+    1 + 1/mu^2 is the seralian at nu_- = 1.  a + b is capped at the largest
+    float whose square is finite, which it reaches only at purities next to
+    2**-511; the upper edge then stays finite and, like its exact value,
+    above 1 + 1/mu^2.  Below the cap both edges are the formulas above.
     """
-    return 2.0 / mu + (a - b) ** 2, (a + b) ** 2 - 2.0 / mu
+    return 2.0 / mu + (a - b) ** 2, np.minimum(a + b, _SQUARE_MAX) ** 2 - 2.0 / mu
 
 
 def _std_form_c(mu, a, b, delta):

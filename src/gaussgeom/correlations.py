@@ -38,6 +38,10 @@ _LN2 = float(np.log(2.0))
 #: Smallest global purity of the seralian bounds: 1/mu^2 = 2**1022 stays finite.
 _MU_MIN = 2.0**-511
 
+#: Above this t, t (2 + t) in the E_N antiderivative may leave the float range
+#: (from about 1.34e154, at marginal purities below about 1e-77).
+_T_WIDE = 1e154
+
 #: Momentum inversion of the second mode.
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -300,7 +304,10 @@ def _entangled_mean(mu: float, prop, t1, ent_len, span):
     # along which u falls by dt.
     dt = ent_len / c
     t2 = np.maximum(t1 - dt, 0.0)
-    s1, s2 = np.sqrt(t1 * (2.0 + t1)), np.sqrt(t2 * (2.0 + t2))
+    if np.any(t1 > _T_WIDE):  # t2 <= t1
+        s1, s2 = _wide_root(t1), _wide_root(t2)
+    else:
+        s1, s2 = np.sqrt(t1 * (2.0 + t1)), np.sqrt(t2 * (2.0 + t2))
     # s1 - s2 and arccosh(u1) - arccosh(u2); s1 + s2 vanishes only with dt.
     ds = dt * (2.0 + t1 + t2) / np.maximum(s1 + s2, np.finfo(float).tiny)
     dphi = np.log1p((dt + ds) / (1.0 + t2 + s2))
@@ -311,6 +318,13 @@ def _entangled_mean(mu: float, prop, t1, ent_len, span):
     # absorbs rounding at the threshold.
     mean = np.where(prop > 0.0, np.maximum(mean, 0.0), 0.0 * prop)
     return mean / (2.0 * _LN2)
+
+
+def _wide_root(t):
+    """sqrt(t (2 + t)), taken as sqrt(t) sqrt(2 + t) only where the product overflows."""
+    with np.errstate(over="ignore"):
+        s = np.sqrt(t * (2.0 + t))
+    return np.where(np.isinf(s), np.sqrt(t) * np.sqrt(2.0 + t), s)
 
 
 def classify_region(mu: float, mu_a: float, mu_b: float) -> tuple[RegionClass, float]:

@@ -1,6 +1,11 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +245,7 @@ def test_scan_pure_endpoint(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     ep = pure_state_endpoint(4.0)
-    assert float(rows[0]["mean_EN"]) == pytest.approx(ep.mean_logneg, rel=1e-9)
+    assert float(rows[0]["mean_EN"]) == pytest.approx(ep.mean_logneg, rel=1e-9, abs=0.0)
     assert float(rows[0]["prop_ent"]) == 1.0
 
 
@@ -361,3 +366,76 @@ def test_scan_replaces_an_existing_file(tmp_path, capsys):
     assert run_cli(capsys, "scan", "pure-endpoint", "--E", "3,4", "--out", str(out))[0] == 0
     _, stdout, _ = run_cli(capsys, "scan", "pure-endpoint", "--E", "3,4")
     assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("grid_before", [3, 4, 6], ids=["shorter", "same", "longer"])
+def test_scan_rewrites_a_file_in_place(tmp_path, capsys, grid_before):
+    out = tmp_path / "plane.csv"
+    fresh = tmp_path / "fresh.csv"
+    argv = ["scan", "purity-plane", "--grid", "4"]
+    assert run_cli(capsys, "scan", "purity-plane", "--grid", str(grid_before), "--out", str(out))[0] == 0
+    inode = out.stat().st_ino
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+    assert run_cli(capsys, *argv, "--out", str(fresh))[0] == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_ino == inode
+
+
+@pytest.mark.skipif(os.devnull != "/dev/null", reason="needs /dev/null")
+def test_scan_to_dev_null_is_not_cut(capsys):
+    # Cutting a character device fails (EINVAL), so exit 0 means it was not tried.
+    code, stdout, err = run_cli(capsys, "scan", "purity-plane", "--grid", "3", "--out", "/dev/null")
+    assert (code, stdout, err) == (0, "", "")
+
+
+def test_scan_to_stdout_is_not_cut(capsys):
+    print("earlier output")
+    code, stdout, _ = run_cli(capsys, "scan", "purity-plane", "--grid", "3", "--out", "-")
+    assert code == 0
+    assert stdout.startswith("earlier output\nmu_a,mu_b,class,")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_scan_to_a_fifo_is_not_cut(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, _, err = run_cli(capsys, "scan", "purity-plane", "--grid", "3", "--out", str(fifo))
+    reader.join(timeout=60)
+    assert (code, err) == (0, "")
+    _, stdout, _ = run_cli(capsys, "scan", "purity-plane", "--grid", "3")
+    assert received == [stdout]
+
+
+_FSIZE_SCRIPT = """\
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))
+from gaussgeom import cli
+sys.exit(cli.main({argv!r}))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX resource limits")
+@pytest.mark.parametrize("grid", [10, 20])  # 10: the CSV fits the stream's buffer; 20: not
+def test_scan_that_fails_mid_write_leaves_no_old_tail(tmp_path, capsys, grid):
+    # A file-size limit below the old file's size makes the write fail part
+    # way; SIGXFSZ is ignored so that the write raises EFBIG instead.
+    limit = 1000
+    out = tmp_path / "plane.csv"
+    out.write_bytes(b"old row that must not survive\n" * 1000)
+    argv = ["scan", "purity-plane", "--grid", str(grid), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _FSIZE_SCRIPT.format(limit=limit, argv=argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    _, fresh, _ = run_cli(capsys, "scan", "purity-plane", "--grid", str(grid))
+    written = out.read_text()
+    assert len(fresh) > limit
+    assert len(written) <= limit
+    assert fresh.startswith(written)

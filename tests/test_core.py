@@ -351,7 +351,7 @@ def test_two_mode_non_positive_pivot(rows, invariants_outcome):
     if invariants_outcome == "warns":
         with pytest.warns(NonPhysicalWarning):
             coords, _ = invariants(sigma)
-        assert coords.mu == pytest.approx(1.0 / np.sqrt(np.linalg.det(sigma)), rel=1e-14)
+        assert coords.mu == pytest.approx(1.0 / np.sqrt(np.linalg.det(sigma)), rel=1e-14, abs=0.0)
     elif invariants_outcome == "determinant":
         with pytest.raises(ValueError, match="determinant must be positive"):
             invariants(sigma)
@@ -613,7 +613,7 @@ def test_purity_of_thermal_states_with_large_entries(scale, n_modes, mu):
     # det Sigma = scale^(2N) overflows; the purity scale^-N is still a float.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert purity(scale * np.eye(2 * n_modes)) == pytest.approx(mu, rel=1e-13)
+        assert purity(scale * np.eye(2 * n_modes)) == pytest.approx(mu, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("sigma", [1e300 * np.eye(4), 1e110 * np.eye(6), 1e-100 * np.eye(4)])

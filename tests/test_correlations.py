@@ -34,10 +34,11 @@ from gaussgeom.correlations import (
     steerability,
     steerability_a_to_b,
     steerability_b_to_a,
+    _entangled_mean,
     _region_codes,
 )
 from gaussgeom.measures import FISHER_RAO, HILBERT_SCHMIDT, density_ratio
-from gaussgeom.typicality import sample_energy_constrained
+from gaussgeom.typicality import mean_logneg_fixed_purities, sample_energy_constrained
 from conftest import (
     feasible_coords,
     local_symplectics,
@@ -428,6 +429,97 @@ def test_purities_below_the_float_range_raise_domain_error(call):
             call()
 
 
+def _mp_mean_logneg(mu, mu_a, mu_b):
+    """Mean E_N over the seralian interval: 50-digit quadrature of -log2 nu~_-."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        mu, a, b = mpmath.mpf(mu), 1 / mpmath.mpf(mu_a), 1 / mpmath.mpf(mu_b)
+        lo = 2 / mu + (a - b) ** 2
+        hi = min((a + b) ** 2 - 2 / mu, 1 + 1 / mu**2)
+
+        def e_n(delta):
+            # nu~_-^2 nu~_+^2 = 1/mu^2, and nu~_+^2 has no cancellation.
+            d_tilde = 2 * a**2 + 2 * b**2 - delta
+            nu_sq = (2 / mu**2) / (d_tilde + mpmath.sqrt(d_tilde**2 - 4 / mu**2))
+            return max(-mpmath.log(nu_sq, 2) / 2, 0)
+
+        thr = 2 * a**2 + 2 * b**2 - 1 - 1 / mu**2
+        return float(mpmath.quad(e_n, [lo, *([thr] if lo < thr < hi else []), hi]) / (hi - lo))
+
+
+@pytest.mark.parametrize(
+    "mu, mu_a", [(0.9, 1e-77), (0.9, 1e-100), (0.9, 1e-150), (0.3, 1e-120), (0.5, 2.0**-510)]
+)
+def test_mean_logneg_at_tiny_marginal_purities(mu, mu_a):
+    # t (2 + t) in the E_N antiderivative leaves the float range here; the
+    # mean is still finite and matches a 50-digit quadrature.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mean_logneg_fixed_purities(mu, mu_a, mu_a)
+    assert got == pytest.approx(_mp_mean_logneg(mu, mu_a, mu_a), rel=1e-14, abs=0.0)
+
+
+def test_tiny_marginal_purities_leave_the_other_cells_bit_identical():
+    # Only the cells whose t (2 + t) overflows take the wide square root.
+    mu_a = np.array([1e-100, 0.5, 0.6, 0.9])
+    mu_b = np.array([1e-100, 0.5, 0.62, 0.95])
+    d_min, d_max, valid = delta_bounds_batch(0.9, mu_a, mu_b)
+    assert valid.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prop, mean = logneg_average(0.9, mu_a, mu_b, d_min, d_max)
+    assert np.isfinite(mean).all()
+    for k in range(1, 4):
+        one = logneg_average(0.9, mu_a[k : k + 1], mu_b[k : k + 1], d_min[k : k + 1], d_max[k : k + 1])
+        assert (prop[k], mean[k]) == (one[0][0], one[1][0])
+
+
+def test_entangled_mean_takes_the_wide_root_without_being_told():
+    # Any caller of the shared antiderivative step, not only logneg_average,
+    # gets a finite mean where t (2 + t) overflows, and the plain cells keep
+    # their bits.
+    mu, t1 = 0.9, np.array([1e200, 3.0, 0.25])
+    ent_len = np.array([1.5, 0.5, 0.1])
+    span = np.array([2.0, 0.75, 0.1])
+    prop = ent_len / span
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = _entangled_mean(mu, prop, t1, ent_len, span)
+    assert np.isfinite(mean).all() and mean[0] > 0.0
+    plain = _entangled_mean(mu, prop[1:], t1[1:], ent_len[1:], span[1:])
+    assert np.array_equal(mean[1:], plain)
+
+
+def test_seralian_edges_are_the_plain_formulas_below_the_cap():
+    # Capping a + b changes the upper edge only where (a + b)^2 overflows.
+    rng = np.random.default_rng(5)
+    a = np.append(2.0 ** rng.uniform(0.0, 511.0, 2000), [2.0**511, np.nextafter(2.0**511, 0.0)])
+    b = np.append(2.0 ** rng.uniform(0.0, 511.0, 2000), [2.0**511, 2.0**511])
+    mu = 0.37
+    lo, hi = core._seralian_edges(mu, a, b)
+    with np.errstate(over="ignore"):
+        want_hi = (a + b) ** 2 - 2.0 / mu
+    finite = np.isfinite(want_hi)
+    assert finite[:-2].all() and not finite[-2:].any()
+    assert np.array_equal(lo, 2.0 / mu + (a - b) ** 2)
+    assert np.array_equal(hi[finite], want_hi[finite])
+    assert np.isfinite(hi).all() and (hi[~finite] > 1.0 + 1.0 / mu**2).all()
+    for x, y in zip(a[:200].tolist(), b[:200].tolist()):
+        assert core._seralian_edges(mu, x, y) == (2.0 / mu + (x - y) ** 2, (x + y) ** 2 - 2.0 / mu)
+
+
+def test_delta_bounds_where_the_upper_edge_overflows():
+    # (1/mu_A + 1/mu_B)^2 = 2^1024 leaves the float range; the cap 1 + 1/mu^2
+    # is the upper bound anyway.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert delta_bounds(0.5, 2.0**-511, 2.0**-511) == (4.0, 5.0)
+        d_min, d_max, valid = delta_bounds_batch(0.5, [2.0**-511, 0.5], [2.0**-511, 0.5])
+    assert valid.all()
+    assert d_min.tolist() == [4.0, 4.0] and d_max.tolist() == [5.0, 5.0]
+
+
 @pytest.mark.parametrize("scale", [1e80, 1e150])
 def test_log_negativity_of_thermal_states_with_large_entries(scale):
     # Delta~^2 and 4/mu^2 overflow here; their difference, a product, does not.
@@ -436,5 +528,5 @@ def test_log_negativity_of_thermal_states_with_large_entries(scale):
         coords, _ = core.invariants(scale * np.eye(4))
         nu = ppt_spectrum(coords)
         assert log_negativity(coords) == 0.0 and steerability(coords) == 0.0
-    assert nu.nu_tilde_minus == pytest.approx(scale, rel=1e-15)
-    assert nu.nu_tilde_plus == pytest.approx(scale, rel=1e-15)
+    assert nu.nu_tilde_minus == pytest.approx(scale, rel=1e-15, abs=0.0)
+    assert nu.nu_tilde_plus == pytest.approx(scale, rel=1e-15, abs=0.0)

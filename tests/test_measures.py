@@ -37,19 +37,19 @@ def _well_separated_spectrum(rng, n, lo=1.05, hi=3.0, gap=0.05):
 def test_density_hs_examples():
     assert density_hs([1.0]) == 1.0
     assert density_hs([1.0, 1.0]) == 0.0
-    assert density_hs([1.0, 2.0]) == pytest.approx(9 / 256, rel=1e-14)
+    assert density_hs([1.0, 2.0]) == pytest.approx(9 / 256, rel=1e-14, abs=0.0)
 
 
 def test_density_fr_examples():
-    assert density_fr([2.0]) == pytest.approx(0.5, rel=1e-14)
+    assert density_fr([2.0]) == pytest.approx(0.5, rel=1e-14, abs=0.0)
     assert density_fr([1.0, 1.0]) == 0.0
-    assert density_fr([1.0, 2.0]) == pytest.approx(9 / 8, rel=1e-14)
+    assert density_fr([1.0, 2.0]) == pytest.approx(9 / 8, rel=1e-14, abs=0.0)
 
 
 def test_density_reduced_pure_examples():
-    assert density_reduced_pure([3.0]) == pytest.approx(9.0, rel=1e-14)
+    assert density_reduced_pure([3.0]) == pytest.approx(9.0, rel=1e-14, abs=0.0)
     assert density_reduced_pure([1.0, 1.0]) == 0.0
-    assert density_reduced_pure([1.0, 2.0]) == pytest.approx(36.0, rel=1e-14)
+    assert density_reduced_pure([1.0, 2.0]) == pytest.approx(36.0, rel=1e-14, abs=0.0)
 
 
 def test_density_rejects_unphysical_spectrum():
@@ -59,7 +59,7 @@ def test_density_rejects_unphysical_spectrum():
 
 def test_density_ratio_examples():
     assert density_ratio(HILBERT_SCHMIDT, FISHER_RAO, [1.0, 2.0]) == pytest.approx(
-        1 / 32, rel=1e-12
+        1 / 32, rel=1e-12, abs=0.0
     )
     assert density_ratio(FISHER_RAO, FISHER_RAO, [1.0, 1.0]) == 1.0
     # Equal kinds need equal purities too: [1, 2] lies on the mu = 0.5 shell,
@@ -94,7 +94,7 @@ def test_density_ratio_is_the_quotient_of_the_densities():
             for kind_a in kinds:
                 for kind_b in kinds:
                     want = density(kind_a, nu) / density(kind_b, nu)
-                    assert density_ratio(kind_a, kind_b, nu) == pytest.approx(want, rel=1e-12)
+                    assert density_ratio(kind_a, kind_b, nu) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_density_ratio_undefined_where_the_denominator_vanishes():
@@ -170,26 +170,26 @@ def test_fixed_purity_density():
     nu = np.array([1.2, 2.0])
     kind = fixed_purity(float(np.prod(1.0 / nu)))
     on_shell = density(kind, nu)
-    assert on_shell == pytest.approx((nu[1] ** 2 - nu[0] ** 2) ** 2, rel=1e-12)
+    assert on_shell == pytest.approx((nu[1] ** 2 - nu[0] ** 2) ** 2, rel=1e-12, abs=0.0)
     assert density(kind, [1.0, 2.0]) == 0.0
     # On its shell the ratio to any other kind is a power of the purity.
     r = density_ratio(HILBERT_SCHMIDT, kind, nu)
-    assert r == pytest.approx(np.prod(nu) ** (-2 * (2 + 2.5) + 1), rel=1e-12)
+    assert r == pytest.approx(np.prod(nu) ** (-2 * (2 + 2.5) + 1), rel=1e-12, abs=0.0)
 
 
 def test_line_element_hs_examples():
     eps = 0.1
-    assert line_element_hs(np.eye(2), eps * np.eye(2)) == pytest.approx(eps**2 / 2, rel=1e-12)
+    assert line_element_hs(np.eye(2), eps * np.eye(2)) == pytest.approx(eps**2 / 2, rel=1e-12, abs=0.0)
     assert line_element_hs(np.eye(2), np.zeros((2, 2))) == 0.0
     sigma = np.array([[2.0, 0.3], [0.3, 1.5]])
     d = np.array([[0.1, -0.2], [-0.2, 0.4]])
     base = line_element_hs(sigma, d)
-    assert line_element_hs(sigma, 3.0 * d) == pytest.approx(9.0 * base, rel=1e-12)
+    assert line_element_hs(sigma, 3.0 * d) == pytest.approx(9.0 * base, rel=1e-12, abs=0.0)
 
 
 def test_line_element_fr_examples():
     eps = 0.1
-    assert line_element_fr(np.eye(2), eps * np.eye(2)) == pytest.approx(eps**2, rel=1e-12)
+    assert line_element_fr(np.eye(2), eps * np.eye(2)) == pytest.approx(eps**2, rel=1e-12, abs=0.0)
     assert line_element_fr(np.eye(2), np.zeros((2, 2))) == 0.0
 
 
@@ -205,7 +205,7 @@ def test_line_element_fr_symplectic_invariance():
     for _ in range(5):
         s = random_symplectic(2, rng)
         moved = line_element_fr(s @ sigma @ s.T, s @ d @ s.T)
-        assert moved == pytest.approx(base, rel=1e-9)
+        assert moved == pytest.approx(base, rel=1e-9, abs=0.0)
 
 
 def test_tangent_direction_validation():
@@ -264,10 +264,10 @@ def test_numeric_metric_density_edge_cases():
 
 def test_hs_density_invariant_coords():
     c = InvariantCoords(1.0, 1.0, 1.0, 2.0)
-    assert hs_density_invariant_coords(c) == pytest.approx(np.sqrt(3) / 512, rel=1e-14)
+    assert hs_density_invariant_coords(c) == pytest.approx(np.sqrt(3) / 512, rel=1e-14, abs=0.0)
     half = InvariantCoords(1.0, 0.5, 1.0, 2.0)
     assert hs_density_invariant_coords(half) == pytest.approx(
-        8 * hs_density_invariant_coords(c), rel=1e-12
+        8 * hs_density_invariant_coords(c), rel=1e-12, abs=0.0
     )
     assert hs_density_invariant_coords(InvariantCoords(0.0, 1.0, 1.0, 2.0)) == 0.0
 

@@ -421,7 +421,7 @@ def test_pure_endpoint_denominator_closed_form():
     from scipy.integrate import quad
 
     num_g, _ = quad(lambda v: np.log(v) * (e - 2 * v), 1.0, e / 2.0)
-    assert ep.mean_steering == pytest.approx(num_g / (e / 2.0 - 1.0) ** 2, rel=1e-10)
+    assert ep.mean_steering == pytest.approx(num_g / (e / 2.0 - 1.0) ** 2, rel=1e-10, abs=0.0)
 
 
 def test_pure_endpoint_matches_rejection_sampler():
@@ -491,8 +491,8 @@ def test_pure_endpoint_small_t_limits():
     energy = 2.0 + 2e-9
     t = energy / 2.0 - 1.0  # not 1e-9 exactly: 2 + 2e-9 is rounded
     ep = pure_state_endpoint(energy)
-    assert ep.mean_steering == pytest.approx(t / 3.0, rel=1e-8)
-    assert ep.mean_logneg == pytest.approx(8.0 * np.sqrt(2.0 * t) / 15.0 / _LN2, rel=1e-8)
+    assert ep.mean_steering == pytest.approx(t / 3.0, rel=1e-8, abs=0.0)
+    assert ep.mean_logneg == pytest.approx(8.0 * np.sqrt(2.0 * t) / 15.0 / _LN2, rel=1e-8, abs=0.0)
 
 
 def test_pure_endpoint_means_nondecreasing_across_series_switch():
@@ -1015,4 +1015,4 @@ def test_assemble_covmat_is_a_row_of_the_batched_builder(
     ref = _reference_covmat(std, lam_a, lam_b, angles)
     np.testing.assert_allclose(sigma, ref, rtol=0.0, atol=1e-12 * scale)
     want = lam_a / mu_a + lam_b / mu_b
-    assert 0.5 * np.trace(sigma) == pytest.approx(want, rel=1e-12)
+    assert 0.5 * np.trace(sigma) == pytest.approx(want, rel=1e-12, abs=0.0)
