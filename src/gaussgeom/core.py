@@ -70,6 +70,9 @@ _FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 _SQUARE_MAX = float(np.nextafter(2.0**512, 0.0))  # the largest float whose square is finite
 
+#: Bound on ab and |p| in :func:`_std_form_c` below which its plain products are finite.
+_C_WIDE = 1e153
+
 
 class DomainError(ValueError):
     """Requested parameters lie outside the physical state space."""
@@ -498,13 +501,24 @@ def _std_form_c(mu, a, b, delta):
     distance from delta to the nearer edge, so gap = c+^2 + c-^2 - 2|p| =
     (ab - |p| - 1/mu)(ab - |p| + 1/mu)/ab and (c+^2 - c-^2)^2 = gap (gap + 4|p|)
     have no cancellation and vanish on an edge, where c+ = |c-| to rounding.
+    Where ab or |p| exceeds 1e153 (purities near 2**-511 or a wide seralian
+    interval) half (half + 2/mu) and gap (gap + 4|p|) may leave the float
+    range; those elements take gap = half ((half + 2/mu)/ab) and the root
+    as 2 sqrt(gap) sqrt(gap/4 + |p|), whose factors stay finite.
     """
     lo, hi = _seralian_edges(mu, a, b)
     p = 0.5 * (delta - a * a - b * b)
     half = 0.5 * np.maximum(np.minimum(delta - lo, hi - delta), 0.0)
-    gap = half * (half + 2.0 / mu) / (a * b)
+    ab = a * b
     abs_p = np.abs(p)
-    c_plus = np.sqrt(0.5 * (2.0 * abs_p + gap + np.sqrt(gap * (gap + 4.0 * abs_p))))
+    wide = np.maximum(ab, abs_p) > _C_WIDE
+    with np.errstate(over="ignore", invalid="ignore"):  # only in wide elements, replaced below
+        gap = half * (half + 2.0 / mu) / ab
+        root = np.sqrt(gap * (gap + 4.0 * abs_p))
+    wide_gap = half * ((half + 2.0 / mu) / ab)
+    gap = np.where(wide, wide_gap, gap)
+    root = np.where(wide, 2.0 * np.sqrt(wide_gap) * np.sqrt(0.25 * wide_gap + abs_p), root)
+    c_plus = np.sqrt(0.5 * (2.0 * abs_p + gap + root))
     return c_plus, p / np.where(c_plus > 0.0, c_plus, 1.0)
 
 

@@ -38,6 +38,11 @@ _LN2 = float(np.log(2.0))
 #: Smallest global purity of the seralian bounds: 1/mu^2 = 2**1022 stays finite.
 _MU_MIN = 2.0**-511
 
+#: 2/mu_A^2 + 2/mu_B^2 is twice 1/mu_A^2 + 1/mu_B^2, which is at most 2**1023
+#: for purities in range; the doubling leaves the float range only above this
+#: value, where both purities lie within an ulp of 2**-511.
+_HALF_MAX = float(np.nextafter(2.0**1023, 0.0))  # twice this is the largest float
+
 #: Above this t, t (2 + t) in the E_N antiderivative may leave the float range
 #: (from about 1.34e154, at marginal purities below about 1e-77).
 _T_WIDE = 1e154
@@ -207,11 +212,14 @@ def steerability(coords: InvariantCoords) -> float:
 def delta_threshold(mu: float, mu_a: float, mu_b: float) -> float:
     """Seralian value below which states at these purities are entangled.
 
-    From nu~_- < 1: Delta < 2/mu_A^2 + 2/mu_B^2 - 1 - 1/mu^2.  Raises
-    DomainError where :func:`delta_bounds_batch` does.
+    From nu~_- < 1: Delta < 2/mu_A^2 + 2/mu_B^2 - 1 - 1/mu^2.  Where
+    2/mu_A^2 + 2/mu_B^2 leaves the float range (both purities at 2**-511)
+    it is capped at the largest float, which is still above every allowed
+    seralian (at most 1 + 1/mu^2 <= 1 + 2**1022).  Raises DomainError
+    where :func:`delta_bounds_batch` does.
     """
     _require_purities(mu, mu_a, mu_b)
-    return 2.0 / mu_a**2 + 2.0 / mu_b**2 - 1.0 - 1.0 / mu**2
+    return 2.0 * np.minimum(1.0 / mu_a**2 + 1.0 / mu_b**2, _HALF_MAX) - 1.0 - 1.0 / mu**2
 
 
 def _require_purities(mu: float, mu_a, mu_b) -> None:
@@ -276,8 +284,13 @@ def logneg_average(mu: float, mu_a, mu_b, d_min, d_max):
     follows from the antiderivative u arccosh(u) - sqrt(u^2 - 1).  The
     difference of that antiderivative between the ends is formed without
     cancellation (through log1p and a difference of squares), so the
-    narrow intervals near mu = 1 keep full accuracy.  Raises DomainError
-    where :func:`delta_bounds_batch` does.
+    narrow intervals near mu = 1 keep full accuracy.  Where
+    2/mu_A^2 + 2/mu_B^2 leaves the float range (both purities at 2**-511),
+    u > 2**510 along the whole interval, so arccosh(u) = arccosh(u/2) + ln 2
+    to double precision: the mean is taken at half the seralians and
+    raised by ln 2/(2 ln 2) = 1/2.  E_N itself is at least log2(3)/2 there,
+    so the halved values stay positive.
+    Raises DomainError where :func:`delta_bounds_batch` does.
     """
     thr = delta_threshold(mu, mu_a, mu_b)  # checks the purities first
     width = d_max - d_min
@@ -287,8 +300,12 @@ def logneg_average(mu: float, mu_a, mu_b, d_min, d_max):
     prop = np.where(point, np.where(d_min < thr, 1.0, 0.0), ent_len / span)
 
     c = 2.0 / mu
-    t1 = np.maximum((2.0 / mu_a**2 + 2.0 / mu_b**2 - c - d_min) / c, 0.0)
-    return prop, _entangled_mean(mu, prop, t1, ent_len, span)
+    half = 1.0 / mu_a**2 + 1.0 / mu_b**2  # 2 half is the plain sum, bit for bit, where finite
+    wide = half > _HALF_MAX
+    scale = np.where(wide, 2.0, 1.0)  # dividing by 1.0 leaves the other cells' bits
+    t1 = np.maximum((2.0 * (half / scale) - c - d_min / scale) / c, 0.0)
+    mean = _entangled_mean(mu, prop, t1, ent_len / scale, span / scale)
+    return prop, np.where(wide, mean + 0.5 * prop, mean)
 
 
 def _entangled_mean(mu: float, prop, t1, ent_len, span):

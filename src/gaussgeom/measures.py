@@ -22,7 +22,6 @@ __all__ = [
     "FISHER_RAO",
     "REDUCED_PURE",
     "fixed_purity",
-    "TangentDirection",
     "density_hs",
     "density_fr",
     "density_reduced_pure",
@@ -234,80 +233,26 @@ def line_element_fr(sigma, d_sigma) -> float:
 # Numerical validation of the eigenvalue densities
 
 
-@dataclass(frozen=True)
-class TangentDirection:
-    """Tangent coordinates at a Williamson point Sigma = D, S = identity.
+def _generator(n: int, block: str, i: int, j: int) -> np.ndarray:
+    """Elementary generator of sp(2N) on ``n`` modes, in the (q1, p1, ..., qN, pN) ordering.
 
-    ``d_nu`` shifts the symplectic eigenvalues; (d_x, d_y, d_z) build the
-    generator H with 2x2 blocks [[X_ij, Y_ij], [Z_ij, -X_ji]] of an
-    infinitesimal symplectic transformation, where Y and Z are symmetric
-    and Z has zero diagonal (the diagonal of Z generates the torus that
-    stabilizes D and carries no volume).
+    In 2x2 blocks [[X_ij, Y_ij], [Z_ij, -X_ji]] a matrix H lies in sp(2N),
+    H^T Omega + Omega H = 0, exactly when Y and Z are symmetric.  ``block``
+    "x" gives the unit X_ij (with its -X_ji entry), "y" the unit
+    Y_ij = Y_ji and "z" the unit Z_ij = Z_ji.  X_ij, Y_{i<=j} and Z_{i<j}
+    are the 2N^2 group directions of :func:`numeric_metric_density`: at a
+    Williamson point Z_ii moves Sigma as Y_ii does, since their difference
+    generates the rotation of mode i, which leaves the point fixed.
     """
-
-    d_nu: np.ndarray
-    d_x: np.ndarray
-    d_y: np.ndarray
-    d_z: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.d_nu).size
-        for name, m in (("d_x", self.d_x), ("d_y", self.d_y), ("d_z", self.d_z)):
-            m = np.asarray(m)
-            if m.shape != (n, n):
-                raise ValueError(f"{name} must have shape ({n}, {n})")
-        if np.any(np.asarray(self.d_y) != np.asarray(self.d_y).T):
-            raise ValueError("d_y must be symmetric")
-        d_z = np.asarray(self.d_z)
-        if np.any(d_z != d_z.T) or np.any(np.diagonal(d_z) != 0.0):
-            raise ValueError("d_z must be symmetric with zero diagonal")
-
-    def hamiltonian(self) -> np.ndarray:
-        """Assemble the 2N x 2N symplectic generator from the block data."""
-        n = np.asarray(self.d_nu).size
-        h = np.zeros((2 * n, 2 * n))
-        x, y, z = np.asarray(self.d_x), np.asarray(self.d_y), np.asarray(self.d_z)
-        for i in range(n):
-            for j in range(n):
-                h[2 * i, 2 * j] = x[i, j]
-                h[2 * i, 2 * j + 1] = y[i, j]
-                h[2 * i + 1, 2 * j] = z[i, j]
-                h[2 * i + 1, 2 * j + 1] = -x[j, i]
-        return h
-
-
-def _tangent_basis(n: int) -> list[TangentDirection]:
-    """Coordinate basis (d_nu_i, X_ij, Y_{i<=j}, Z_{i<j}); 2N^2 + N directions."""
-    dirs = []
-
-    def make(d_nu=None, x=None, y=None, z=None):
-        return TangentDirection(
-            d_nu=d_nu if d_nu is not None else np.zeros(n),
-            d_x=x if x is not None else np.zeros((n, n)),
-            d_y=y if y is not None else np.zeros((n, n)),
-            d_z=z if z is not None else np.zeros((n, n)),
-        )
-
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        dirs.append(make(d_nu=e))
-    for i in range(n):
-        for j in range(n):
-            x = np.zeros((n, n))
-            x[i, j] = 1.0
-            dirs.append(make(x=x))
-    for i in range(n):
-        for j in range(i, n):
-            y = np.zeros((n, n))
-            y[i, j] = y[j, i] = 1.0
-            dirs.append(make(y=y))
-    for i in range(n):
-        for j in range(i + 1, n):
-            z = np.zeros((n, n))
-            z[i, j] = z[j, i] = 1.0
-            dirs.append(make(z=z))
-    return dirs
+    h = np.zeros((2 * n, 2 * n))
+    if block == "x":
+        h[2 * i, 2 * j] = 1.0
+        h[2 * j + 1, 2 * i + 1] = -1.0
+    elif block == "y":
+        h[2 * i, 2 * j + 1] = h[2 * j, 2 * i + 1] = 1.0
+    else:
+        h[2 * i + 1, 2 * j] = h[2 * j + 1, 2 * i] = 1.0
+    return h
 
 
 def _group_tangent(base: np.ndarray, gen: np.ndarray) -> np.ndarray:
@@ -330,18 +275,21 @@ def _gram_sqrt_det(base: np.ndarray, tangents: list[np.ndarray], quad) -> float:
 
 
 def numeric_metric_density(nu, kind: MeasureKind) -> float:
-    """Numerically computed sqrt(det g) over the (nu, X, Y, Z) tangent basis.
+    """Numerically computed sqrt(det g) over the N + 2N^2 coordinate directions.
 
-    The tangent vectors are exact: along Sigma(t) = S(t)^T D(t) S(t) with
-    S(t) = exp(t H) and D = diag(nu_1, nu_1, ..., nu_N, nu_N), the
-    derivative at t = 0 is dD + H^T D + D H.  The metric comes from the line
-    elements alone, so this validates the closed-form densities without
-    re-deriving them: for a fixed mode number the ratio to
-    :func:`density_hs` or :func:`density_fr` is constant over spectra.
-    A degenerate spectrum gives a singular metric and the value 0.
+    The coordinates are the N symplectic eigenvalues and the group
+    directions of :func:`_generator`.  The tangent vectors are exact: along
+    Sigma(t) = S(t)^T D(t) S(t) with S(t) = exp(t H) and
+    D = diag(nu_1, nu_1, ..., nu_N, nu_N), the derivative at t = 0 is
+    dD + H^T D + D H.  The metric comes from the line elements alone, so
+    this validates the closed-form densities without re-deriving them: for
+    a fixed mode number the ratio to :func:`density_hs` or
+    :func:`density_fr` is constant over spectra.  A degenerate spectrum
+    gives a singular metric and the value 0.
     """
     nu = np.array(_spectrum(nu))
-    if nu.size > 3:
+    n = nu.size
+    if n > 3:
         raise ValueError("numeric metric density supports at most 3 modes")
     if kind.tag == "hilbert-schmidt":
         quad = line_element_hs
@@ -350,10 +298,11 @@ def numeric_metric_density(nu, kind: MeasureKind) -> float:
     else:
         raise ValueError(f"no line element available for measure kind {kind.tag!r}")
     base = np.diag(np.repeat(nu, 2))
-    tangents = [
-        np.diag(np.repeat(d.d_nu, 2)) + _group_tangent(base, d.hamiltonian())
-        for d in _tangent_basis(nu.size)
-    ]
+    gens = [_generator(n, "x", i, j) for i in range(n) for j in range(n)]
+    gens += [_generator(n, "y", i, j) for i in range(n) for j in range(i, n)]
+    gens += [_generator(n, "z", i, j) for i in range(n) for j in range(i + 1, n)]
+    tangents = [np.diag(np.repeat(e, 2)) for e in np.eye(n)]
+    tangents += [_group_tangent(base, gen) for gen in gens]
     return _gram_sqrt_det(base, tangents, quad)
 
 
@@ -382,22 +331,8 @@ def hs_density_std_form(std: StdForm) -> float:
     return float(num / den)
 
 
-def _local_generators() -> list[np.ndarray]:
-    """Basis of the local symplectic algebra sp(2) + sp(2) on two modes."""
-    out = []
-    for mode in range(2):
-        for h in (
-            np.array([[1.0, 0.0], [0.0, -1.0]]),
-            np.array([[0.0, 1.0], [0.0, 0.0]]),
-            np.array([[0.0, 0.0], [1.0, 0.0]]),
-        ):
-            g = np.zeros((4, 4))
-            g[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = h
-            out.append(g)
-    return out
-
-
-_LOCAL_GENERATORS = _local_generators()
+#: The local symplectic algebra sp(2) + sp(2) on two modes: X, Y and Z of each mode.
+_LOCAL_GENERATORS = [_generator(2, b, k, k) for k in range(2) for b in "xyz"]
 
 
 def numeric_std_form_density(std: StdForm) -> float:

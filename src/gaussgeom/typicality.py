@@ -103,7 +103,6 @@ class EnergyEnsemble:
 
     mu: float
     energy: float
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and np.isfinite(self.energy)):
@@ -296,7 +295,7 @@ def energy_constrained_stats(mu: float, energy: float, mc: McConfig | None = Non
     standard errors std/sqrt(n).
     """
     mc = mc or McConfig()
-    EnergyEnsemble(mu, energy, mc.seed)
+    EnergyEnsemble(mu, energy)
     box = _UVSupport.of(mu, energy)
     stats = np.empty((4, mc.final_evals))
     n = 0
@@ -336,7 +335,7 @@ def energy_constrained_ratio(
     is exactly 1.
     """
     mc = mc or McConfig()
-    EnergyEnsemble(mu, energy, mc.seed)
+    EnergyEnsemble(mu, energy)
     a, b, lo, length = _draw_intervals(mu, energy, mc.final_evals, np.random.default_rng(mc.seed))
     hi = lo + length
     return _sample_mean(inner(1.0 / a, 1.0 / b, lo, hi) / (hi - lo))
@@ -596,7 +595,7 @@ def sample_energy_constrained(
     and ValueError unless ``seed`` is a non-negative integer and ``count``
     a positive one.
     """
-    EnergyEnsemble(mu, energy, seed)
+    EnergyEnsemble(mu, energy)
     _require_seed(seed)
     if not _is_int(count):
         raise ValueError(f"count must be an integer, got {count!r}")

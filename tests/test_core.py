@@ -798,6 +798,55 @@ def test_std_form_c_keeps_c_plus_equal_to_abs_c_minus_on_both_edges():
     assert _edge_split(_discriminant_c) > 1e-6
 
 
+def _mp_std_form_c(mu, a, b, delta):
+    """(c+, c-) at 1000 digits: c+ c- = p and c+^2 + c-^2 = (a^2 b^2 + p^2 - 1/mu^2)/(ab)."""
+    import mpmath
+
+    with mpmath.workdps(1000):
+        mu, a, b, delta = (mpmath.mpf(x) for x in (mu, a, b, delta))
+        p = (delta - a**2 - b**2) / 2
+        s = (a**2 * b**2 + p**2 - 1 / mu**2) / (a * b)
+        c_plus = mpmath.sqrt((s + mpmath.sqrt(s**2 - 4 * p**2)) / 2)
+        return float(c_plus), float(p / c_plus)
+
+
+@pytest.mark.parametrize(
+    "mu, mu_ab, delta",
+    [
+        (0.5, 2.0**-511, 4.5),
+        (0.5, 1.0001 * 2.0**-511, 4.5),
+        (2.0**-300, 2.0**-300, 2.0**599),
+        (2.0**-511, 2.0**-511, 2.0**1021),
+    ],
+)
+def test_cm_from_invariants_where_the_plain_products_overflow(mu, mu_ab, delta):
+    # 4|p| or gap (gap + 4|p|) leaves the float range in _std_form_c here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        std = cm_from_invariants(InvariantCoords(mu, mu_ab, mu_ab, delta))
+    c_plus, c_minus = _mp_std_form_c(mu, 1.0 / mu_ab, 1.0 / mu_ab, delta)
+    assert std.c_plus == pytest.approx(c_plus, rel=1e-12, abs=0.0)
+    assert std.c_minus == pytest.approx(c_minus, rel=1e-12, abs=0.0)
+
+
+def test_std_form_c_chooses_the_factored_products_per_element():
+    # One element past 1e153 in a batch leaves the others' bits as they are alone.
+    rng = np.random.default_rng(7)
+    mu = rng.uniform(0.2, 0.9, 200)
+    a, b = 1.0 / rng.uniform(mu, 1.0, (2, 200))
+    lo, hi = core._seralian_edges(mu, a, b)
+    delta = lo + rng.uniform(0.0, 1.0, 200) * (np.minimum(hi, 1.0 + 1.0 / mu**2) - lo)
+    wide = (0.5, 2.0**511, 2.0**511, 4.5)
+    args = [np.append(x, w) for x, w in zip((mu, a, b, delta), wide)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c_plus, c_minus = core._std_form_c(*args)
+        for k in range(201):
+            one = core._std_form_c(*(x[k : k + 1] for x in args))
+            assert (c_plus[k], c_minus[k]) == (one[0][0], one[1][0])
+    assert (c_plus[-1], c_minus[-1]) == pytest.approx(_mp_std_form_c(*wide), rel=1e-12, abs=0.0)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(coords=feasible_coords(), s=local_symplectics)
 def test_invariants_are_local_symplectic_invariant(coords, s):

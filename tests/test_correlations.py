@@ -445,19 +445,44 @@ def _mp_mean_logneg(mu, mu_a, mu_b):
             return max(-mpmath.log(nu_sq, 2) / 2, 0)
 
         thr = 2 * a**2 + 2 * b**2 - 1 - 1 / mu**2
+        if lo == hi:
+            return float(e_n(lo))
         return float(mpmath.quad(e_n, [lo, *([thr] if lo < thr < hi else []), hi]) / (hi - lo))
 
 
 @pytest.mark.parametrize(
-    "mu, mu_a", [(0.9, 1e-77), (0.9, 1e-100), (0.9, 1e-150), (0.3, 1e-120), (0.5, 2.0**-510)]
+    "mu, mu_a",
+    [(0.9, 1e-77), (0.9, 1e-100), (0.9, 1e-150), (0.3, 1e-120), (0.5, 2.0**-510)]
+    + [(mu, 2.0**-511) for mu in (2.0**-511, 1e-100, 0.5, 0.9, 1.0)],
 )
 def test_mean_logneg_at_tiny_marginal_purities(mu, mu_a):
-    # t (2 + t) in the E_N antiderivative leaves the float range here; the
-    # mean is still finite and matches a 50-digit quadrature.
+    # t (2 + t) in the E_N antiderivative leaves the float range here, and
+    # at 2**-511 2/mu_A^2 + 2/mu_B^2 too; the mean is still finite and
+    # matches a 50-digit quadrature.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = mean_logneg_fixed_purities(mu, mu_a, mu_a)
     assert got == pytest.approx(_mp_mean_logneg(mu, mu_a, mu_a), rel=1e-14, abs=0.0)
+
+
+def test_overflowing_marginal_sum_leaves_the_other_cells_bit_identical():
+    mu_a = np.array([2.0**-511, 1e-100, 0.5, 0.6])
+    mu_b = np.array([2.0**-511, 1e-100, 0.5, 0.62])
+    d_min, d_max, valid = delta_bounds_batch(0.9, mu_a, mu_b)
+    assert valid.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thr = delta_threshold(0.9, mu_a, mu_b)
+        prop, mean = logneg_average(0.9, mu_a, mu_b, d_min, d_max)
+        region = classify_region(0.9, mu_a[0], mu_b[0])
+    # The capped threshold still lies above the whole interval.
+    assert np.isfinite(thr).all() and thr[0] > d_max[0]
+    assert region == (RegionClass.ALL_ENTANGLED, 1.0)
+    assert mean[0] == mean_logneg_fixed_purities(0.9, 2.0**-511, 2.0**-511)
+    for k in range(1, 4):
+        assert thr[k] == delta_threshold(0.9, mu_a[k], mu_b[k])
+        one = logneg_average(0.9, mu_a[k : k + 1], mu_b[k : k + 1], d_min[k : k + 1], d_max[k : k + 1])
+        assert (prop[k], mean[k]) == (one[0][0], one[1][0])
 
 
 def test_tiny_marginal_purities_leave_the_other_cells_bit_identical():

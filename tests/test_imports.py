@@ -1,6 +1,13 @@
-"""The numpy-only import path: scipy loads only where a matrix exponential is needed."""
+"""The import path and the public surface.
 
+scipy loads only where a matrix exponential is needed, every exported name
+resolves on its home module, and the README's python example runs.
+"""
+
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +89,39 @@ def test_import_builds_no_argument_parser():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_MODULES = ("core", "measures", "correlations", "typicality", "mcint")
+
+
+def test_every_all_name_resolves_and_every_reexport_is_listed():
+    import gaussgeom
+
+    for name in _MODULES:
+        module = importlib.import_module(f"gaussgeom.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == [], (name, missing)
+    tree = ast.parse(Path(gaussgeom.__file__).read_text())
+    reexports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert {node.module for node in reexports} == set(_MODULES)
+    for node in reexports:
+        listed = importlib.import_module(f"gaussgeom.{node.module}").__all__
+        unlisted = [a.name for a in node.names if a.name not in listed]
+        assert unlisted == [], (node.module, unlisted)
+
+
+def test_readme_python_example_runs():
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks, "README has no python example"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    for code in blocks:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,6 @@ from gaussgeom.measures import (
     HILBERT_SCHMIDT,
     REDUCED_PURE,
     MeasureKind,
-    TangentDirection,
     density,
     density_fr,
     density_hs,
@@ -208,20 +207,34 @@ def test_line_element_fr_symplectic_invariance():
         assert moved == pytest.approx(base, rel=1e-9, abs=0.0)
 
 
-def test_tangent_direction_validation():
-    with pytest.raises(ValueError, match="zero diagonal"):
-        TangentDirection(
-            d_nu=np.zeros(2), d_x=np.zeros((2, 2)), d_y=np.zeros((2, 2)), d_z=np.eye(2)
-        )
-    d = TangentDirection(
-        d_nu=np.zeros(2),
-        d_x=np.zeros((2, 2)),
-        d_y=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        d_z=np.zeros((2, 2)),
-    )
-    h = d.hamiltonian()
-    omega = symplectic_form(2)
-    np.testing.assert_allclose(h.T @ omega + omega @ h, 0.0, atol=1e-14)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generators_are_hamiltonian_and_span_the_tangent_space(n):
+    omega = symplectic_form(n)
+    for block in "xyz":
+        for i in range(n):
+            for j in range(n):
+                h = measures._generator(n, block, i, j)
+                np.testing.assert_array_equal(h.T @ omega + omega @ h, 0.0)
+    # A positive sqrt(det g) at a non-degenerate spectrum means the oracle's
+    # N + 2N^2 tangents are independent there.
+    nu = np.arange(1.0, n + 1.0) + 0.5
+    assert numeric_metric_density(nu, HILBERT_SCHMIDT) > 0.0
+    assert numeric_metric_density(nu, FISHER_RAO) > 0.0
+
+
+def test_local_generators_are_the_per_mode_x_y_z():
+    x = np.array([[1.0, 0.0], [0.0, -1.0]])
+    y = np.array([[0.0, 1.0], [0.0, 0.0]])
+    z = np.array([[0.0, 0.0], [1.0, 0.0]])
+    expected = []
+    for mode in range(2):
+        for block in (x, y, z):
+            g = np.zeros((4, 4))
+            g[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = block
+            expected.append(g)
+    assert len(measures._LOCAL_GENERATORS) == 6
+    for got, want in zip(measures._LOCAL_GENERATORS, expected):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_numeric_metric_density_constancy_fr():
