@@ -13,7 +13,6 @@ import itertools
 import os
 import stat
 import sys
-import warnings
 
 import numpy as np
 
@@ -81,9 +80,7 @@ def _analysis(sigma, tol: float) -> tuple[list[str], bool]:
         f"seralian Delta: {float(np.sum(nu**2)):.12g}",
     ]
     if n == 2:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", core.NonPhysicalWarning)
-            coords, _ = core.invariants(sigma)
+        coords, _ = core.invariants(sigma, warn_nonphysical=False)
         lines += [
             f"marginal purity mu_A: {coords.mu_a:.12g}",
             f"marginal purity mu_B: {coords.mu_b:.12g}",

@@ -70,9 +70,6 @@ _FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 _SQUARE_MAX = float(np.nextafter(2.0**512, 0.0))  # the largest float whose square is finite
 
-#: Bound on ab and |p| in :func:`_std_form_c` below which its plain products are finite.
-_C_WIDE = 1e153
-
 
 class DomainError(ValueError):
     """Requested parameters lie outside the physical state space."""
@@ -375,6 +372,15 @@ class StdForm:
     c_minus: float
 
     def matrix(self) -> np.ndarray:
+        """The 4x4 covariance matrix of these parameters, in float64.
+
+        Its determinant 1/mu^2 rests on ab - c_plus^2, which the entries hold
+        only to about eps*ab.  The invariants of the matrix therefore match
+        the state of the parameters to about 2 eps/(mu_A mu_B) relative:
+        within 1e-6 while mu_A mu_B >= 5e-10 (both marginal purities above
+        about 2.2e-5), and from mu_A mu_B near 1e-16 the matrix may not be
+        positive definite at all.
+        """
         m = np.diag([self.a, self.a, self.b, self.b])
         m[0, 2] = m[2, 0] = self.c_plus
         m[1, 3] = m[3, 1] = self.c_minus
@@ -501,23 +507,17 @@ def _std_form_c(mu, a, b, delta):
     distance from delta to the nearer edge, so gap = c+^2 + c-^2 - 2|p| =
     (ab - |p| - 1/mu)(ab - |p| + 1/mu)/ab and (c+^2 - c-^2)^2 = gap (gap + 4|p|)
     have no cancellation and vanish on an edge, where c+ = |c-| to rounding.
-    Where ab or |p| exceeds 1e153 (purities near 2**-511 or a wide seralian
-    interval) half (half + 2/mu) and gap (gap + 4|p|) may leave the float
-    range; those elements take gap = half ((half + 2/mu)/ab) and the root
-    as 2 sqrt(gap) sqrt(gap/4 + |p|), whose factors stay finite.
+    Every element takes gap = half ((half + 2/mu)/ab) and the root as
+    2 sqrt(gap) sqrt(gap/4 + |p|), whose factors stay finite also where ab or
+    |p| is near the top of the float range (purities near 2**-511 or a wide
+    seralian interval).
     """
     lo, hi = _seralian_edges(mu, a, b)
     p = 0.5 * (delta - a * a - b * b)
     half = 0.5 * np.maximum(np.minimum(delta - lo, hi - delta), 0.0)
-    ab = a * b
     abs_p = np.abs(p)
-    wide = np.maximum(ab, abs_p) > _C_WIDE
-    with np.errstate(over="ignore", invalid="ignore"):  # only in wide elements, replaced below
-        gap = half * (half + 2.0 / mu) / ab
-        root = np.sqrt(gap * (gap + 4.0 * abs_p))
-    wide_gap = half * ((half + 2.0 / mu) / ab)
-    gap = np.where(wide, wide_gap, gap)
-    root = np.where(wide, 2.0 * np.sqrt(wide_gap) * np.sqrt(0.25 * wide_gap + abs_p), root)
+    gap = half * ((half + 2.0 / mu) / (a * b))
+    root = 2.0 * np.sqrt(gap) * np.sqrt(0.25 * gap + abs_p)
     c_plus = np.sqrt(0.5 * (2.0 * abs_p + gap + root))
     return c_plus, p / np.where(c_plus > 0.0, c_plus, 1.0)
 
@@ -531,6 +531,10 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
     delta lies outside the closed-form seralian interval of the purities
     by more than a relative 1e-9, or when the reconstructed matrix would
     not be positive definite.  On the edges of the interval c+ = |c-|.
+    The parameters are accurate to rounding for marginal purities down to
+    2**-511 and are returned without an error there, but their float64
+    :meth:`StdForm.matrix` holds the state to 1e-6 only while
+    mu_A mu_B >= 5e-10.
     """
     mu, mu_a, mu_b, delta = coords.mu, coords.mu_a, coords.mu_b, coords.delta
     slack = 1e-9

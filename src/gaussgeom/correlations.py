@@ -43,10 +43,6 @@ _MU_MIN = 2.0**-511
 #: value, where both purities lie within an ulp of 2**-511.
 _HALF_MAX = float(np.nextafter(2.0**1023, 0.0))  # twice this is the largest float
 
-#: Above this t, t (2 + t) in the E_N antiderivative may leave the float range
-#: (from about 1.34e154, at marginal purities below about 1e-77).
-_T_WIDE = 1e154
-
 #: Momentum inversion of the second mode.
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -315,16 +311,16 @@ def _entangled_mean(mu: float, prop, t1, ent_len, span):
     interval) and starts at the interval's lower end, where
     u = (2/mu_A^2 + 2/mu_B^2 - Delta)/(2/mu) equals 1 + ``t1``; see
     :func:`logneg_average` for the cancellation-free antiderivative step.
+    With t = u - 1, sqrt(u^2 - 1) is taken as sqrt(t) sqrt(2 + t) in every
+    cell, so it stays finite where t (2 + t) would overflow (marginal
+    purities below about 1e-77).
     """
     c = 2.0 / mu
-    # t = u - 1 and s = sqrt(u^2 - 1) at both ends of the entangled part,
+    # t = u - 1 and s = sqrt(t) sqrt(2 + t) at both ends of the entangled part,
     # along which u falls by dt.
     dt = ent_len / c
     t2 = np.maximum(t1 - dt, 0.0)
-    if np.any(t1 > _T_WIDE):  # t2 <= t1
-        s1, s2 = _wide_root(t1), _wide_root(t2)
-    else:
-        s1, s2 = np.sqrt(t1 * (2.0 + t1)), np.sqrt(t2 * (2.0 + t2))
+    s1, s2 = np.sqrt(t1) * np.sqrt(2.0 + t1), np.sqrt(t2) * np.sqrt(2.0 + t2)
     # s1 - s2 and arccosh(u1) - arccosh(u2); s1 + s2 vanishes only with dt.
     ds = dt * (2.0 + t1 + t2) / np.maximum(s1 + s2, np.finfo(float).tiny)
     dphi = np.log1p((dt + ds) / (1.0 + t2 + s2))
@@ -335,13 +331,6 @@ def _entangled_mean(mu: float, prop, t1, ent_len, span):
     # absorbs rounding at the threshold.
     mean = np.where(prop > 0.0, np.maximum(mean, 0.0), 0.0 * prop)
     return mean / (2.0 * _LN2)
-
-
-def _wide_root(t):
-    """sqrt(t (2 + t)), taken as sqrt(t) sqrt(2 + t) only where the product overflows."""
-    with np.errstate(over="ignore"):
-        s = np.sqrt(t * (2.0 + t))
-    return np.where(np.isinf(s), np.sqrt(t) * np.sqrt(2.0 + t), s)
 
 
 def classify_region(mu: float, mu_a: float, mu_b: float) -> tuple[RegionClass, float]:

@@ -35,7 +35,7 @@ from gaussgeom.core import (
     write_covmat,
 )
 from gaussgeom.correlations import delta_bounds
-from gaussgeom.typicality import sample_energy_constrained
+from gaussgeom.typicality import _draw_intervals, sample_energy_constrained
 from conftest import feasible_coords, local_symplectics, oracle_spectrum
 
 
@@ -755,6 +755,37 @@ def test_cm_from_invariants_round_trip():
         )
 
 
+def test_cm_from_invariants_round_trip_down_to_the_matrix_range():
+    # StdForm.matrix holds ab - c+^2 only to about eps ab, so its invariants
+    # return the coordinates to about 2 eps/(mu_A mu_B) relative.  Checked with
+    # a factor 2 to spare, and at 1e-6 down to mu_A mu_B = 5e-10, the range
+    # that the docstrings and the README give.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(3_000):
+        mu = 10.0 ** rng.uniform(-4.0, 0.0)
+        a = 10.0 ** rng.uniform(0.0, np.log10(1.0 / np.sqrt(5e-10)))
+        b = a + rng.uniform(-1.0, 1.0) * (1.0 / mu - 1.0)
+        if not 1.0 <= b <= 1.0 / (5e-10 * a):
+            continue
+        bounds = delta_bounds(mu, 1.0 / a, 1.0 / b)
+        if bounds is None:
+            continue
+        f = rng.choice([0.0, 1.0, rng.uniform()])
+        coords = InvariantCoords(mu, 1.0 / a, 1.0 / b, bounds[0] + f * (bounds[1] - bounds[0]))
+        back, _ = invariants(cm_from_invariants(coords).matrix(), warn_nonphysical=False)
+        rtol = min(1e-9 + 4.0 * eps * a * b, 1e-6)
+        np.testing.assert_allclose(
+            [back.mu, back.mu_a, back.mu_b, back.delta],
+            [coords.mu, coords.mu_a, coords.mu_b, coords.delta],
+            rtol=rtol,
+            atol=0.0,
+        )
+        checked += 1
+    assert checked > 2_000
+
+
 def _discriminant_c(mu, a, b, delta):
     """The standard form's (c+, c-) from the discriminant t^2 - 4p^2.
 
@@ -820,7 +851,7 @@ def _mp_std_form_c(mu, a, b, delta):
     ],
 )
 def test_cm_from_invariants_where_the_plain_products_overflow(mu, mu_ab, delta):
-    # 4|p| or gap (gap + 4|p|) leaves the float range in _std_form_c here.
+    # Here the plain products 4|p| or gap (gap + 4|p|) would leave the float range.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         std = cm_from_invariants(InvariantCoords(mu, mu_ab, mu_ab, delta))
@@ -829,8 +860,28 @@ def test_cm_from_invariants_where_the_plain_products_overflow(mu, mu_ab, delta):
     assert std.c_minus == pytest.approx(c_minus, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "mu, energy", [(0.3, 8.0), (0.05, 12.0), (0.9, 12.0), (0.47, 3.0), (0.4445, 3.0)]
+)
+def test_std_form_c_matches_mpmath_on_sampler_draws(mu, energy):
+    # The sampler's own draws at the benchmark points.  p = (delta - a^2 - b^2)/2
+    # cancels, so its rounding alone moves c+ and c- by eps (a^2 + b^2)/|p|
+    # relative.  _discriminant_c exceeds the bound below about elevenfold at mu = 0.9.
+    rng = np.random.default_rng(11)
+    a, b, lo, length = _draw_intervals(mu, energy, 300, rng)
+    delta = lo + rng.random(a.size) * length
+    c_plus, c_minus = core._std_form_c(mu, a, b, delta)
+    cond = (a * a + b * b) / np.abs(0.5 * (delta - a * a - b * b))
+    bound = 16.0 * np.finfo(float).eps * cond
+    for k in range(a.size):
+        want_plus, want_minus = _mp_std_form_c(mu, a[k], b[k], delta[k])
+        assert abs(c_plus[k] - want_plus) <= bound[k] * abs(want_plus)
+        assert abs(c_minus[k] - want_minus) <= bound[k] * abs(want_minus)
+
+
 def test_std_form_c_chooses_the_factored_products_per_element():
-    # One element past 1e153 in a batch leaves the others' bits as they are alone.
+    # Each element's (c+, c-) is the same alone as in a batch, also next to an
+    # element where the plain product gap (gap + 4|p|) would overflow.
     rng = np.random.default_rng(7)
     mu = rng.uniform(0.2, 0.9, 200)
     a, b = 1.0 / rng.uniform(mu, 1.0, (2, 200))

@@ -486,7 +486,8 @@ def test_overflowing_marginal_sum_leaves_the_other_cells_bit_identical():
 
 
 def test_tiny_marginal_purities_leave_the_other_cells_bit_identical():
-    # Only the cells whose t (2 + t) overflows take the wide square root.
+    # A cell whose t (2 + t) would overflow leaves the other cells' values as
+    # they are alone.
     mu_a = np.array([1e-100, 0.5, 0.6, 0.9])
     mu_b = np.array([1e-100, 0.5, 0.62, 0.95])
     d_min, d_max, valid = delta_bounds_batch(0.9, mu_a, mu_b)
@@ -502,8 +503,8 @@ def test_tiny_marginal_purities_leave_the_other_cells_bit_identical():
 
 def test_entangled_mean_takes_the_wide_root_without_being_told():
     # Any caller of the shared antiderivative step, not only logneg_average,
-    # gets a finite mean where t (2 + t) overflows, and the plain cells keep
-    # their bits.
+    # gets a finite mean where t (2 + t) would overflow, and the other cells
+    # keep the values they have alone.
     mu, t1 = 0.9, np.array([1e200, 3.0, 0.25])
     ent_len = np.array([1.5, 0.5, 0.1])
     span = np.array([2.0, 0.75, 0.1])
