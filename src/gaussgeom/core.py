@@ -69,6 +69,8 @@ _NOT_POSITIVE_DEFINITE = "covariance matrix is not positive definite"
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 _SQUARE_MAX = float(np.nextafter(2.0**512, 0.0))  # the largest float whose square is finite
+#: Smallest purity of the seralian geometry: 1/mu^2 = 2**1022 stays finite.
+_MU_MIN = 2.0**-511
 
 
 class DomainError(ValueError):
@@ -486,6 +488,19 @@ def standard_form(sigma) -> StdForm:
     return StdForm(a=float(a), b=float(b), c_plus=float(0.5 * (q + r)), c_minus=c_minus)
 
 
+def _require_purities(mu: float, mu_a, mu_b) -> None:
+    """Raise DomainError unless mu and every marginal purity lie in [2**-511, 1] (to 1e-9)."""
+    for name, val in (("mu", mu), ("mu_a", mu_a), ("mu_b", mu_b)):
+        val = np.asarray(val, dtype=float)
+        bad = ~((val >= _MU_MIN) & (val <= 1.0 + 1e-9))  # NaN is bad too
+        if np.any(bad):
+            value = val[bad].flat[0]
+            why = "must lie in (0, 1]"
+            if 0.0 < value < 1.0:
+                why = f"is below {_MU_MIN:.3g}: 1/{name}^2 leaves the float range"
+            raise DomainError(f"{name} = {value} {why}")
+
+
 def _seralian_edges(mu, a, b):
     """Seralian edges 2/mu + (a - b)^2 and (a + b)^2 - 2/mu of the standard form.
 
@@ -527,20 +542,20 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
 
     Inverts the map behind :func:`invariants`: a = 1/mu_a, b = 1/mu_b,
     c+ c- = (delta - a^2 - b^2)/2 and c+^2 + c-^2 fixed by det Sigma = 1/mu^2.
-    Raises DomainError when the coordinates admit no physical state: when
-    delta lies outside the closed-form seralian interval of the purities
-    by more than a relative 1e-9, or when the reconstructed matrix would
-    not be positive definite.  On the edges of the interval c+ = |c-|.
+    Raises DomainError when a purity lies outside [2**-511, 1], the range
+    in which its inverse square stays finite, and when the coordinates
+    admit no physical state: when delta lies outside the closed-form
+    seralian interval of the purities by more than a relative 1e-9, or when
+    the reconstructed matrix would not be positive definite.  On the edges
+    of the interval c+ = |c-|.
     The parameters are accurate to rounding for marginal purities down to
     2**-511 and are returned without an error there, but their float64
     :meth:`StdForm.matrix` holds the state to 1e-6 only while
     mu_A mu_B >= 5e-10.
     """
     mu, mu_a, mu_b, delta = coords.mu, coords.mu_a, coords.mu_b, coords.delta
+    _require_purities(mu, mu_a, mu_b)
     slack = 1e-9
-    for name, val in (("mu", mu), ("mu_a", mu_a), ("mu_b", mu_b)):
-        if not (0.0 < val <= 1.0 + slack):
-            raise DomainError(f"{name} = {val} must lie in (0, 1]")
     mu = min(mu, 1.0)
     a, b = 1.0 / mu_a, 1.0 / mu_b
     lo, hi = _seralian_edges(mu, a, b)

@@ -9,12 +9,13 @@ dropped; only the shapes and ratios of the densities are meaningful here.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantCoords, StdForm, validate_covmat
+from .core import _FLOAT_MIN, InvariantCoords, StdForm, validate_covmat
 
 __all__ = [
     "MeasureKind",
@@ -163,13 +164,39 @@ def density(kind: MeasureKind, nu) -> float:
 
     For the fixed-purity kind the value is the repulsion factor on the
     purity shell and zero off the shell (the delta factor cannot be
-    evaluated pointwise).
+    evaluated pointwise).  The value is the product of the power of
+    prod(nu_k) and the repulsion factor where both are normal floats, and
+    otherwise comes from :func:`_decimal_density`: it is 0.0 or inf only
+    where the true value lies outside the float range, and never NaN.
     """
     nu = _spectrum(nu)
     exponent = _prod_exponent(kind, len(nu))
     if _off_shell(kind, nu):
         return 0.0
-    return _pow(math.prod(nu), exponent) * _repulsion(nu)
+    power, repulsion = _pow(math.prod(nu), exponent), _repulsion(nu)
+    if _FLOAT_MIN <= power < math.inf and _FLOAT_MIN <= repulsion < math.inf:
+        return power * repulsion
+    return _decimal_density(nu, exponent)
+
+
+def _decimal_density(nu: list[float], exponent: float) -> float:
+    """(prod nu_k)^exponent times the repulsion factor, rounded once to a float.
+
+    Taken in 40-digit decimal arithmetic, whose exponent range holds every
+    such value, so only the final rounding meets the float range: 0.0 below
+    it, inf above it, and the correctly rounded value inside it (subnormals
+    included).  Each factor of the repulsion is formed as
+    ((nu_l - nu_m)(nu_l + nu_m))^2.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        d = [decimal.Decimal(v) for v in nu]
+        value = math.prod(d) ** decimal.Decimal(exponent)
+        for l in range(len(d)):
+            for m in range(l):
+                value *= ((d[l] - d[m]) * (d[l] + d[m])) ** 2
+        return float(value)
 
 
 def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:

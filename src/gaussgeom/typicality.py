@@ -27,15 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, StdForm, _std_form_c
+from .core import _SQUARE_MAX, DomainError, StdForm, _std_form_c
 from .correlations import (
     RegionClass,
-    delta_bounds,
-    delta_bounds_batch,
+    delta_bounds_batch,  # noqa: F401  (re-exported: callers import it from here)
     log_negativity,  # noqa: F401  (re-exported: callers import it from here)
     logneg_average,
-    _entangled_mean,
     _region_codes,
+    _seralian_average,
 )
 
 __all__ = [
@@ -98,7 +97,9 @@ class EnergyEnsemble:
 
     The weight support requires E > 1/mu_A + 1/mu_B, and states with purity
     mu exist at energy E only for mu > 4/E^2 (the symmetric thermal state
-    nu_1 = nu_2 = E/2 maximizes det Sigma at fixed trace).
+    nu_1 = nu_2 = E/2 maximizes det Sigma at fixed trace).  Raises
+    DomainError outside that support and for E >= 2**512, where E^2 leaves
+    the float range.
     """
 
     mu: float
@@ -109,6 +110,10 @@ class EnergyEnsemble:
             raise DomainError(f"(mu, E) = ({self.mu}, {self.energy}) must be finite")
         if self.energy <= 2.0:
             raise DomainError(f"energy = {self.energy} must exceed 2 for a two-mode ensemble")
+        if self.energy > _SQUARE_MAX:
+            raise DomainError(
+                f"energy = {self.energy} must be below 2**512: E^2 leaves the float range"
+            )
         mu_min = 4.0 / self.energy**2
         if not mu_min < self.mu < 1.0:
             raise DomainError(
@@ -192,10 +197,10 @@ def mean_logneg_fixed_purities(mu: float, mu_a: float, mu_b: float) -> float:
     :func:`~gaussgeom.correlations.logneg_average` evaluates in closed form.
     Raises DomainError when no physical states exist.
     """
-    bounds = delta_bounds(mu, mu_a, mu_b)
-    if bounds is None:
+    prop, mean = logneg_average(mu, mu_a, mu_b)
+    if np.isnan(prop[0]):
         raise DomainError(f"no physical states at (mu, mu_A, mu_B) = ({mu}, {mu_a}, {mu_b})")
-    return float(logneg_average(mu, mu_a, mu_b, *bounds)[1])
+    return float(mean[0])
 
 
 def _purity_grid(mu: float, grid_size: int, plane: bool):
@@ -214,8 +219,7 @@ def _purity_grid(mu: float, grid_size: int, plane: bool):
         mu_a, mu_b = np.repeat(values, grid_size), np.tile(values, grid_size)
     else:
         mu_a = mu_b = values
-    d_min, d_max, _ = delta_bounds_batch(mu, mu_a, mu_b)
-    props, means = logneg_average(mu, mu_a, mu_b, d_min, d_max)
+    props, means = logneg_average(mu, mu_a, mu_b)
     return values, _region_codes(props), props, means
 
 
@@ -266,7 +270,7 @@ def energy_weight(mu_a, mu_b, energy: float):
     mu_a = np.asarray(mu_a, dtype=float)
     mu_b = np.asarray(mu_b, dtype=float)
     excess = energy - 1.0 / mu_a - 1.0 / mu_b
-    w = np.where(excess > 0.0, excess / (mu_a**2 * mu_b**2), 0.0)
+    w = np.divide(excess, mu_a**2 * mu_b**2, out=np.zeros_like(excess), where=excess > 0.0)
     return float(w) if w.ndim == 0 else w
 
 
@@ -286,13 +290,15 @@ def energy_constrained_stats(mu: float, energy: float, mc: McConfig | None = Non
     v = 1/mu_A - 1/mu_B, contributes the closed-form entangled proportion
     and mean E_N over its seralian interval, and its steering indicator and
     G (both independent of the seralian).  All four are taken in (u, v),
-    block by block as the draws are accepted: the interval has length
-    L(u, v) of :class:`_UVSupport`, its entangled part has length
-    clip(u^2 - (1 + 1/mu)^2, 0, L), E_N at its lower end is set by
-    t = u^2/(2/mu) - 2, and with 1/min(mu_A, mu_B) = (u + |v|)/2 the state
-    is steerable iff that exceeds 1/mu, with G = max(ln(mu (u + |v|)/2), 0).
-    The four statistics are plain means over one shared sample with
-    standard errors std/sqrt(n).
+    block by block as the draws are accepted: the first two come from the
+    seralian-interval kernel that the purity scans use too
+    (:func:`~gaussgeom.correlations.logneg_average`), given h = u/2 and the
+    interval length L(u, v) of :class:`_UVSupport`, and with
+    1/min(mu_A, mu_B) = (u + |v|)/2 the state is steerable iff that exceeds
+    1/mu, with G = max(ln(mu (u + |v|)/2), 0).  The four statistics are
+    plain means over one shared sample with standard errors std/sqrt(n).
+    Raises DomainError outside the ensemble's support and for energies
+    whose square leaves the float range (see :class:`EnergyEnsemble`).
     """
     mc = mc or McConfig()
     EnergyEnsemble(mu, energy)
@@ -309,15 +315,13 @@ def _uv_statistics(mu: float, box: _UVSupport, u, v, out: np.ndarray) -> None:
     """Write the four per-draw statistics of accepted draws (u, v) into ``out``.
 
     The rows of ``out`` are the entangled proportion, the mean E_N, the
-    steering indicator and G; see :func:`energy_constrained_stats`.
+    steering indicator and G; see :func:`energy_constrained_stats`.  The
+    first two come from :func:`~gaussgeom.correlations._seralian_average`
+    at h = (1/mu_A + 1/mu_B)/2 = u/2 and the interval length L(u, v), as in
+    :func:`~gaussgeom.correlations.logneg_average`.
     """
-    prop, mean_en, steer, g = out
-    length = box.length(u, v)
-    u_sq = u * u
-    ent_len = np.clip(u_sq - (1.0 + 1.0 / mu) ** 2, 0.0, length)
-    np.divide(ent_len, length, out=prop)
-    t = np.maximum(u_sq * (0.5 * mu) - 2.0, 0.0)
-    mean_en[:] = _entangled_mean(mu, prop, t, ent_len, length)
+    out[0], out[1] = _seralian_average(mu, 0.5 * u, box.length(u, v))
+    steer, g = out[2:]
     x_max = 0.5 * (u + np.abs(v))
     np.greater(x_max, 1.0 / mu, out=steer)
     np.maximum(np.log(mu * x_max), 0.0, out=g)
@@ -374,11 +378,13 @@ def _pure_state_means(t: float) -> tuple[float, float]:
         en = math.sqrt(2.0 * t) * math.fsum(c * p for c, p in zip(_EN_SERIES, power))
         g = t * math.fsum(c * p for c, p in zip(_G_SERIES, power))
         return en, g
-    h = 1.0 + t
-    root = math.sqrt(t * (2.0 + t))  # sqrt(h^2 - 1)
-    den = t * t
-    en = ((h * h + 0.5) * math.log1p(t + root) - 1.5 * h * root) / den
-    g = (h * h * math.log1p(t) - t - 1.5 * t * t) / den
+    # Divided by t^2 term by term, so that nothing overflows up to the top of
+    # the float range: h/t, sqrt(h^2 - 1)/t = sqrt(2 + t)/sqrt(t) and
+    # arccosh h = 2 asinh(sqrt(t/2)).
+    h_t = (1.0 + t) / t
+    root_t = math.sqrt(2.0 + t) / math.sqrt(t)
+    en = (h_t * h_t + 0.5 / t / t) * 2.0 * math.asinh(math.sqrt(0.5 * t)) - 1.5 * h_t * root_t
+    g = h_t * h_t * math.log1p(t) - 1.0 / t - 1.5
     return en, g
 
 

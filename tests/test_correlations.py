@@ -395,9 +395,8 @@ def test_batched_kernels_reject_bad_marginals():
         delta_bounds_batch(0.5, [0.5, 0.5], [0.5, 1.5])
     with pytest.raises(DomainError, match="mu_b = nan"):
         delta_bounds_batch(0.5, 0.5, np.nan)
-    d_min = np.array([4.0, 4.0])
     with pytest.raises(DomainError, match="mu_a = -0.5 must lie in"):
-        logneg_average(0.5, np.array([-0.5, 0.6]), np.array([0.6, 0.6]), d_min, d_min + 1.0)
+        logneg_average(0.5, np.array([-0.5, 0.6]), np.array([0.6, 0.6]))
 
 
 def test_batched_kernels_reject_bad_marginals_without_warning():
@@ -406,7 +405,7 @@ def test_batched_kernels_reject_bad_marginals_without_warning():
         with pytest.raises(DomainError):
             delta_bounds_batch(0.5, [0.0, 0.5], [0.5, 0.5])
         with pytest.raises(DomainError):
-            logneg_average(0.5, np.array([0.0]), np.array([0.5]), np.array([4.0]), np.array([5.0]))
+            logneg_average(0.5, np.array([0.0]), np.array([0.5]))
 
 
 @pytest.mark.parametrize(
@@ -414,10 +413,12 @@ def test_batched_kernels_reject_bad_marginals_without_warning():
     [
         lambda: delta_threshold(1e-200, 0.5, 0.5),
         lambda: delta_threshold(0.5, 1e-200, 0.5),
-        lambda: logneg_average(1e-200, np.array([0.5]), np.array([0.5]), 4.0, 5.0),
-        lambda: logneg_average(0.5, np.array([0.5]), np.array([1e-200]), 4.0, 5.0),
+        lambda: logneg_average(1e-200, np.array([0.5]), np.array([0.5])),
+        lambda: logneg_average(0.5, np.array([0.5]), np.array([1e-200])),
         lambda: delta_bounds(0.5, 1e-200, 1.0),
         lambda: delta_bounds_batch(0.5, [0.5, 0.5], [0.5, 1e-200]),
+        lambda: cm_from_invariants(InvariantCoords(1e-200, 1e-100, 1e-100, 2e200)),
+        lambda: cm_from_invariants(InvariantCoords(0.5, 1e-200, 0.5, 4.5)),
     ],
 )
 def test_purities_below_the_float_range_raise_domain_error(call):
@@ -473,7 +474,7 @@ def test_overflowing_marginal_sum_leaves_the_other_cells_bit_identical():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         thr = delta_threshold(0.9, mu_a, mu_b)
-        prop, mean = logneg_average(0.9, mu_a, mu_b, d_min, d_max)
+        prop, mean = logneg_average(0.9, mu_a, mu_b)
         region = classify_region(0.9, mu_a[0], mu_b[0])
     # The capped threshold still lies above the whole interval.
     assert np.isfinite(thr).all() and thr[0] > d_max[0]
@@ -481,7 +482,7 @@ def test_overflowing_marginal_sum_leaves_the_other_cells_bit_identical():
     assert mean[0] == mean_logneg_fixed_purities(0.9, 2.0**-511, 2.0**-511)
     for k in range(1, 4):
         assert thr[k] == delta_threshold(0.9, mu_a[k], mu_b[k])
-        one = logneg_average(0.9, mu_a[k : k + 1], mu_b[k : k + 1], d_min[k : k + 1], d_max[k : k + 1])
+        one = logneg_average(0.9, mu_a[k : k + 1], mu_b[k : k + 1])
         assert (prop[k], mean[k]) == (one[0][0], one[1][0])
 
 
@@ -494,11 +495,48 @@ def test_tiny_marginal_purities_leave_the_other_cells_bit_identical():
     assert valid.all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prop, mean = logneg_average(0.9, mu_a, mu_b, d_min, d_max)
+        prop, mean = logneg_average(0.9, mu_a, mu_b)
     assert np.isfinite(mean).all()
     for k in range(1, 4):
-        one = logneg_average(0.9, mu_a[k : k + 1], mu_b[k : k + 1], d_min[k : k + 1], d_max[k : k + 1])
+        one = logneg_average(0.9, mu_a[k : k + 1], mu_b[k : k + 1])
         assert (prop[k], mean[k]) == (one[0][0], one[1][0])
+
+
+def test_product_of_thermal_state_and_vacuum_is_separable():
+    # (mu_A, mu_B) = (mu, 1) is the single state thermal x vacuum: its
+    # seralian interval has zero width and E_N = 0 there.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_region(0.7, 0.7, 1.0) == (RegionClass.ALL_SEPARABLE, 0.0)
+        assert classify_region(0.7, 1.0, 0.7) == (RegionClass.ALL_SEPARABLE, 0.0)
+        assert mean_logneg_fixed_purities(0.7, 0.7, 1.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "mu, mu_a, mu_b",
+    [
+        # thermal x vacuum (zero width) next to ordinary and unphysical cells
+        (0.5, [0.5, 1.0, 0.6, 0.7, 0.65, 0.9], [1.0, 0.5, 0.62, 0.7, 0.65, 0.95]),
+        # pure states: an entangled point, the vacuum and an unphysical cell
+        (1.0, [0.5, 1.0, 0.5], [0.5, 1.0, 1.0]),
+    ],
+)
+def test_zero_width_cells_leave_the_other_cells_bit_identical(mu, mu_a, mu_b):
+    mu_a, mu_b = np.array(mu_a), np.array(mu_b)
+    d_min, d_max, valid = delta_bounds_batch(mu, mu_a, mu_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prop, mean = logneg_average(mu, mu_a, mu_b)
+        alone = [logneg_average(mu, mu_a[k : k + 1], mu_b[k : k + 1]) for k in range(mu_a.size)]
+    assert np.array_equal(np.isnan(prop), ~valid) and np.array_equal(np.isnan(mean), ~valid)
+    for k in range(mu_a.size):
+        np.testing.assert_array_equal([prop[k], mean[k]], [alone[k][0][0], alone[k][1][0]])
+        if valid[k] and d_min[k] == d_max[k]:
+            # A zero-width interval gives the values at its single state.
+            e_n = log_negativity(InvariantCoords(mu, mu_a[k], mu_b[k], d_min[k]))
+            assert prop[k] == (e_n > 0.0)
+            assert mean[k] == pytest.approx(e_n, rel=1e-14, abs=0.0)
+    assert (d_min == d_max).sum() >= 2 and (valid & (d_min < d_max)).any() == (mu < 1.0)
 
 
 def test_entangled_mean_takes_the_wide_root_without_being_told():

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +116,46 @@ def test_density_ratio_rejects_nan_and_overflows_to_inf():
             density_ratio(HILBERT_SCHMIDT, FISHER_RAO, nu)
     assert density_ratio(REDUCED_PURE, HILBERT_SCHMIDT, [1e20, 2e20]) == np.inf
     assert density_reduced_pure([1.0, 1e160]) == np.inf
+
+
+def _mp_density(kind, nu):
+    """prod(nu_k)^exponent times the repulsion factor in 40-digit mpmath, exponent not bounded."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        n = len(nu)
+        exponent = {"hilbert-schmidt": -n * (n + 2.5) + 1, "fisher-rao": -2 * n + 1,
+                    "reduced-pure": 2}[kind.tag]
+        x = [mpmath.mpf(v) for v in nu]
+        value = mpmath.fprod(x) ** exponent
+        for l in range(n):
+            for m in range(l):
+                value *= (x[l] ** 2 - x[m] ** 2) ** 2
+        return value
+
+
+@pytest.mark.parametrize("kind", [HILBERT_SCHMIDT, FISHER_RAO, REDUCED_PURE])
+@pytest.mark.parametrize(
+    "nu",
+    [[1e77, 2e77], [3.0, 1e160], [1e20, 2e20], [1e200, 2e200], [1.0, 1.7e308], [1e300],
+     [1.5, 2e100, 3e100], [1.0, 1.0 + 2e-16, 1e160]],
+)
+def test_density_at_spectra_beyond_the_float_range_of_its_factors(kind, nu):
+    # The power of prod(nu_k) underflows or overflows here, or the repulsion
+    # factor does: the density is the true value where it is a float, 0.0
+    # below the float range and inf above it, never NaN.
+    import mpmath
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = density(kind, nu)
+    want = _mp_density(kind, nu)
+    if want > sys.float_info.max:
+        assert got == math.inf
+    elif want < sys.float_info.min * sys.float_info.epsilon:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0.0), mpmath.nstr(want, 20)
 
 
 def _zero_test_spectra() -> list[list[float]]:

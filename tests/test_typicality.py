@@ -226,6 +226,39 @@ def test_energy_ensemble_validation():
     EnergyEnsemble(0.5, 5.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e: EnergyEnsemble(0.5, e),
+        lambda e: energy_constrained_stats(0.5, e),
+        lambda e: energy_constrained_ratio(0.5, e, lambda a, b, lo, hi: hi - lo),
+        lambda e: sample_energy_constrained(0.5, e, 3),
+    ],
+)
+@pytest.mark.parametrize("energy", [2.0**512, 1.4e154, 1e300, np.float64(1.7e308)])
+def test_energies_whose_square_overflows_raise_domain_error(call, energy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range"):
+            call(energy)
+
+
+def test_energy_ensemble_accepts_the_largest_energy_in_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        EnergyEnsemble(0.5, float(np.nextafter(2.0**512, 0.0)))
+
+
+def test_energy_weight_divides_only_on_its_support():
+    # Off the support (mu_A^2 mu_B^2 underflows to 0 here) the weight is
+    # 0.0 without a division, so no divide-by-zero warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy_weight(1e-200, 1e-200, 5.0) == 0.0
+        w = energy_weight(np.array([1e-200, 0.5, 1.0]), np.array([1e-200, 0.5, 1.0]), 5.0)
+    np.testing.assert_array_equal(w, [0.0, 1.0 / 0.0625, 3.0])
+
+
 def test_energy_constrained_ratio_of_ones_is_exact():
     est = energy_constrained_ratio(
         0.4, 6.0, lambda mu_a, mu_b, lo, hi: hi - lo, McConfig(seed=2, final_evals=5000)
@@ -503,6 +536,24 @@ def test_pure_endpoint_means_nondecreasing_across_series_switch():
         assert np.all(np.diff([ep.mean_steering for ep in eps]) >= 0.0)
 
 
+@pytest.mark.parametrize("energy", [1e150, 2.7e154, 1e300, 1.7e308])
+def test_pure_endpoint_matches_mpmath_up_to_the_top_of_the_float_range(energy):
+    # The closed form in h = E/2 and t = h - 1, where h^2 and t^2 overflow.
+    import mpmath
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ep = pure_state_endpoint(energy)
+    with mpmath.workdps(60):
+        h = mpmath.mpf(energy) / 2
+        t = h - 1
+        root = mpmath.sqrt(h * h - 1)
+        en = ((h * h + 0.5) * mpmath.acosh(h) - 1.5 * h * root) / (t * t) / mpmath.log(2)
+        g = (h * h * mpmath.log(h) - 1.5 * h * h + 2 * h - 0.5) / (t * t)
+    assert ep.mean_logneg == pytest.approx(float(en), rel=1e-15, abs=0.0)
+    assert ep.mean_steering == pytest.approx(float(g), rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("energy", [2.0 - 1e-12, 2.0 - 5e-13, 2.0 + 5e-13, 2.0 + 1e-12])
 def test_pure_endpoint_vacuum_window(energy):
     ep = pure_state_endpoint(energy)
@@ -677,7 +728,7 @@ def test_uv_statistics_match_logneg_average_on_oracle_draws(mu, e):
     box = _UVSupport.of(mu, e)
     got = np.empty((4, u.size))
     _uv_statistics(mu, box, u, v, got)
-    prop, mean_en = logneg_average(mu, mu_a, mu_b, d_min, d_max)
+    prop, mean_en = logneg_average(mu, mu_a, mu_b)
     mu_min = np.minimum(mu_a, mu_b)
     np.testing.assert_array_equal(got[2], (mu_min < mu).astype(float))
     # Relative to the terms that cancel: the entangled length is a
