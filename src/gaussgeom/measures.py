@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _FLOAT_MIN, InvariantCoords, StdForm, validate_covmat
+from .core import InvariantCoords, StdForm, validate_covmat
 
 __all__ = [
     "MeasureKind",
@@ -164,18 +164,17 @@ def density(kind: MeasureKind, nu) -> float:
 
     For the fixed-purity kind the value is the repulsion factor on the
     purity shell and zero off the shell (the delta factor cannot be
-    evaluated pointwise).  The value is the product of the power of
-    prod(nu_k) and the repulsion factor where both are normal floats, and
-    otherwise comes from :func:`_decimal_density`: it is 0.0 or inf only
-    where the true value lies outside the float range, and never NaN.
+    evaluated pointwise).  The value comes from :func:`_decimal_density`:
+    it is 0.0 or inf only where the true value lies outside the float
+    range, and never NaN.  Raises ValueError for an infinite eigenvalue,
+    where the density has no value.
     """
     nu = _spectrum(nu)
+    if math.inf in nu:
+        raise ValueError("symplectic eigenvalues must be finite")
     exponent = _prod_exponent(kind, len(nu))
     if _off_shell(kind, nu):
         return 0.0
-    power, repulsion = _pow(math.prod(nu), exponent), _repulsion(nu)
-    if _FLOAT_MIN <= power < math.inf and _FLOAT_MIN <= repulsion < math.inf:
-        return power * repulsion
     return _decimal_density(nu, exponent)
 
 

@@ -541,17 +541,17 @@ def test_zero_width_cells_leave_the_other_cells_bit_identical(mu, mu_a, mu_b):
 
 def test_entangled_mean_takes_the_wide_root_without_being_told():
     # Any caller of the shared antiderivative step, not only logneg_average,
-    # gets a finite mean where t (2 + t) would overflow, and the other cells
-    # keep the values they have alone.
-    mu, t1 = 0.9, np.array([1e200, 3.0, 0.25])
-    ent_len = np.array([1.5, 0.5, 0.1])
+    # gets a finite mean where tau (1 + tau) would overflow, and the other
+    # cells keep the values they have alone.  tau1, dtau and span are in tau.
+    mu, tau1 = 0.9, np.array([1e200, 3.0, 0.25])
+    dtau = np.array([1.5, 0.5, 0.1])
     span = np.array([2.0, 0.75, 0.1])
-    prop = ent_len / span
+    prop = dtau / span
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean = _entangled_mean(mu, prop, t1, ent_len, span)
+        mean = _entangled_mean(mu, prop, tau1, dtau, span)
     assert np.isfinite(mean).all() and mean[0] > 0.0
-    plain = _entangled_mean(mu, prop[1:], t1[1:], ent_len[1:], span[1:])
+    plain = _entangled_mean(mu, prop[1:], tau1[1:], dtau[1:], span[1:])
     assert np.array_equal(mean[1:], plain)
 
 

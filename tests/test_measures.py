@@ -56,6 +56,14 @@ def test_density_reduced_pure_examples():
 def test_density_rejects_unphysical_spectrum():
     with pytest.raises(ValueError, match=">= 1"):
         density_hs([0.5])
+    # An infinite eigenvalue is no state, and the density has no value there
+    # (at [inf, 2.0] the power of prod(nu_k) is 0 and the repulsion inf).
+    for kind in (HILBERT_SCHMIDT, FISHER_RAO, REDUCED_PURE, fixed_purity(0.25)):
+        for nu in ([math.inf, 2.0], [math.inf, math.inf], [1.5, math.inf, math.inf], [math.inf]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be finite"):
+                    density(kind, nu)
 
 
 def test_density_ratio_examples():
