@@ -9,7 +9,11 @@ marginal purities with the weight of :func:`energy_weight`.  One exact
 rejection sampler draws them against their density, weight times
 seralian-interval length, in u = 1/mu_A + 1/mu_B and v = 1/mu_A - 1/mu_B.
 It tests its proposals in cache-sized blocks and stops at the block that
-completes the requested number of draws.  The ensemble averages are sample
+completes the requested number of draws.  Each running sampler draws its
+proposal batches into one reused buffer of 1.5 MB, kept between calls, so
+that a call does not grow the heap and fault its pages in again.  The
+sampler takes energies up to 2**200, below the 1.29e62 where its weight
+leaves the float range.  The ensemble averages are sample
 means of the closed-form seralian averages, taken block by block straight
 from the accepted (u, v); the state sampler builds each state from them
 too, with a seralian uniform on its interval and the standard form of core.
@@ -297,8 +301,9 @@ def energy_constrained_stats(mu: float, energy: float, mc: McConfig | None = Non
     1/min(mu_A, mu_B) = (u + |v|)/2 the state is steerable iff that exceeds
     1/mu, with G = max(ln(mu (u + |v|)/2), 0).  The four statistics are
     plain means over one shared sample with standard errors std/sqrt(n).
-    Raises DomainError outside the ensemble's support and for energies
-    whose square leaves the float range (see :class:`EnergyEnsemble`).
+    Raises DomainError outside the ensemble's support (see
+    :class:`EnergyEnsemble`) and above the sampler's energy cap 2**200
+    (see :class:`_UVSupport`).
     """
     mc = mc or McConfig()
     EnergyEnsemble(mu, energy)
@@ -336,7 +341,8 @@ def energy_constrained_ratio(
     of the quantity over the allowed seralian interval; the result is the
     sample mean of its ratio to the interval length over exact ensemble
     draws.  With ``inner`` returning the interval length itself the ratio
-    is exactly 1.
+    is exactly 1.  Raises DomainError where :func:`energy_constrained_stats`
+    does.
     """
     mc = mc or McConfig()
     EnergyEnsemble(mu, energy)
@@ -419,8 +425,22 @@ def pure_state_endpoint(energy: float) -> PureEndpoint:
 # ---------------------------------------------------------------------------
 # Exact sampler of energy-constrained states
 
-#: Largest proposal batch of the sampler; bounds its working memory.
+#: Largest proposal batch of the sampler; bounds its working memory.  Each
+#: running sampler draws its batches into one (3, _SAMPLER_BATCH) buffer of
+#: 1.5 MB, kept in :data:`_DRAW_BUFFERS` between calls.  Three fresh 512 KB
+#: arrays per batch made the heap grow during a call and shrink after it,
+#: so every call faulted about 6 MB of pages in again.
 _SAMPLER_BATCH = 65_536
+#: Free list of draw buffers: a sampler pops one (or allocates one if the
+#: list is empty) and appends it back when it finishes or is closed, so the
+#: list holds at most one buffer per sampler ever running at once.
+_DRAW_BUFFERS: list[np.ndarray] = []
+#: Largest energy of the sampler.  On the support, energy_weight =
+#: (E - u)(xy)^2 in x = 1/mu_A, y = 1/mu_B peaks at (16/3125) E^5 (xy <= u^2/4,
+#: largest at u = 4E/5), which leaves the float range once E passes about
+#: 1.29e62.  At 2**200 every proposal's weight stays below E^5 = 2**1000
+#: and (mu_A mu_B)^2 above 2**-800, both normal floats.
+_SAMPLER_ENERGY_MAX = 2.0**200
 #: Proposals per acceptance slice.  The dozen temporaries of a slice stay in
 #: a 2 MB L2 cache; 65 536-wide slices ran about 2x slower per proposal.
 _BLOCK = 16_384
@@ -492,6 +512,9 @@ class _UVSupport:
     hence x, y > 1.  The box 2/sqrt(mu) <= u <= E, |v| <= V with
     V^2 = min((1/mu - 1)^2, E^2 - 4/mu) covers the support below the
     energy, and (E - u) L <= (E - 2/sqrt(mu)) V^2 = ``rho_max`` on it.
+
+    :meth:`of` raises DomainError for E above :data:`_SAMPLER_ENERGY_MAX`,
+    where the sampler's weight leaves the float range.
     """
 
     four_over_mu: float
@@ -502,6 +525,11 @@ class _UVSupport:
 
     @classmethod
     def of(cls, mu: float, energy: float) -> "_UVSupport":
+        if energy > _SAMPLER_ENERGY_MAX:
+            raise DomainError(
+                f"energy = {energy} must be at most 2**200 for the sampler: its weight "
+                "(E - u)(xy)^2 leaves the float range above E = 1.29e62"
+            )
         u_lo = 2.0 / np.sqrt(mu)
         cap = (1.0 / mu - 1.0) ** 2
         v_sq = min(cap, energy**2 - 4.0 / mu)
@@ -525,37 +553,55 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
 
     Each batch draws u, v and the acceptance variates with one generator
     call each, sized for the draws still missing at the acceptance seen so
-    far.  The acceptance test runs on slices of :data:`_BLOCK` proposals,
-    each passed once to :func:`energy_weight`, and stops at the slice that
-    completes ``count``; the rest of that batch is never evaluated.
+    far, into rows of a buffer taken from :data:`_DRAW_BUFFERS` and given
+    back when the generator finishes or is closed; u and v get the map
+    low + (high - low) x of ``Generator.uniform`` in place, so the draws are
+    bit for bit those of ``rng.uniform``.  The acceptance test runs on
+    slices of :data:`_BLOCK` proposals, each passed once to
+    :func:`energy_weight`, and stops at the slice that completes ``count``;
+    the rest of that batch is never evaluated.  The yielded blocks are
+    copies, never views of the buffer.
     """
     v_max = np.sqrt(box.v_sq)
+    ranges = ((box.u_lo, energy), (-v_max, v_max))
+    try:
+        draws = _DRAW_BUFFERS.pop()
+    except IndexError:
+        draws = np.empty((3, _SAMPLER_BATCH))
     n_acc = n_drawn = 0
-    while True:
-        # Size the batch for the states still missing at the acceptance seen
-        # so far: a quarter before the first batch, at least 3 % anywhere.
-        rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
-        batch = min(_SAMPLER_BATCH, max(1024, int(1.1 * (count - n_acc) / rate)))
-        u = rng.uniform(box.u_lo, energy, batch)
-        v = rng.uniform(-v_max, v_max, batch)
-        r = rng.random(batch)
-        n_drawn += batch
-        for start in range(0, batch, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            u_b, v_b = u[block], v[block]
-            mu_a = 1.0 / np.maximum(0.5 * (u_b + v_b), 1.0)
-            mu_b = 1.0 / np.maximum(0.5 * (u_b - v_b), 1.0)
-            excess = energy_weight(mu_a, mu_b, energy) * (mu_a * mu_b) ** 2  # E - u
-            ok = r[block] * box.rho_max < excess * box.length(u_b, v_b)
-            idx = np.flatnonzero(ok)[: count - n_acc]
-            n_acc += idx.size
-            yield u_b.take(idx), v_b.take(idx)
-            if n_acc == count:
-                logger.debug(
-                    "sampler acceptance %.3g (%d proposals for %d states)",
-                    n_acc / n_drawn, n_drawn, count,
-                )
-                return
+    try:
+        while True:
+            # Size the batch for the states still missing at the acceptance
+            # seen so far: a quarter before the first batch, at least 3 %
+            # anywhere.
+            rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
+            batch = min(_SAMPLER_BATCH, max(1024, int(1.1 * (count - n_acc) / rate)))
+            u, v, r = draws[:, :batch]
+            for x, (low, high) in zip((u, v), ranges):
+                # Generator.uniform(low, high) is low + (high - low) * random().
+                rng.random(out=x)
+                np.multiply(x, high - low, out=x)
+                np.add(x, low, out=x)
+            rng.random(out=r)
+            n_drawn += batch
+            for start in range(0, batch, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                u_b, v_b = u[block], v[block]
+                mu_a = 1.0 / np.maximum(0.5 * (u_b + v_b), 1.0)
+                mu_b = 1.0 / np.maximum(0.5 * (u_b - v_b), 1.0)
+                excess = energy_weight(mu_a, mu_b, energy) * (mu_a * mu_b) ** 2  # E - u
+                ok = r[block] * box.rho_max < excess * box.length(u_b, v_b)
+                idx = np.flatnonzero(ok)[: count - n_acc]
+                n_acc += idx.size
+                yield u_b.take(idx), v_b.take(idx)
+                if n_acc == count:
+                    logger.debug(
+                        "sampler acceptance %.3g (%d proposals for %d states)",
+                        n_acc / n_drawn, n_drawn, count,
+                    )
+                    return
+    finally:
+        _DRAW_BUFFERS.append(draws)
 
 
 def _draw_intervals(mu: float, energy: float, count: int, rng: np.random.Generator):
@@ -598,7 +644,7 @@ def sample_energy_constrained(
     from :func:`~gaussgeom.core._std_form_c`.  Every
     returned matrix has energy E exactly (to rounding) and passes the
     physicality test.  Raises DomainError outside the ensemble's support
-    and ValueError unless ``seed`` is a non-negative integer and ``count``
+    and above the sampler's energy cap 2**200, and ValueError unless ``seed`` is a non-negative integer and ``count``
     a positive one.
     """
     EnergyEnsemble(mu, energy)

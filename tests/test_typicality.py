@@ -1,5 +1,10 @@
+import itertools
+import sys
+import threading
 import time
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -247,6 +252,40 @@ def test_energy_ensemble_accepts_the_largest_energy_in_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         EnergyEnsemble(0.5, float(np.nextafter(2.0**512, 0.0)))
+
+
+_SAMPLER_ENTRY_POINTS = [
+    lambda mu, e: energy_constrained_stats(mu, e, McConfig(final_evals=500)),
+    lambda mu, e: energy_constrained_ratio(
+        mu, e, lambda a, b, lo, hi: hi - lo, McConfig(final_evals=500)
+    ),
+    lambda mu, e: sample_energy_constrained(mu, e, 50),
+]
+
+
+@pytest.mark.parametrize("call", _SAMPLER_ENTRY_POINTS)
+@pytest.mark.parametrize("energy", [1e65, 1e100, 2.0**511])
+def test_sampler_energies_whose_weight_overflows_raise_domain_error(call, energy):
+    # The sampler's weight (E - u)(xy)^2 peaks at (16/3125) E^5, past the
+    # float range above E = 1.29e62, although E^2 is still finite here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range"):
+            call(0.5, energy)
+
+
+@pytest.mark.parametrize("mu", [4.0 / 2.0**400 * (1.0 + 1e-4), 1e-30, 0.5, 0.999])
+def test_sampler_at_its_largest_energy_is_finite(mu):
+    e = 2.0**200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats, ratio, sigmas = (call(mu, e) for call in _SAMPLER_ENTRY_POINTS)
+    values = [v for est in vars(stats).values() for v in (est.value, est.std_error)]
+    assert np.isfinite(values).all()
+    assert ratio.value == 1.0
+    assert np.isfinite(sigmas).all()
+    energies = 0.5 * np.trace(sigmas, axis1=1, axis2=2)
+    np.testing.assert_allclose(energies, e, rtol=1e-12, atol=0.0)
 
 
 def test_energy_weight_divides_only_on_its_support():
@@ -717,6 +756,88 @@ def test_draw_purities_matches_the_unblocked_loop(mu, e, count, seed):
     edge_terms = u * u + 1.0 / mu**2
     assert np.all(np.abs(d_min - lo) <= 4.0 * eps * edge_terms)
     assert np.all(np.abs(d_min + length - hi) <= 4.0 * eps * edge_terms)
+
+
+def _uv_blocks(mu, e, count, seed):
+    return _accepted_uv(_UVSupport.of(mu, e), e, count, np.random.default_rng(seed))
+
+
+def test_interleaved_samplers_yield_what_each_yields_alone():
+    # Both run over several batches, each into its own draw buffer.
+    runs = [(0.53125, 8.0, 30_000, 1), (4.0 / 9.0 * (1.0 + 1e-4), 3.0, 20_000, 2)]
+    alone = [list(_uv_blocks(*run)) for run in runs]
+    interleaved = [[], []]
+    for pair in itertools.zip_longest(*(_uv_blocks(*run) for run in runs)):
+        for blocks, block in zip(interleaved, pair):
+            if block is not None:
+                blocks.append(block)
+    for want, got in zip(alone, interleaved):
+        assert len(got) == len(want)
+        for (u_g, v_g), (u_w, v_w) in zip(got, want):
+            np.testing.assert_array_equal(u_g, u_w)
+            np.testing.assert_array_equal(v_g, v_w)
+
+
+def test_samplers_in_threads_give_the_serial_arrays():
+    # More threads than cores, switching often: a draw buffer shared by two
+    # running samplers would mix their proposals.
+    jobs = [
+        (0.53125, 8.0, 20_000, 1),
+        (0.58, 5.0, 20_000, 2),
+        (0.72, 3.0, 5_000, 3),
+        (0.02, 40.0, 20_000, 4),
+    ]
+    serial = [sample_energy_constrained(*job) for job in jobs]
+    start = threading.Barrier(len(jobs), timeout=60)
+
+    def repeat(job):
+        start.wait()
+        return [sample_energy_constrained(*job) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(repeat, job) for job in jobs]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for want, runs in zip(serial, threaded):
+        for got in runs:
+            np.testing.assert_array_equal(got, want)
+
+
+def test_free_list_holds_one_buffer_per_running_sampler(monkeypatch):
+    buffers = []
+    monkeypatch.setattr(typicality, "_DRAW_BUFFERS", buffers)
+    for seed in range(50):
+        early = _uv_blocks(0.53125, 8.0, 30_000, seed)
+        next(early)
+        assert len(buffers) <= 1  # the one the previous round left, if any
+        energy_constrained_stats(0.53125, 8.0, McConfig(seed=seed, final_evals=1000))
+        _uv_blocks(0.58, 5.0, 10, seed)  # never started: takes no buffer
+        early.close()
+        assert len(buffers) == 2
+        assert buffers[0] is not buffers[1]
+
+
+def test_warm_sampler_allocates_no_batch_arrays(monkeypatch):
+    # At (0.72, 3) a request for 20 000 draws takes full 65 536-proposal
+    # batches.  Once a call has left its buffer on the free list, no block
+    # larger than one acceptance slice's temporaries is alive at any yield.
+    monkeypatch.setattr(typicality, "_DRAW_BUFFERS", [])
+    mu, e, count = 0.7222222222222222, 3.0, 20_000
+    for _ in _uv_blocks(mu, e, count, 0):
+        pass
+    large = []
+    tracemalloc.start()
+    try:
+        for _ in _uv_blocks(mu, e, count, 1):
+            traces = tracemalloc.take_snapshot().traces
+            large += [trace.size for trace in traces if trace.size > 8 * _BLOCK]
+    finally:
+        tracemalloc.stop()
+    assert large == []
 
 
 @pytest.mark.parametrize("mu,e", _ORACLE_POINTS)
