@@ -7,7 +7,6 @@ non-physical matrix; the report is still printed), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import os
@@ -93,31 +92,14 @@ def _analysis(sigma, tol: float) -> tuple[list[str], bool]:
 def _cmd_analyze(args) -> int:
     # Every value is computed before the first line is printed, so that a
     # failure leaves an error message and no partial report.
-    try:
-        lines, physical = _analysis(core.read_covmat(args.path), args.tol)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    lines, physical = _analysis(core.read_covmat(args.path), args.tol)
     print("\n".join(lines))
     return 0 if physical else 2
 
 
-def _open_out(path: str):
-    """The output stream and whether this call created the file.
-
-    The file is opened for writing at offset 0 with neither ``O_APPEND`` nor
-    ``O_TRUNC``, so one that exists keeps its content until the scan writes
-    its rows over it (:func:`_cmd_scan` then cuts it at their end).  Writing
-    in place keeps the file's blocks; on ext4 a truncation to zero would
-    free them and make the close start writing the new data back.  Nothing
-    is synced, so after a crash the file may hold old bytes, or old and new
-    rows mixed, at its new length.
-    """
-    if path == "-":
-        return sys.stdout, False
-    created = not os.path.lexists(path)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    return open(fd, "w", newline=""), created
+def _csv(header: list[str], rows: list[list[str]]) -> str:
+    # No field of any scan needs CSV quoting.
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _parse_energies(spec: str) -> list[float]:
@@ -200,64 +182,59 @@ def _scan_rows(args):
 
 
 def _cmd_scan(args) -> int:
-    """Run one scan, write its CSV to ``--out`` and return the exit code.
+    """Run one scan and write its CSV to ``--out`` (``-`` is stdout).
 
     The output is opened before the scan, so that a bad path fails at once,
     and written only once every row is computed, so that a scan that fails
-    leaves an existing file byte-identical.  A regular file is written from
-    offset 0 and cut at the end of the new rows; if the write fails part
-    way, it is cut at what was written, so while the machine keeps running
-    it never holds new rows followed by the old tail.  Other outputs
-    (``-``, ``/dev/null``, a FIFO) are never cut.  A file this call created
-    is removed on failure.
+    leaves an existing file byte-identical.  A file is opened with neither
+    ``O_APPEND`` nor ``O_TRUNC`` and written from offset 0: on ext4 a
+    truncation to zero would free its blocks and make the close start
+    writing the new data back.  A regular file is cut at the end of what
+    reached it, so after a complete write it ends at the new rows, and
+    after a write that failed part way it holds a prefix of them and no old
+    tail.  ``/dev/null`` and FIFOs are never cut.  A file this call created
+    is removed on failure.  Nothing is synced, so after a crash the file
+    may hold old bytes, or old and new rows mixed, at its new length.
     """
+    if args.out == "-":
+        sys.stdout.write(_csv(*_scan_rows(args)))
+        sys.stdout.flush()
+        return 0
+    created = not os.path.lexists(args.out)
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        stream, created = _open_out(args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    to_file = stream is not sys.stdout
-    regular = to_file and stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
-    began = done = False
-    try:
-        header, rows = _scan_rows(args)
-        began = True
-        # No field of any scan needs CSV quoting.
-        stream.write("".join(",".join(row) + "\n" for row in [header, *rows]))
-        stream.flush()
-        if regular:
-            stream.truncate()  # an older, longer file ends with the new rows
-        done = True
-    except (ValueError, core.DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if to_file and not done:
-            # Cut a regular file at what reached it, so that no old tail
-            # follows the new rows.  The error is reported already, so a
-            # failure to cut or to close (which retries the unwritten rest
-            # from that offset) is ignored.
-            with contextlib.suppress(OSError):
-                if began and regular:
-                    fd = stream.fileno()
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-            with contextlib.suppress(OSError):
-                stream.close()
-            if created:
-                os.remove(args.out)
-        elif to_file:
-            stream.close()
+        data = memoryview(_csv(*_scan_rows(args)).encode())
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+    except BaseException:
+        try:
+            os.close(fd)
+        except OSError:
+            pass  # the error being raised is the one to report
+        if created:
+            os.remove(args.out)
+        raise
+    os.close(fd)
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    return _cmd_scan(args)
+    try:
+        if args.command == "analyze":
+            return _cmd_analyze(args)
+        return _cmd_scan(args)
+    except (OSError, ValueError) as exc:  # core.DomainError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except IntegrationError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -582,17 +582,35 @@ def vacuum(n_modes: int) -> np.ndarray:
 
 
 def thermal(nus) -> np.ndarray:
-    """Product of thermal states with symplectic eigenvalues ``nus``."""
+    """Product of thermal states with symplectic eigenvalues ``nus``.
+
+    Raises ValueError for a non-finite eigenvalue.  Finite values below 1,
+    which give no state, are accepted.
+    """
     nus = np.asarray(nus, dtype=float)
+    if not np.isfinite(nus).all():
+        raise ValueError("symplectic eigenvalues must be finite")
     return np.diag(np.repeat(nus, 2))
+
+
+#: Largest |r| whose cosh(2r) and sinh(2r) lie in the float range (about 355.24).
+_SQUEEZING_MAX = math.acosh(sys.float_info.max) / 2.0
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
     """Two-mode squeezed vacuum with squeezing parameter r.
 
     Standard form a = b = cosh(2r), c_plus = -c_minus = sinh(2r); the state
-    is pure with log-negativity 2r/ln 2.
+    is pure with log-negativity 2r/ln 2.  Raises ValueError for a non-finite
+    r and DomainError for |r| above ``_SQUEEZING_MAX``.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"squeezing parameter r = {r} must be finite")
+    if abs(r) > _SQUEEZING_MAX:
+        raise DomainError(
+            f"squeezing parameter |r| = {abs(r)} is above {_SQUEEZING_MAX:.8g}: "
+            "cosh(2r) leaves the float range"
+        )
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     return StdForm(ch, ch, sh, -sh).matrix()
 

@@ -39,16 +39,35 @@ __all__ = [
 _SPECTRUM_TOL = 1e-9
 
 
+#: Exponent of prod(nu_k) in the eigenvalue density of each kind on N modes;
+#: every density is this power times the repulsion factor (and, for the
+#: fixed-purity kind, the shell factor of :func:`_off_shell`).
+_PROD_EXPONENTS = {
+    "hilbert-schmidt": lambda n: -n * (n + 2.5) + 1.0,
+    "fisher-rao": lambda n: -2.0 * n + 1.0,
+    "reduced-pure": lambda n: 2.0,
+    "fixed-purity": lambda n: 0.0,
+}
+
+
 @dataclass(frozen=True)
 class MeasureKind:
     """Tag selecting one of the invariant measures.
 
     ``mu`` is only set for the fixed-purity measure, whose eigenvalue
-    density is supported on the shell prod(1/nu_k) = mu.
+    density is supported on the shell prod(1/nu_k) = mu.  Raises
+    ValueError for an unknown tag and for a fixed-purity kind whose ``mu``
+    is not in (0, 1].
     """
 
     tag: str
     mu: float | None = None
+
+    def __post_init__(self):
+        if self.tag not in _PROD_EXPONENTS:
+            raise ValueError(f"unknown measure kind {self.tag!r}")
+        if self.tag == "fixed-purity" and not (self.mu is not None and 0.0 < self.mu <= 1.0):
+            raise ValueError(f"mu = {self.mu} must lie in (0, 1]")
 
 
 HILBERT_SCHMIDT = MeasureKind("hilbert-schmidt")
@@ -58,8 +77,6 @@ REDUCED_PURE = MeasureKind("reduced-pure")
 
 def fixed_purity(mu: float) -> MeasureKind:
     """Fixed-purity measure on the shell of global purity ``mu``."""
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu = {mu} must lie in (0, 1]")
     return MeasureKind("fixed-purity", mu=mu)
 
 
@@ -72,6 +89,14 @@ def _spectrum(nu) -> list[float]:
     lowest = math.nan if any(map(math.isnan, nu)) else min(nu)
     if not lowest >= 1.0 - _SPECTRUM_TOL:  # also rejects NaN
         raise ValueError(f"symplectic eigenvalues must be >= 1, got min {lowest}")
+    return nu
+
+
+def _finite_spectrum(nu) -> list[float]:
+    """:func:`_spectrum` with every eigenvalue finite; no density has a value at inf."""
+    nu = _spectrum(nu)
+    if math.inf in nu:
+        raise ValueError("symplectic eigenvalues must be finite")
     return nu
 
 
@@ -113,24 +138,9 @@ def _repulsion_vanishes(nu: list[float]) -> bool:
     return sq0 == sq1 < math.inf  # inf - inf gives a NaN factor
 
 
-#: Exponent of prod(nu_k) in the eigenvalue density of each kind on N modes;
-#: every density is this power times the repulsion factor (and, for the
-#: fixed-purity kind, the shell factor of :func:`_off_shell`).
-_PROD_EXPONENTS = {
-    "hilbert-schmidt": lambda n: -n * (n + 2.5) + 1.0,
-    "fisher-rao": lambda n: -2.0 * n + 1.0,
-    "reduced-pure": lambda n: 2.0,
-    "fixed-purity": lambda n: 0.0,
-}
-
-
 def _prod_exponent(kind: MeasureKind, n: int) -> float:
     """The prod(nu_k) exponent of ``kind`` on ``n`` modes."""
-    try:
-        exponent = _PROD_EXPONENTS[kind.tag]
-    except KeyError:
-        raise ValueError(f"unknown measure kind {kind.tag!r}") from None
-    return exponent(n)
+    return _PROD_EXPONENTS[kind.tag](n)
 
 
 def _off_shell(kind: MeasureKind, nu: list[float]) -> bool:
@@ -169,9 +179,7 @@ def density(kind: MeasureKind, nu) -> float:
     range, and never NaN.  Raises ValueError for an infinite eigenvalue,
     where the density has no value.
     """
-    nu = _spectrum(nu)
-    if math.inf in nu:
-        raise ValueError("symplectic eigenvalues must be finite")
+    nu = _finite_spectrum(nu)
     exponent = _prod_exponent(kind, len(nu))
     if _off_shell(kind, nu):
         return 0.0
@@ -222,7 +230,8 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
 # Metric line elements
 
 
-def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray]:
+def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray, float]:
+    """The validated sigma and d_sigma, and det sigma, which must be positive."""
     sigma = validate_covmat(sigma)
     d_sigma = np.asarray(d_sigma, dtype=float)
     if d_sigma.shape != sigma.shape:
@@ -230,7 +239,11 @@ def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.abs(d_sigma).max()))
     if float(np.abs(d_sigma - d_sigma.T).max()) > 1e-10 * scale:
         raise ValueError("d_sigma must be symmetric")
-    return sigma, d_sigma
+    with np.errstate(over="ignore"):  # det inf for a large sigma: still positive
+        det = float(np.linalg.det(sigma))
+    if not det > 0.0:  # a singular sigma has det 0, or NaN with an inf pivot
+        raise ValueError("sigma must have positive determinant")
+    return sigma, d_sigma, det
 
 
 def line_element_hs(sigma, d_sigma) -> float:
@@ -238,10 +251,7 @@ def line_element_hs(sigma, d_sigma) -> float:
 
     ds^2 = ((tr(Sigma^-1 dSigma))^2 + 2 tr((Sigma^-1 dSigma)^2)) / (16 sqrt(det Sigma)).
     """
-    sigma, d_sigma = _sym_pair(sigma, d_sigma)
-    det = float(np.linalg.det(sigma))
-    if det <= 0.0:
-        raise ValueError("sigma must have positive determinant")
+    sigma, d_sigma, det = _sym_pair(sigma, d_sigma)
     x = np.linalg.solve(sigma, d_sigma)
     tr1 = float(np.trace(x))
     tr2 = float(np.trace(x @ x))
@@ -250,7 +260,7 @@ def line_element_hs(sigma, d_sigma) -> float:
 
 def line_element_fr(sigma, d_sigma) -> float:
     """Squared Fisher-Rao length: tr((Sigma^-1 dSigma)^2) / 2."""
-    sigma, d_sigma = _sym_pair(sigma, d_sigma)
+    sigma, d_sigma, _ = _sym_pair(sigma, d_sigma)
     x = np.linalg.solve(sigma, d_sigma)
     return 0.5 * float(np.trace(x @ x))
 
@@ -313,7 +323,7 @@ def numeric_metric_density(nu, kind: MeasureKind) -> float:
     :func:`density_fr` is constant over spectra.  A degenerate spectrum
     gives a singular metric and the value 0.
     """
-    nu = np.array(_spectrum(nu))
+    nu = np.array(_finite_spectrum(nu))
     n = nu.size
     if n > 3:
         raise ValueError("numeric metric density supports at most 3 modes")

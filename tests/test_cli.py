@@ -419,13 +419,16 @@ sys.exit(cli.main({argv!r}))
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX resource limits")
-@pytest.mark.parametrize("grid", [10, 20])  # 10: the CSV fits the stream's buffer; 20: not
-def test_scan_that_fails_mid_write_leaves_no_old_tail(tmp_path, capsys, grid):
+@pytest.mark.parametrize(
+    "grid, existing", [(10, True), (20, True), (20, False)], ids=["10", "20", "created"]
+)
+def test_scan_that_fails_mid_write_leaves_no_old_tail(tmp_path, capsys, grid, existing):
     # A file-size limit below the old file's size makes the write fail part
     # way; SIGXFSZ is ignored so that the write raises EFBIG instead.
     limit = 1000
     out = tmp_path / "plane.csv"
-    out.write_bytes(b"old row that must not survive\n" * 1000)
+    if existing:
+        out.write_bytes(b"old row that must not survive\n" * 1000)
     argv = ["scan", "purity-plane", "--grid", str(grid), "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
@@ -434,6 +437,9 @@ def test_scan_that_fails_mid_write_leaves_no_old_tail(tmp_path, capsys, grid):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    if not existing:
+        assert not out.exists()  # a file the scan created is removed
+        return
     _, fresh, _ = run_cli(capsys, "scan", "purity-plane", "--grid", str(grid))
     written = out.read_text()
     assert len(fresh) > limit

@@ -933,6 +933,29 @@ def test_two_mode_squeezed_constructor():
     assert coords.mu_a == pytest.approx(1 / np.cosh(0.8), abs=1e-12)
 
 
+
+def test_two_mode_squeezed_up_to_the_top_of_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (355.0, -355.0, core._SQUEEZING_MAX, -core._SQUEEZING_MAX):
+            assert np.isfinite(two_mode_squeezed(r)).all()
+        for r in (np.nextafter(core._SQUEEZING_MAX, np.inf), 400.0, -400.0, 1e300):
+            with pytest.raises(core.DomainError, match="float range"):
+                two_mode_squeezed(r)
+        for r in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                two_mode_squeezed(r)
+
+
+def test_thermal_rejects_non_finite_eigenvalues_only():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nus in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="must be finite"):
+                thermal(nus)
+        # Finite values below 1 give no state but are accepted.
+        np.testing.assert_array_equal(thermal([0.5, 2.0]), np.diag([0.5, 0.5, 2.0, 2.0]))
+
 def test_random_symplectic_is_symplectic():
     rng = np.random.default_rng(8)
     for n in (1, 2, 3):

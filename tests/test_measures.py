@@ -118,6 +118,15 @@ def test_density_ratio_undefined_where_the_denominator_vanishes():
         density_ratio(MeasureKind("bogus"), FISHER_RAO, [1.2, 2.0])
 
 
+
+@pytest.mark.parametrize("mu", [None, 0.0, -0.5, 1.5, math.nan, math.inf])
+def test_measure_kind_rejects_a_fixed_purity_outside_the_unit_interval(mu):
+    # Built by hand, such a kind reached float - None (or NaN) in the densities.
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+        MeasureKind("fixed-purity", mu)
+    with pytest.raises(ValueError, match="unknown measure kind 'bogus'"):
+        MeasureKind("bogus", mu)
+
 def test_density_ratio_rejects_nan_and_overflows_to_inf():
     for nu in ([np.nan, 2.0], [2.0, np.nan]):
         with pytest.raises(ValueError, match=">= 1"):
@@ -242,6 +251,25 @@ def test_line_element_fr_examples():
     assert line_element_fr(np.eye(2), np.zeros((2, 2))) == 0.0
 
 
+
+@pytest.mark.parametrize("line_element", [line_element_hs, line_element_fr])
+@pytest.mark.parametrize(
+    "sigma", [np.diag([1.0, 1.0, 1.0, 0.0]), np.ones((2, 2)), np.diag([1.0, -1.0])],
+    ids=["zero", "rank1", "negative"],
+)
+def test_line_elements_reject_a_sigma_without_positive_determinant(line_element, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive determinant"):
+            line_element(sigma, np.eye(sigma.shape[0]))
+
+
+def test_line_element_fr_where_det_sigma_overflows():
+    # det(1e80 I_4) = 1e320 is inf in floats but positive, so the check passes quietly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert line_element_fr(1e80 * np.eye(4), 1e80 * np.eye(4)) == 2.0
+
 def test_line_element_fr_symplectic_invariance():
     rng = np.random.default_rng(22)
     sigma = np.array([[2.0, 0.3, 0.1, 0.0],
@@ -324,6 +352,15 @@ def test_numeric_metric_density_edge_cases():
     with pytest.raises(ValueError, match="line element"):
         numeric_metric_density([1.5], REDUCED_PURE)
 
+
+
+@pytest.mark.parametrize("kind", [HILBERT_SCHMIDT, FISHER_RAO])
+@pytest.mark.parametrize("nu", [[1.0, math.inf], [math.inf], [1.5, 2.0, math.inf]])
+def test_numeric_metric_density_rejects_an_infinite_eigenvalue(kind, nu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            numeric_metric_density(nu, kind)
 
 def test_hs_density_invariant_coords():
     c = InvariantCoords(1.0, 1.0, 1.0, 2.0)
