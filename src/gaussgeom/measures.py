@@ -231,7 +231,7 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
 
 
 def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray, float]:
-    """The validated sigma and d_sigma, and det sigma, which must be positive."""
+    """The validated sigma and d_sigma, and ln det sigma; det sigma must be positive."""
     sigma = validate_covmat(sigma)
     d_sigma = np.asarray(d_sigma, dtype=float)
     if d_sigma.shape != sigma.shape:
@@ -239,23 +239,32 @@ def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray, float]:
     scale = max(1.0, float(np.abs(d_sigma).max()))
     if float(np.abs(d_sigma - d_sigma.T).max()) > 1e-10 * scale:
         raise ValueError("d_sigma must be symmetric")
-    with np.errstate(over="ignore"):  # det inf for a large sigma: still positive
-        det = float(np.linalg.det(sigma))
-    if not det > 0.0:  # a singular sigma has det 0, or NaN with an inf pivot
+    # The log-determinant stays in range where det sigma itself overflows or
+    # underflows; a singular sigma has sign 0.
+    sign, log_det = np.linalg.slogdet(sigma)
+    if not sign > 0.0:
         raise ValueError("sigma must have positive determinant")
-    return sigma, d_sigma, det
+    return sigma, d_sigma, float(log_det)
 
 
 def line_element_hs(sigma, d_sigma) -> float:
     """Squared Hilbert-Schmidt length of the displacement d_sigma at sigma.
 
     ds^2 = ((tr(Sigma^-1 dSigma))^2 + 2 tr((Sigma^-1 dSigma)^2)) / (16 sqrt(det Sigma)).
+
+    1/sqrt(det Sigma) comes from the log-determinant, so the result stays
+    right where det Sigma leaves the float range.  Raises ValueError where
+    1/sqrt(det Sigma) itself does (det Sigma below about 1e-616).
     """
-    sigma, d_sigma, det = _sym_pair(sigma, d_sigma)
+    sigma, d_sigma, log_det = _sym_pair(sigma, d_sigma)
+    try:
+        inv_root_det = math.exp(-0.5 * log_det)
+    except OverflowError:
+        raise ValueError("1/sqrt(det sigma) leaves the float range") from None
     x = np.linalg.solve(sigma, d_sigma)
     tr1 = float(np.trace(x))
     tr2 = float(np.trace(x @ x))
-    return (tr1 * tr1 + 2.0 * tr2) / (16.0 * np.sqrt(det))
+    return (tr1 * tr1 + 2.0 * tr2) / 16.0 * inv_root_det
 
 
 def line_element_fr(sigma, d_sigma) -> float:

@@ -270,6 +270,23 @@ def test_line_element_fr_where_det_sigma_overflows():
         warnings.simplefilter("error")
         assert line_element_fr(1e80 * np.eye(4), 1e80 * np.eye(4)) == 2.0
 
+
+def test_line_element_hs_where_det_sigma_leaves_the_float_range():
+    # 1/sqrt(det) of 1e80 I_4 is 1e-160, well inside the float range, and
+    # ds^2 = (4^2 + 2*4) / 16 * 1e-160.  det(1e-100 I_4) = 1e-400 underflows
+    # but is positive; below det 1e-616, 1/sqrt(det) itself overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = line_element_hs(1e80 * np.eye(4), 1e80 * np.eye(4))
+        assert got == pytest.approx(1.5e-160, rel=1e-12, abs=0.0)
+        assert line_element_hs(1e-100 * np.eye(4), 1e-100 * np.eye(4)) == pytest.approx(
+            1.5e200, rel=1e-12, abs=0.0
+        )
+        assert line_element_fr(1e-200 * np.eye(4), 1e-200 * np.eye(4)) == 2.0
+        with pytest.raises(ValueError, match="float range"):
+            line_element_hs(1e-200 * np.eye(4), np.eye(4))
+
+
 def test_line_element_fr_symplectic_invariance():
     rng = np.random.default_rng(22)
     sigma = np.array([[2.0, 0.3, 0.1, 0.0],

@@ -388,6 +388,69 @@ def test_energy_stats_error_bars_at_two_draws():
     assert all(est.n_evals == 2 for est in _stats_tuple(stats))
 
 
+def _shifted_sums(*blocks):
+    sums = typicality._ShiftedSums(len(blocks[0]))
+    for block in blocks:
+        sums.add(np.array(block, dtype=float))
+    return sums.estimates()
+
+
+def test_shifted_sums_match_numpy_on_offset_data():
+    # Offset by 1e8, unshifted sums of squares would lose every digit of the
+    # spread.  The first block is empty: the shift is the first draw of the
+    # second.
+    rng = np.random.default_rng(12)
+    data = 1e8 + rng.normal(size=(3, 5000)) * np.array([[1.0], [1e-3], [1e3]])
+    got = _shifted_sums(data[:, :0], data[:, :1234], data[:, 1234:4321], data[:, 4321:])
+    for est, row in zip(got, data):
+        assert est.value == pytest.approx(row.mean(), rel=1e-15, abs=0.0)
+        want = row.std(ddof=1) / np.sqrt(row.size)
+        assert est.std_error == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert (est.n_evals, est.chi2_per_dof) == (row.size, 0.0)
+
+
+def test_shifted_sums_of_constant_rows_are_exact():
+    rows = np.array([[0.1] * 7, [3.0] * 7, [-1e300] * 7])
+    for est, value in zip(_shifted_sums(rows[:, :0], rows[:, :3], rows[:, 3:]), rows[:, 0]):
+        assert est.value == value
+        assert est.std_error == 0.0
+
+
+def test_shifted_sums_of_two_draws():
+    (est,) = _shifted_sums([[1.0]], [[3.0]])
+    row = np.array([1.0, 3.0])
+    assert est.value == row.mean() == 2.0
+    assert est.std_error == row.std(ddof=1) / np.sqrt(2.0) == 1.0
+    assert est.n_evals == 2
+
+
+def _traced_peak(call):
+    """Peak bytes traced by tracemalloc during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_energy_stats_memory_does_not_grow_with_the_draws():
+    # A warm call leaves a draw buffer on the free list for the traced ones.
+    energy_constrained_stats(0.5, 8.0, McConfig(seed=1, final_evals=1000))
+    small, large = (
+        _traced_peak(lambda: energy_constrained_stats(0.5, 8.0, McConfig(seed=1, final_evals=n)))
+        for n in (80_000, 400_000)
+    )
+    assert large < 3e6
+    assert abs(large - small) <= 0.1 * small
+
+
+def test_sampler_memory_is_its_output_and_one_input_row_per_state():
+    states = []
+    peak = _traced_peak(lambda: states.append(sample_energy_constrained(0.3, 8.0, 100_000, seed=1)))
+    assert peak <= 2 * states[0].nbytes
+
+
 def _gauss_legendre(lo, hi, n):
     """n-point Gauss-Legendre nodes and weights on each panel [lo, hi], along a new last axis."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -948,6 +1011,27 @@ def test_sampled_state_next_to_lambda_one_keeps_its_digits():
     got = sample_energy_constrained(mu, e, count, seed=8)[k]
     error = np.abs(got - want).max() / np.abs(want).max()
     assert error <= 1e-14, error
+
+
+def _whole_count_states(mu, e, count, seed):
+    """The draws of sample_energy_constrained replayed, every state built in one batch."""
+    rng = np.random.default_rng(seed)
+    a, b, d_min, length = _draw_intervals(mu, e, count, rng)
+    delta = d_min + rng.random(count) * length
+    r = rng.random(count)
+    angles = rng.uniform(0.0, 2.0 * np.pi, (count, 4))
+    c_plus, c_minus = typicality._std_form_c(mu, a, b, delta)
+    return _covmats(a, b, c_plus, c_minus, *typicality._squeezings(e, a, b, r), angles)
+
+
+@pytest.mark.parametrize("mu,e", [(0.4445, 3.0), (0.02, 40.0)])
+@pytest.mark.parametrize("chunks,extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+def test_states_assembled_in_chunks_equal_the_whole_count_replay(mu, e, chunks, extra):
+    count = chunks * typicality._STATE_CHUNK + extra
+    np.testing.assert_array_equal(
+        sample_energy_constrained(mu, e, count, seed=count),
+        _whole_count_states(mu, e, count, count),
+    )
 
 
 @pytest.mark.parametrize("mu,e", [(0.53125, 8.0), (4.0 / 9.0 * (1.0 + 1e-4), 3.0)])
