@@ -621,8 +621,10 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     ``scale`` sets the standard deviation of H and thereby the typical
     amount of squeezing.  The matrix exponential is scipy's; scipy is
     loaded on the first call, not on import, so only the random-state
-    constructors pay for it.
+    constructors pay for it.  Raises ValueError for a non-finite ``scale``.
     """
+    if not math.isfinite(scale):
+        raise ValueError(f"scale = {scale} must be finite")
     from scipy.linalg import expm
 
     n = 2 * n_modes
@@ -645,7 +647,13 @@ def random_covmat(
     nu_max: float = 3.0,
     scale: float = 0.5,
 ) -> np.ndarray:
-    """Random bona fide covariance matrix S^T D S with nu ~ U[1, nu_max]."""
+    """Random bona fide covariance matrix S^T D S with nu ~ U[1, nu_max].
+
+    Raises ValueError unless ``nu_max`` is finite and at least 1, and for a
+    non-finite ``scale`` (see :func:`random_symplectic`).
+    """
+    if not (math.isfinite(nu_max) and nu_max >= 1.0):
+        raise ValueError(f"nu_max = {nu_max} must be finite and at least 1")
     nu = rng.uniform(1.0, nu_max, size=n_modes)
     s = random_symplectic(n_modes, rng, scale)
     return s.T @ thermal(nu) @ s

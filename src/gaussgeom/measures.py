@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantCoords, StdForm, validate_covmat
+from .core import _MU_MIN, DomainError, InvariantCoords, StdForm, validate_covmat
 
 __all__ = [
     "MeasureKind",
@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 _SPECTRUM_TOL = 1e-9
+
+#: 40-digit decimal arithmetic whose exponent range holds every density
+#: here, so that only the final rounding to a float meets the float range.
+_WIDE = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 #: Exponent of prod(nu_k) in the eigenvalue density of each kind on N modes;
@@ -195,9 +199,7 @@ def _decimal_density(nu: list[float], exponent: float) -> float:
     included).  Each factor of the repulsion is formed as
     ((nu_l - nu_m)(nu_l + nu_m))^2.
     """
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+    with decimal.localcontext(_WIDE):
         d = [decimal.Decimal(v) for v in nu]
         value = math.prod(d) ** decimal.Decimal(exponent)
         for l in range(len(d)):
@@ -236,6 +238,8 @@ def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray, float]:
     d_sigma = np.asarray(d_sigma, dtype=float)
     if d_sigma.shape != sigma.shape:
         raise ValueError("d_sigma must have the same shape as sigma")
+    if not np.isfinite(d_sigma).all():
+        raise ValueError("d_sigma has non-finite entries")
     scale = max(1.0, float(np.abs(d_sigma).max()))
     if float(np.abs(d_sigma - d_sigma.T).max()) > 1e-10 * scale:
         raise ValueError("d_sigma must be symmetric")
@@ -359,21 +363,46 @@ def hs_density_invariant_coords(coords: InvariantCoords) -> float:
     """Hilbert-Schmidt volume density in (mu_A, mu_B, mu, Delta) coordinates.
 
     sqrt(3)/512 * mu^7 / (mu_A^3 mu_B^3); the local-group directions have
-    been separated off and Delta does not appear.
+    been separated off and Delta does not appear.  Raises DomainError for
+    purities outside [2**-511, 1], except a global purity mu = 0, where the
+    density is its limit 0, and where the value leaves the float range.
     """
-    return float(np.sqrt(3.0) / 512.0 * coords.mu**7 / (coords.mu_a**3 * coords.mu_b**3))
+    mus = (coords.mu, coords.mu_a, coords.mu_b)
+    in_range = [_MU_MIN <= m <= 1.0 for m in mus]  # False for NaN
+    if not ((in_range[0] or coords.mu == 0.0) and in_range[1] and in_range[2]):
+        raise DomainError(f"purities (mu, mu_A, mu_B) = {mus} must lie in [2**-511, 1]")
+    with decimal.localcontext(_WIDE):
+        mu, mu_a, mu_b = map(decimal.Decimal, mus)
+        return _to_float(decimal.Decimal(math.sqrt(3.0)) / 512 * mu**7 / (mu_a * mu_b) ** 3)
 
 
 def hs_density_std_form(std: StdForm) -> float:
     """Closed-form HS volume density in (a, b, c+, c-) coordinates, up to a constant.
 
     a^2 b^2 (c+^2 - c-^2) / |c+^2 - ab|^5 / |c-^2 - ab|^5, nonnegative under
-    the c+ >= |c-| convention for physical states (where c^2 < ab).
+    the c+ >= |c-| convention for physical states (where c^2 < ab).  Raises
+    DomainError unless the parameters are finite with a > 0, c+ >= |c-| and
+    c+^2 < ab (a positive definite matrix), and where the value leaves the
+    float range.
     """
-    ab = std.a * std.b
-    num = std.a**2 * std.b**2 * abs(std.c_plus**2 - std.c_minus**2)
-    den = abs(std.c_plus**2 - ab) ** 5 * abs(std.c_minus**2 - ab) ** 5
-    return float(num / den)
+    params = (std.a, std.b, std.c_plus, std.c_minus)
+    if not all(map(math.isfinite, params)):
+        raise DomainError(f"standard form {params} must be finite")
+    with decimal.localcontext(_WIDE):
+        a, b, c_plus, c_minus = map(decimal.Decimal, params)
+        ab = a * b
+        if not (a > 0 and c_plus >= abs(c_minus) and c_plus * c_plus < ab):
+            raise DomainError(f"standard form {params} needs a > 0, c+ >= |c-| and c+^2 < ab")
+        num = ab * ab * (c_plus - c_minus) * (c_plus + c_minus)
+        return _to_float(num / ((ab - c_plus * c_plus) * (ab - c_minus * c_minus)) ** 5)
+
+
+def _to_float(value: decimal.Decimal) -> float:
+    """``value`` rounded to a float; DomainError where a nonzero value leaves the float range."""
+    out = float(value)
+    if value and not 0.0 < abs(out) < math.inf:
+        raise DomainError(f"the density {value:.6e} leaves the float range")
+    return out
 
 
 #: The local symplectic algebra sp(2) + sp(2) on two modes: X, Y and Z of each mode.

@@ -13,10 +13,11 @@ completes the requested number of draws.  Each running sampler draws its
 proposal batches into one reused buffer of 1.5 MB, kept between calls, so
 that a call does not grow the heap and fault its pages in again.  The
 sampler takes energies up to 2**200, below the 1.29e62 where its weight
-leaves the float range.  The ensemble averages are sample
-means of the closed-form seralian averages, taken block by block straight
-from the accepted (u, v) into running sums, so their memory does not grow
-with the number of draws.  The state sampler builds each state from the
+leaves the float range.  Both ensemble averages, the four statistics
+and the ratio of a custom seralian integral to the interval length, are
+sample means taken by one loop, block by block straight from the accepted
+(u, v) into running sums, so their memory does not grow with the number of
+draws.  The state sampler builds each state from the
 accepted (u, v) too, with a seralian uniform on its interval and the
 standard form of core; it takes its output plus about one input row per
 state, and assembles the states from them in cache-sized chunks.
@@ -133,7 +134,8 @@ class LocalSympSample:
     """Local symplectic group element in Euler form: rotations around squeezing.
 
     lambda = (w^2 + 1/w^2)/2 >= 1 parametrizes the squeezing part; the four
-    angles are (inner A, outer A, inner B, outer B).
+    angles are (inner A, outer A, inner B, outer B).  Raises ValueError
+    unless both lambdas and all angles are finite and both lambdas >= 1.
     """
 
     lambda_a: float
@@ -141,6 +143,8 @@ class LocalSympSample:
     angles: tuple[float, float, float, float]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lambda_a, self.lambda_b, *self.angles))):
+            raise ValueError(f"lambda parameters and angles must be finite, got {self}")
         if self.lambda_a < 1.0 or self.lambda_b < 1.0:
             raise ValueError("lambda parameters must be >= 1")
 
@@ -340,24 +344,35 @@ def energy_constrained_stats(mu: float, energy: float, mc: McConfig | None = Non
     interval length L(u, v) of :class:`_UVSupport`, and with
     1/min(mu_A, mu_B) = (u + |v|)/2 the state is steerable iff that exceeds
     1/mu, with G = max(ln(mu (u + |v|)/2), 0).  The four statistics are
-    plain means over one shared sample with standard errors std/sqrt(n).
-    Each block is written into one reused (4, _BLOCK) scratch array and
-    added to running sums (:class:`_ShiftedSums`), so memory does not grow
-    with ``mc.final_evals``.
+    plain means over one shared sample with standard errors std/sqrt(n),
+    taken by :func:`_ensemble_means`, so memory does not grow with
+    ``mc.final_evals``.
     Raises DomainError outside the ensemble's support (see
     :class:`EnergyEnsemble`) and above the sampler's energy cap 2**200
     (see :class:`_UVSupport`).
     """
+    return EnergyStats(*_ensemble_means(mu, energy, mc, 4, _uv_statistics))
+
+
+def _ensemble_means(mu: float, energy: float, mc: McConfig | None, rows: int, statistics):
+    """Sample means and standard errors of ``rows`` per-draw statistics of the (mu, E) ensemble.
+
+    ``statistics(mu, box, u, v, out)`` writes the statistics of the accepted
+    draws (u, v) of :func:`_accepted_uv` into the rows of ``out``, given the
+    box of :meth:`_UVSupport.of`, which checks (mu, E).  Each accepted
+    block is written into one reused (rows, _BLOCK) scratch array
+    and added to running sums (:class:`_ShiftedSums`), so memory does not
+    grow with ``mc.final_evals`` (default :class:`McConfig`).
+    """
     mc = mc or McConfig()
-    EnergyEnsemble(mu, energy)
     box = _UVSupport.of(mu, energy)
-    scratch = np.empty((4, _BLOCK))
-    sums = _ShiftedSums(4)
+    scratch = np.empty((rows, _BLOCK))
+    sums = _ShiftedSums(rows)
     for u, v in _accepted_uv(box, energy, mc.final_evals, np.random.default_rng(mc.seed)):
         block = scratch[:, : u.size]
-        _uv_statistics(mu, box, u, v, block)
+        statistics(mu, box, u, v, block)
         sums.add(block)
-    return EnergyStats(*sums.estimates())
+    return sums.estimates()
 
 
 def _uv_statistics(mu: float, box: _UVSupport, u, v, out: np.ndarray) -> None:
@@ -384,17 +399,20 @@ def energy_constrained_ratio(
     ``inner(mu_a, mu_b, d_min, d_max)`` must return, per point, the integral
     of the quantity over the allowed seralian interval; the result is the
     sample mean of its ratio to the interval length over exact ensemble
-    draws.  With ``inner`` returning the interval length itself the ratio
-    is exactly 1.  Raises DomainError where :func:`energy_constrained_stats`
-    does.
+    draws.  ``inner`` is called once per accepted block of draws (at most
+    :data:`_BLOCK` points), and the ratios go straight into running
+    sums (:func:`_ensemble_means`), so memory does not grow with
+    ``mc.final_evals``.  With ``inner`` returning the interval length itself
+    the ratio is exactly 1.  Raises DomainError where
+    :func:`energy_constrained_stats` does.
     """
-    mc = mc or McConfig()
-    EnergyEnsemble(mu, energy)
-    a, b, lo, length = _draw_intervals(mu, energy, mc.final_evals, np.random.default_rng(mc.seed))
-    hi = lo + length
-    sums = _ShiftedSums(1)
-    sums.add(np.atleast_2d(inner(1.0 / a, 1.0 / b, lo, hi) / (hi - lo)))
-    return sums.estimates()[0]
+
+    def ratio(mu, box, u, v, out):
+        a, b, lo, length = _intervals(mu, box, u, v)
+        hi = lo + length
+        out[0] = inner(1.0 / a, 1.0 / b, lo, hi) / (hi - lo)
+
+    return _ensemble_means(mu, energy, mc, 1, ratio)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +583,10 @@ class _UVSupport:
     V^2 = min((1/mu - 1)^2, E^2 - 4/mu) covers the support below the
     energy, and (E - u) L <= (E - 2/sqrt(mu)) V^2 = ``rho_max`` on it.
 
-    :meth:`of` raises DomainError for E above :data:`_SAMPLER_ENERGY_MAX`,
-    where the sampler's weight leaves the float range.
+    :meth:`of` is the one support check of the (mu, E) entry points: it
+    raises DomainError outside the support of :class:`EnergyEnsemble` and
+    for E above :data:`_SAMPLER_ENERGY_MAX`, where the sampler's weight
+    leaves the float range.
     """
 
     four_over_mu: float
@@ -577,6 +597,7 @@ class _UVSupport:
 
     @classmethod
     def of(cls, mu: float, energy: float) -> "_UVSupport":
+        EnergyEnsemble(mu, energy)
         if energy > _SAMPLER_ENERGY_MAX:
             raise DomainError(
                 f"energy = {energy} must be at most 2**200 for the sampler: its weight "
@@ -656,17 +677,27 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
         _DRAW_BUFFERS.append(draws)
 
 
-def _draw_intervals(mu: float, energy: float, count: int, rng: np.random.Generator):
-    """Standard-form diagonals and seralian intervals of ``count`` ensemble draws.
+def _intervals(mu: float, box: _UVSupport, u, v):
+    """Standard-form diagonals and seralian intervals (a, b, lower end, length) of draws (u, v).
 
-    Each accepted (u, v) of :func:`_accepted_uv` gives a = max((u + v)/2, 1), b =
-    max((u - v)/2, 1) and the interval from 2/mu + v^2 of length L(u, v) > 0.
+    a = max((u + v)/2, 1), b = max((u - v)/2, 1) and the interval runs from
+    2/mu + v^2 with length L(u, v) of ``box``, positive for accepted draws.
     """
-    box = _UVSupport.of(mu, energy)
-    u, v = (np.concatenate(parts) for parts in zip(*_accepted_uv(box, energy, count, rng)))
     a = np.maximum(0.5 * (u + v), 1.0)
     b = np.maximum(0.5 * (u - v), 1.0)
     return a, b, 2.0 / mu + v * v, box.length(u, v)
+
+
+def _draw_intervals(mu: float, energy: float, count: int, rng: np.random.Generator):
+    """:func:`_intervals` of ``count`` ensemble draws of :func:`_accepted_uv`, all at once.
+
+    The state sampler needs every draw at once: it draws its seralian,
+    squeezing and angle uniforms from the same generator only after all
+    (u, v) are accepted.
+    """
+    box = _UVSupport.of(mu, energy)
+    u, v = (np.concatenate(parts) for parts in zip(*_accepted_uv(box, energy, count, rng)))
+    return _intervals(mu, box, u, v)
 
 
 def _squeezings(energy, a, b, r):
@@ -699,7 +730,6 @@ def sample_energy_constrained(
     and above the sampler's energy cap 2**200, and ValueError unless ``seed`` is a non-negative integer and ``count``
     a positive one.
     """
-    EnergyEnsemble(mu, energy)
     _require_seed(seed)
     if not _is_int(count):
         raise ValueError(f"count must be an integer, got {count!r}")

@@ -964,6 +964,24 @@ def test_random_symplectic_is_symplectic():
         np.testing.assert_allclose(s.T @ omega @ s, omega, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda rng: random_covmat(2, rng, nu_max=np.inf), "nu_max"),
+        (lambda rng: random_covmat(2, rng, nu_max=np.nan), "nu_max"),
+        (lambda rng: random_covmat(2, rng, nu_max=0.5), "nu_max"),
+        (lambda rng: random_covmat(2, rng, scale=np.inf), "scale"),
+        (lambda rng: random_symplectic(2, rng, scale=np.nan), "scale"),
+        (lambda rng: random_symplectic(1, rng, scale=np.inf), "scale"),
+    ],
+)
+def test_random_constructors_reject_bad_parameters(make, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            make(np.random.default_rng(0))
+
+
 def test_covmat_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     sigma = random_covmat(2, rng)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from gaussgeom import measures
-from gaussgeom.core import InvariantCoords, cm_from_invariants, random_symplectic, symplectic_form
+from gaussgeom.core import (
+    DomainError,
+    InvariantCoords,
+    StdForm,
+    cm_from_invariants,
+    random_symplectic,
+    symplectic_form,
+)
 from gaussgeom.correlations import delta_bounds
 from gaussgeom.measures import (
     FISHER_RAO,
@@ -264,6 +271,18 @@ def test_line_elements_reject_a_sigma_without_positive_determinant(line_element,
             line_element(sigma, np.eye(sigma.shape[0]))
 
 
+@pytest.mark.parametrize("line_element", [line_element_hs, line_element_fr])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_line_elements_reject_a_non_finite_displacement(line_element, bad):
+    d_sigma = np.zeros((4, 4))
+    d_sigma[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (d_sigma, np.full((4, 4), bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                line_element(np.eye(4), d)
+
+
 def test_line_element_fr_where_det_sigma_overflows():
     # det(1e80 I_4) = 1e320 is inf in floats but positive, so the check passes quietly.
     with warnings.catch_warnings():
@@ -387,6 +406,65 @@ def test_hs_density_invariant_coords():
         8 * hs_density_invariant_coords(c), rel=1e-12, abs=0.0
     )
     assert hs_density_invariant_coords(InvariantCoords(0.0, 1.0, 1.0, 2.0)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "coords,match",
+    [
+        ((0.5, 1e-150, 1e-150), "float range"),  # 0.5^7 / 1e-900 overflows
+        ((2.0**-511, 1.0, 1.0), "float range"),  # 2^-3577 underflows
+        ((0.5, -0.5, 0.5), "must lie in"),
+        ((0.5, 0.5, 0.0), "must lie in"),
+        ((0.5, 0.5, 1.5), "must lie in"),
+        ((2.0**-600, 0.5, 0.5), "must lie in"),
+        ((np.nan, 0.5, 0.5), "must lie in"),
+        ((0.5, np.nan, 0.5), "must lie in"),
+    ],
+)
+def test_hs_density_invariant_coords_outside_its_domain(coords, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            hs_density_invariant_coords(InvariantCoords(*coords, 2.0))
+
+
+def test_hs_density_invariant_coords_where_its_factors_leave_the_float_range():
+    # (mu_A mu_B)^3 = 1e-360 underflows, but the density sqrt(3)/512 * 1e290 does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hs_density_invariant_coords(InvariantCoords(1e-10, 1e-60, 1e-60, 2.0))
+    assert got == pytest.approx(math.sqrt(3.0) / 512.0 * 1e290, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "std,match",
+    [
+        (StdForm(2.0, 2.0, 1.0, 2.0), "needs a > 0"),  # c-^2 = ab: 1/0
+        (StdForm(1.0, 1.0, 1.0, 0.0), "needs a > 0"),  # c+^2 = ab: 1/0
+        (StdForm(1.0, 1.0, 2.0, 0.5), "needs a > 0"),  # not positive definite
+        (StdForm(-3.0, -3.0, 1.0, 0.0), "needs a > 0"),
+        (StdForm(np.nan, 1.0, 0.0, 0.0), "finite"),
+        (StdForm(2.0, 2.0, 1.0, np.inf), "finite"),
+        # ab - c+^2 = 2e-76 and ab - c-^2 = 1e-60: 1e-180 over about 3e-679.
+        (StdForm(1e-30, 1e-30, 1e-30 * (1.0 - 2.0**-53), 0.0), "float range"),
+        (StdForm(1e100, 1e100, 1.0, 0.0), "float range"),  # about 1e-1600
+    ],
+)
+def test_hs_density_std_form_outside_its_domain(std, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            hs_density_std_form(std)
+
+
+def test_hs_density_std_form_where_its_factors_leave_the_float_range():
+    # a^2 b^2 (c+^2 - c-^2) = 1e118 over (0.99e40)^5 (1e40)^5, past the float range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hs_density_std_form(StdForm(1e20, 1e20, 1e19, 0.0))
+        assert got == pytest.approx(1e-282 / 0.99**5, rel=1e-14, abs=0.0)
+        # c+ = c- = 0: the numerator vanishes while (ab)^10 = 1e2000 is out of range.
+        assert hs_density_std_form(StdForm(1e100, 1e100, 0.0, 0.0)) == 0.0
 
 
 def _random_interior_std_form(rng):

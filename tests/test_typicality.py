@@ -445,6 +445,33 @@ def test_energy_stats_memory_does_not_grow_with_the_draws():
     assert abs(large - small) <= 0.1 * small
 
 
+def test_energy_ratio_memory_does_not_grow_with_the_draws():
+    inner = lambda mu_a, mu_b, lo, hi: hi - lo  # noqa: E731
+    # A warm call leaves a draw buffer on the free list for the traced ones.
+    energy_constrained_ratio(0.5, 8.0, inner, McConfig(seed=1, final_evals=1000))
+    small, large = (
+        _traced_peak(
+            lambda: energy_constrained_ratio(0.5, 8.0, inner, McConfig(seed=1, final_evals=n))
+        )
+        for n in (80_000, 400_000)
+    )
+    assert max(small, large) <= 1.5e6
+    assert abs(large - small) <= 0.1 * small
+
+
+def test_energy_ratio_calls_inner_once_per_accepted_block():
+    sizes = []
+
+    def inner(mu_a, mu_b, lo, hi):
+        sizes.append(mu_a.size)
+        return hi - lo
+
+    est = energy_constrained_ratio(0.3, 8.0, inner, McConfig(seed=5, final_evals=40_000))
+    assert est.value == 1.0 and est.n_evals == 40_000
+    assert sizes == [u.size for u, _ in _uv_blocks(0.3, 8.0, 40_000, 5)]
+    assert max(sizes) <= typicality._BLOCK
+
+
 def test_sampler_memory_is_its_output_and_one_input_row_per_state():
     states = []
     peak = _traced_peak(lambda: states.append(sample_energy_constrained(0.3, 8.0, 100_000, seed=1)))
@@ -682,6 +709,22 @@ def test_assemble_covmat_energy_identity():
 def test_local_symp_sample_validation():
     with pytest.raises(ValueError, match=">= 1"):
         LocalSympSample(0.5, 1.0, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "lam_a,lam_b,angles",
+    [
+        (np.nan, 1.0, (0, 0, 0, 0)),
+        (1.0, np.nan, (0, 0, 0, 0)),
+        (np.inf, 1.0, (0, 0, 0, 0)),
+        (1.0, 1.0, (0, np.nan, 0, 0)),
+        (1.0, 1.0, (0, 0, -np.inf, 0)),
+    ],
+)
+def test_local_symp_sample_rejects_non_finite_parameters(lam_a, lam_b, angles):
+    # Each of these made assemble_covmat return a non-finite matrix.
+    with pytest.raises(ValueError, match="must be finite"):
+        LocalSympSample(lam_a, lam_b, angles)
 
 
 def test_sampler_constraints_hold():
