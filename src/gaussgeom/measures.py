@@ -240,8 +240,9 @@ def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray, float]:
         raise ValueError("d_sigma must have the same shape as sigma")
     if not np.isfinite(d_sigma).all():
         raise ValueError("d_sigma has non-finite entries")
-    scale = max(1.0, float(np.abs(d_sigma).max()))
-    if float(np.abs(d_sigma - d_sigma.T).max()) > 1e-10 * scale:
+    # Scaled by its largest entry, d_sigma - d_sigma^T stays in the float range.
+    unit = d_sigma / max(1.0, float(np.abs(d_sigma).max()))
+    if float(np.abs(unit - unit.T).max()) > 1e-10:
         raise ValueError("d_sigma must be symmetric")
     # The log-determinant stays in range where det sigma itself overflows or
     # underflows; a singular sigma has sign 0.
@@ -251,6 +252,29 @@ def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray, float]:
     return sigma, d_sigma, float(log_det)
 
 
+def _unit_traces(sigma: np.ndarray, d_sigma: np.ndarray) -> tuple[float, float, int]:
+    """(tr y, tr y^2, k) with sigma^-1 d_sigma = 2**k y and y's entries below 1 in size.
+
+    The power-of-two scale moves no digit and keeps the products of the line
+    elements in the float range.  Raises ValueError where sigma^-1 d_sigma
+    leaves it.
+    """
+    x = np.linalg.solve(sigma, d_sigma)
+    if not np.isfinite(x).all():
+        raise ValueError("ds^2 leaves the float range")
+    k = math.frexp(float(np.abs(x).max()))[1]
+    y = np.ldexp(x, -k)
+    return float(np.trace(y)), float(np.trace(y @ y)), k
+
+
+def _scaled(value: float, exponent: int) -> float:
+    """value * 2**exponent; ValueError where ds^2 leaves the float range."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        raise ValueError("ds^2 leaves the float range") from None
+
+
 def line_element_hs(sigma, d_sigma) -> float:
     """Squared Hilbert-Schmidt length of the displacement d_sigma at sigma.
 
@@ -258,24 +282,27 @@ def line_element_hs(sigma, d_sigma) -> float:
 
     1/sqrt(det Sigma) comes from the log-determinant, so the result stays
     right where det Sigma leaves the float range.  Raises ValueError where
-    1/sqrt(det Sigma) itself does (det Sigma below about 1e-616).
+    1/sqrt(det Sigma) itself does (det Sigma below about 1e-616), and where
+    ds^2 does.
     """
     sigma, d_sigma, log_det = _sym_pair(sigma, d_sigma)
     try:
         inv_root_det = math.exp(-0.5 * log_det)
     except OverflowError:
         raise ValueError("1/sqrt(det sigma) leaves the float range") from None
-    x = np.linalg.solve(sigma, d_sigma)
-    tr1 = float(np.trace(x))
-    tr2 = float(np.trace(x @ x))
-    return (tr1 * tr1 + 2.0 * tr2) / 16.0 * inv_root_det
+    tr1, tr2, k = _unit_traces(sigma, d_sigma)
+    mantissa, exponent = math.frexp(inv_root_det)
+    return _scaled((tr1 * tr1 + 2.0 * tr2) / 16.0 * mantissa, 2 * k + exponent)
 
 
 def line_element_fr(sigma, d_sigma) -> float:
-    """Squared Fisher-Rao length: tr((Sigma^-1 dSigma)^2) / 2."""
+    """Squared Fisher-Rao length: tr((Sigma^-1 dSigma)^2) / 2.
+
+    Raises ValueError where it leaves the float range.
+    """
     sigma, d_sigma, _ = _sym_pair(sigma, d_sigma)
-    x = np.linalg.solve(sigma, d_sigma)
-    return 0.5 * float(np.trace(x @ x))
+    _, tr2, k = _unit_traces(sigma, d_sigma)
+    return _scaled(0.5 * tr2, 2 * k)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,30 @@ def test_line_element_hs_where_det_sigma_leaves_the_float_range():
             line_element_hs(1e-200 * np.eye(4), np.eye(4))
 
 
+@pytest.mark.parametrize(
+    "line_element,d_sigma,message",
+    [
+        (line_element_hs, [[0.0, 1e308], [-1e308, 0.0]], "symmetric"),
+        (line_element_fr, 1e308 * np.eye(2), "float range"),
+        (line_element_hs, 1e308 * np.eye(2), "float range"),
+    ],
+    ids=["antisymmetric", "fr-overflows", "hs-overflows"],
+)
+def test_line_elements_with_a_huge_finite_displacement(line_element, d_sigma, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            line_element(np.eye(2), d_sigma)
+
+
+def test_line_element_hs_in_range_where_its_squared_trace_is_not():
+    # ds^2 = (4e308 + 2 * 2e308) / 16 = 5e307, although (tr x)^2 = 4e308 overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = line_element_hs(np.eye(2), 1e154 * np.eye(2))
+    assert got == pytest.approx(5e307, rel=1e-12, abs=0.0)
+
+
 def test_line_element_fr_symplectic_invariance():
     rng = np.random.default_rng(22)
     sigma = np.array([[2.0, 0.3, 0.1, 0.0],

@@ -1056,6 +1056,66 @@ def test_sampled_state_next_to_lambda_one_keeps_its_digits():
     assert error <= 1e-14, error
 
 
+def test_half_angle_rotation_matches_libm():
+    theta = np.concatenate([
+        [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, np.nextafter(2.0 * np.pi, 0.0)],
+        np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 10_000),
+    ])
+    # At theta = pi the half-angle tangent is about 1.6e16: no overflow, no warning.
+    assert np.tan(0.5 * np.pi) > 1e16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, s = typicality._rotation(theta)
+    assert np.abs(c - np.cos(theta)).max() <= 2e-15
+    assert np.abs(s - np.sin(theta)).max() <= 2e-15
+    assert np.abs(c * c + s * s - 1.0).max() <= 4.0 * np.finfo(float).eps
+
+
+def _libm_states(mu, e, count, seed):
+    """The draws of sample_energy_constrained replayed, each state a matrix product with libm trig."""
+    rng = np.random.default_rng(seed)
+    a, b, d_min, length = _draw_intervals(mu, e, count, rng)
+    delta = d_min + rng.random(count) * length
+    r = rng.random(count)
+    angles = rng.uniform(0.0, 2.0 * np.pi, (count, 4))
+    c_plus, c_minus = typicality._std_form_c(mu, a, b, delta)
+
+    def local(lam_m1, inner, outer):
+        w = np.sqrt(1.0 + lam_m1 + np.sqrt(lam_m1 * (lam_m1 + 2.0)))
+        rot = [np.moveaxis(np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]), -1, 0)
+               for t in (inner, outer)]
+        squeeze = np.zeros((count, 2, 2))
+        squeeze[:, 0, 0], squeeze[:, 1, 1] = w, 1.0 / w
+        return rot[1] @ squeeze @ rot[0]
+
+    s = np.zeros((count, 4, 4))
+    lam_a_m1, lam_b_m1 = typicality._squeezings(e, a, b, r)
+    s[:, :2, :2] = local(lam_a_m1, angles[:, 0], angles[:, 1])
+    s[:, 2:, 2:] = local(lam_b_m1, angles[:, 2], angles[:, 3])
+    std = np.zeros((count, 4, 4))
+    std[:, 0, 0] = std[:, 1, 1] = a
+    std[:, 2, 2] = std[:, 3, 3] = b
+    std[:, 0, 2] = std[:, 2, 0] = c_plus
+    std[:, 1, 3] = std[:, 3, 1] = c_minus
+    return np.swapaxes(s, 1, 2) @ std @ s
+
+
+# The five benchmark sampler points, with their state counts, and a low-purity
+# point at high energy.
+@pytest.mark.parametrize(
+    "mu,e,count",
+    [(0.3, 8.0, 20_000), (0.05, 12.0, 400), (0.9, 12.0, 3_000), (0.47, 3.0, 280),
+     (0.4445, 3.0, 1_000), (0.02, 40.0, 3_000)],
+)
+def test_sampled_states_match_a_libm_trig_reference(mu, e, count):
+    got = sample_energy_constrained(mu, e, count, seed=11)
+    want = _libm_states(mu, e, count, 11)
+    error = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert error.max() <= 4e-15, error.max()
+    energy = np.trace(got, axis1=1, axis2=2) / 2.0
+    np.testing.assert_allclose(energy, np.trace(want, axis1=1, axis2=2) / 2.0, rtol=1e-14)
+
+
 def _whole_count_states(mu, e, count, seed):
     """The draws of sample_energy_constrained replayed, every state built in one batch."""
     rng = np.random.default_rng(seed)
