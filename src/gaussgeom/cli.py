@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="print the invariants of a covariance matrix file")
     p_an.add_argument("path", help="covariance matrix file")
     p_an.add_argument("--tol", type=float, default=core.BONA_FIDE_TOL,
-                      help="tolerance on nu_min >= 1 - tol, below 1 (default %(default)g)")
+                      help="tolerance on nu_min >= 1 - tol, finite and below 1 (default %(default)g)")
 
     p_sc = sub.add_parser("scan", help="tabulate typical correlations as CSV")
     p_sc.add_argument("kind", choices=["purity-plane", "purity-cut", "energy-curves", "pure-endpoint"])

@@ -289,7 +289,7 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     eigen-solve and from the same read as the other per-state calls on the
     matrix (:func:`_two_mode_read`).  Other sizes take one Hermitian
     eigen-solve of the pencil.
-    Raises ValueError unless tol < 1.
+    Raises ValueError unless tol is finite and below 1.
 
     In float64 the verdict is only as good as the rounding of the input
     allows: once that moves nu_min by more than ``tol``, physical states
@@ -298,8 +298,8 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     library's energy grids (E <= 40) stay far below that.
     """
     sigma, rows, nu = _two_mode_read(sigma)
-    if not tol < 1.0:  # also rejects NaN
-        raise ValueError(f"tol = {tol} must be below 1")
+    if not (math.isfinite(tol) and tol < 1.0):
+        raise ValueError(f"tol = {tol} must be finite and below 1")
     if rows is None:
         return _bona_fide(sigma, tol)
     return nu is not None and nu[0] >= 1.0 - tol
@@ -340,8 +340,18 @@ def energy(sigma) -> float:
 
     E is proportional to the number of excitations.  Unlike the purities and
     the seralian it is not invariant under local symplectic transformations.
+    E is summed from the halved diagonal, so it stays right where tr Sigma
+    leaves the float range; raises ValueError where E itself does.
     """
-    return 0.5 * float(np.trace(_two_mode_read(sigma)[0]))
+    with np.errstate(over="ignore"):
+        return _finite_energy(float(np.sum(0.5 * np.diagonal(_two_mode_read(sigma)[0]))))
+
+
+def _finite_energy(e: float) -> float:
+    """``e``; ValueError unless it is finite."""
+    if not math.isfinite(e):
+        raise ValueError("the energy E = tr(Sigma)/2 leaves the float range")
+    return e
 
 
 @dataclass(frozen=True)
@@ -424,7 +434,8 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
     flagged with NonPhysicalWarning by the test of :func:`is_bona_fide`
     but the invariants are still returned, which is needed when probing the
     boundary of the physical region.  Raises ValueError (DomainError for
-    blocks with non-positive determinant) when they are undefined.
+    blocks with non-positive determinant) when they are undefined, and
+    ValueError where the energy leaves the float range (see :func:`energy`).
     """
     sigma, rows, nu = _two_mode_read(sigma)
     _require_two_mode(sigma, rows)
@@ -442,7 +453,9 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
             NonPhysicalWarning,
             stacklevel=2,
         )
-    return coords, 0.5 * (rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3])
+    return coords, _finite_energy(
+        0.5 * rows[0][0] + 0.5 * rows[1][1] + 0.5 * rows[2][2] + 0.5 * rows[3][3]
+    )
 
 
 def _unit_sqrt_inverse(block: np.ndarray, scale: float) -> np.ndarray:

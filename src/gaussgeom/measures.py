@@ -280,19 +280,33 @@ def line_element_hs(sigma, d_sigma) -> float:
 
     ds^2 = ((tr(Sigma^-1 dSigma))^2 + 2 tr((Sigma^-1 dSigma)^2)) / (16 sqrt(det Sigma)).
 
-    1/sqrt(det Sigma) comes from the log-determinant, so the result stays
-    right where det Sigma leaves the float range.  Raises ValueError where
-    1/sqrt(det Sigma) itself does (det Sigma below about 1e-616), and where
-    ds^2 does.
+    1/sqrt(det Sigma) is taken as mantissa times a power of two, both from
+    the log-determinant (:func:`_inv_root_det`), so the result stays right
+    wherever det Sigma or 1/sqrt(det Sigma) leaves the float range.  Raises
+    ValueError only where ds^2 does.
     """
     sigma, d_sigma, log_det = _sym_pair(sigma, d_sigma)
-    try:
-        inv_root_det = math.exp(-0.5 * log_det)
-    except OverflowError:
-        raise ValueError("1/sqrt(det sigma) leaves the float range") from None
     tr1, tr2, k = _unit_traces(sigma, d_sigma)
-    mantissa, exponent = math.frexp(inv_root_det)
+    mantissa, exponent = _inv_root_det(log_det)
     return _scaled((tr1 * tr1 + 2.0 * tr2) / 16.0 * mantissa, 2 * k + exponent)
+
+
+#: ln 2 as head + tail: the head has 32 significant bits, so n * head is
+#: exact for |n| < 2**21 (fdlibm's split).
+_LN2_HEAD = 6.93147180369123816490e-01
+_LN2_TAIL = 1.90821492927058770002e-10
+
+
+def _inv_root_det(log_det: float) -> tuple[float, int]:
+    """(m, n) with 1/sqrt(det Sigma) = m * 2**n and m in [1/sqrt 2, sqrt 2].
+
+    n is the nearest integer to -ln(det Sigma)/(2 ln 2) and m = exp(r) with
+    r = -ln(det Sigma)/2 - n ln 2, reduced against ln 2 in two parts so
+    that the reduction adds no rounding beyond that of r itself.
+    """
+    x = -0.5 * log_det
+    n = round(x / _LN2_HEAD)
+    return math.exp((x - n * _LN2_HEAD) - n * _LN2_TAIL), n
 
 
 def line_element_fr(sigma, d_sigma) -> float:

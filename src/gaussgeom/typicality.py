@@ -9,9 +9,12 @@ marginal purities with the weight of :func:`energy_weight`.  One exact
 rejection sampler draws them against their density, weight times
 seralian-interval length, in u = 1/mu_A + 1/mu_B and v = 1/mu_A - 1/mu_B.
 It tests its proposals in cache-sized blocks and stops at the block that
-completes the requested number of draws.  Each running sampler draws its
-proposal batches into one reused buffer of 1.5 MB, kept between calls, so
-that a call does not grow the heap and fault its pages in again.  The
+completes the requested number of draws.  It reads each block's uniforms
+where they lie in the generator's stream, by cursors that PCG64 moves
+there exactly, into one reused buffer of 384 KB kept between calls, so
+that a call neither stores its proposal batches nor grows the heap and
+faults its pages in again; the draws are bit for bit those of drawing
+the batches whole.  The
 sampler takes energies up to 2**200, below the 1.29e62 where its weight
 leaves the float range.  Both ensemble averages, the four statistics
 and the ratio of a custom seralian integral to the interval length, are
@@ -19,9 +22,10 @@ sample means taken by one loop, block by block straight from the accepted
 (u, v) into running sums, so their memory does not grow with the number of
 draws.  The state sampler builds each state from the
 accepted (u, v) too, with a seralian uniform on its interval and the
-standard form of core; it takes its output plus about one input row per
-state, and assembles the states from them in cache-sized chunks, each
-written straight into the output.  Each local rotation's cosine and sine
+standard form of core; beyond its output (128 bytes per state) it keeps
+the accepted (u, v), 16 bytes per state, and assembles the states in
+cache-sized chunks, each from its own stretch of the stream and written
+straight into the output.  Each local rotation's cosine and sine
 come from one half-angle tangent, which numpy vectorises where its sine
 and cosine are scalar calls.
 The pure-state (mu = 1) endpoint is closed form in h = E/2, with a power
@@ -31,6 +35,7 @@ here needs scipy.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
@@ -407,13 +412,20 @@ def energy_constrained_ratio(
     sums (:func:`_ensemble_means`), so memory does not grow with
     ``mc.final_evals``.  With ``inner`` returning the interval length itself
     the ratio is exactly 1.  Raises DomainError where
-    :func:`energy_constrained_stats` does.
+    :func:`energy_constrained_stats` does, and ValueError where ``inner``
+    returns anything but one finite value per point.
     """
 
     def ratio(mu, box, u, v, out):
         a, b, lo, length = _intervals(mu, box, u, v)
         hi = lo + length
-        out[0] = inner(1.0 / a, 1.0 / b, lo, hi) / (hi - lo)
+        integral = np.asarray(inner(1.0 / a, 1.0 / b, lo, hi), dtype=float)
+        if integral.shape != a.shape or not np.isfinite(integral).all():
+            raise ValueError(
+                f"inner must return one finite value per point, {a.size} of them; "
+                f"got shape {integral.shape}"
+            )
+        out[0] = integral / (hi - lo)
 
     return _ensemble_means(mu, energy, mc, 1, ratio)[0]
 
@@ -492,16 +504,19 @@ def pure_state_endpoint(energy: float) -> PureEndpoint:
 # ---------------------------------------------------------------------------
 # Exact sampler of energy-constrained states
 
-#: Largest proposal batch of the sampler; bounds its working memory.  Each
-#: running sampler draws its batches into one (3, _SAMPLER_BATCH) buffer of
-#: 1.5 MB, kept in :data:`_DRAW_BUFFERS` between calls.  Three fresh 512 KB
-#: arrays per batch made the heap grow during a call and shrink after it,
-#: so every call faulted about 6 MB of pages in again.
+#: Largest proposal batch of the sampler; fixes the layout of its random
+#: stream, which a batch fills with its u's, then its v's, then its
+#: acceptance variates.  The proposals are read from that stream slice by
+#: slice (:func:`_stream_runs`), so the batch no longer sets the working
+#: memory.
 _SAMPLER_BATCH = 65_536
-#: Free list of draw buffers: a sampler pops one (or allocates one if the
-#: list is empty) and appends it back when it finishes or is closed, so the
-#: list holds at most one buffer per sampler ever running at once.
-_DRAW_BUFFERS: list[np.ndarray] = []
+#: Free list of draw buffers, each a (3, _BLOCK) array of 384 KB with its
+#: three cursor generators.  A sampler pops one (or builds one if the list
+#: is empty) and appends it back when it finishes or is closed, so the list
+#: holds at most one per sampler ever running at once and a warm call
+#: builds no generator.  Fresh arrays per batch made the heap grow during a
+#: call and shrink after it, so every call faulted its pages in again.
+_DRAW_BUFFERS: list[tuple[np.ndarray, tuple[np.random.Generator, ...]]] = []
 #: Largest energy of the sampler.  On the support, energy_weight =
 #: (E - u)(xy)^2 in x = 1/mu_A, y = 1/mu_B peaks at (16/3125) E^5 (xy <= u^2/4,
 #: largest at u = 4E/5), which leaves the float range once E passes about
@@ -516,7 +531,8 @@ _BLOCK = 16_384
 #: L2 cache: 20 000 states took 6.3 ms in 4096-state chunks against 7.4 ms
 #: in 1024-state, 8.3 ms in 16 384-state chunks and 9.0 ms whole (medians
 #: of 12 best-of-5 runs on one vCPU of a 2-vCPU x86-64 VM, numpy 2.4 with
-#: AVX-512, rotations from half-angle tangents).
+#: AVX-512, rotations from half-angle tangents).  A chunk's 4 angles per
+#: state fill one row of a draw buffer: 4 * _STATE_CHUNK = _BLOCK.
 _STATE_CHUNK = 4096
 
 
@@ -580,17 +596,23 @@ def assemble_covmat(std: StdForm, sample: LocalSympSample) -> np.ndarray:
     """Covariance matrix (S_A + S_B)^T sigma_std (S_A + S_B) for one sample.
 
     The trace identity tr(S^T (c I) S) = 2 c lambda makes the energy of the
-    result exactly lambda_A/mu_A + lambda_B/mu_B.
+    result exactly lambda_A/mu_A + lambda_B/mu_B.  Raises DomainError where
+    the assembly leaves the float range: where the matrix does, and where
+    lambda (lambda + 2) does, lambda above about 1.3e154.
     """
-    return _covmats(
-        std.a,
-        std.b,
-        std.c_plus,
-        std.c_minus,
-        np.array([sample.lambda_a - 1.0]),
-        np.array([sample.lambda_b - 1.0]),
-        np.array([sample.angles], dtype=float),
-    )[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = _covmats(
+            std.a,
+            std.b,
+            std.c_plus,
+            std.c_minus,
+            np.array([sample.lambda_a - 1.0]),
+            np.array([sample.lambda_b - 1.0]),
+            np.array([sample.angles], dtype=float),
+        )[0]
+    if not np.isfinite(sigma).all():
+        raise DomainError(f"the covariance matrix of {std} and {sample} leaves the float range")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -635,6 +657,51 @@ class _UVSupport:
         return np.minimum(u * u - self.four_over_mu, self.cap) - v * v
 
 
+@contextlib.contextmanager
+def _draw_buffer():
+    """A (3, _BLOCK) draw buffer and its three cursors, taken from :data:`_DRAW_BUFFERS`.
+
+    The pair goes back on the free list when the block exits.  The cursors
+    are PCG64 generators, numpy's default, the only kind the samplers use.
+    """
+    try:
+        entry = _DRAW_BUFFERS.pop()
+    except IndexError:
+        cursors = tuple(np.random.Generator(np.random.PCG64(0)) for _ in range(3))
+        entry = (np.empty((3, _BLOCK)), cursors)
+    try:
+        yield entry
+    finally:
+        _DRAW_BUFFERS.append(entry)
+
+
+def _stream_runs(rng: np.random.Generator, lengths, cursors):
+    """Point ``cursors`` at consecutive runs of ``rng``'s stream and move ``rng`` past them.
+
+    The runs hold ``lengths`` doubles each, one 64-bit output per double of
+    ``Generator.random``.  Each cursor gets a copy of ``rng``'s state,
+    moved to its run's start by ``bit_generator.advance``, which PCG64 does
+    exactly in O(log n) steps; so reading a run from its cursor gives, bit
+    for bit, the doubles that drawing the runs in order from ``rng`` would.
+    ``rng`` is then advanced past every run.  ``advance`` drops the buffered
+    32-bit half of ``Generator.integers``, which drawing doubles keeps, so
+    the half is put back: ``rng``'s full state ends where drawing the runs
+    would have left it.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    start = 0
+    for cursor, length in zip(cursors, lengths):
+        cursor.bit_generator.state = state
+        cursor.bit_generator.advance(start)
+        start += length
+    bits.advance(start)
+    if state["has_uint32"]:
+        end = bits.state
+        end["has_uint32"], end["uinteger"] = 1, state["uinteger"]
+        bits.state = end
+
+
 def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Generator):
     """Yield blocks of accepted (u, v) proposals until ``count`` are accepted.
 
@@ -646,46 +713,43 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
     1/max(y, 1) (the clamp keeps them in (0, 1]; clamped proposals have
     L <= 0 and are rejected).  Every accepted draw has L > 0: the one support test.
 
-    Each batch draws u, v and the acceptance variates with one generator
-    call each, sized for the draws still missing at the acceptance seen so
-    far, into rows of a buffer taken from :data:`_DRAW_BUFFERS` and given
-    back when the generator finishes or is closed; u and v get the map
-    low + (high - low) x of ``Generator.uniform`` in place, so the draws are
-    bit for bit those of ``rng.uniform``.  The acceptance test runs on
-    slices of :data:`_BLOCK` proposals, each passed once to
-    :func:`energy_weight`, and stops at the slice that completes ``count``;
-    the rest of that batch is never evaluated.  The yielded blocks are
-    copies, never views of the buffer.
+    Each batch, sized for the draws still missing at the acceptance seen so
+    far, takes three runs of ``rng``'s stream: its u's, its v's and its
+    acceptance variates, as three ``rng.random`` calls of the batch's size
+    would.  The acceptance test runs on slices of :data:`_BLOCK` proposals,
+    each read from the three runs by the cursors of :func:`_stream_runs`
+    into the rows of a buffer from :func:`_draw_buffer` and passed once to
+    :func:`energy_weight`; u and v get the map low + (high - low) x of
+    ``Generator.uniform`` in place, so the draws are bit for bit those of
+    ``rng.uniform``.  The test stops at the slice that completes ``count``;
+    the rest of that batch is never generated, though ``rng`` is left past
+    the whole batch.  The yielded blocks are copies, never views of the
+    buffer.
     """
     v_max = np.sqrt(box.v_sq)
     ranges = ((box.u_lo, energy), (-v_max, v_max))
-    try:
-        draws = _DRAW_BUFFERS.pop()
-    except IndexError:
-        draws = np.empty((3, _SAMPLER_BATCH))
     n_acc = n_drawn = 0
-    try:
+    with _draw_buffer() as (draws, cursors):
         while True:
             # Size the batch for the states still missing at the acceptance
             # seen so far: a quarter before the first batch, at least 3 %
             # anywhere.
             rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
             batch = min(_SAMPLER_BATCH, max(1024, int(1.1 * (count - n_acc) / rate)))
-            u, v, r = draws[:, :batch]
-            for x, (low, high) in zip((u, v), ranges):
-                # Generator.uniform(low, high) is low + (high - low) * random().
-                rng.random(out=x)
-                np.multiply(x, high - low, out=x)
-                np.add(x, low, out=x)
-            rng.random(out=r)
+            _stream_runs(rng, (batch,) * 3, cursors)
             n_drawn += batch
             for start in range(0, batch, _BLOCK):
-                block = slice(start, start + _BLOCK)
-                u_b, v_b = u[block], v[block]
+                u_b, v_b, r_b = rows = draws[:, : min(_BLOCK, batch - start)]
+                for row, cursor in zip(rows, cursors):
+                    cursor.random(out=row)
+                for x, (low, high) in zip((u_b, v_b), ranges):
+                    # Generator.uniform(low, high) is low + (high - low) * random().
+                    np.multiply(x, high - low, out=x)
+                    np.add(x, low, out=x)
                 mu_a = 1.0 / np.maximum(0.5 * (u_b + v_b), 1.0)
                 mu_b = 1.0 / np.maximum(0.5 * (u_b - v_b), 1.0)
                 excess = energy_weight(mu_a, mu_b, energy) * (mu_a * mu_b) ** 2  # E - u
-                ok = r[block] * box.rho_max < excess * box.length(u_b, v_b)
+                ok = r_b * box.rho_max < excess * box.length(u_b, v_b)
                 idx = np.flatnonzero(ok)[: count - n_acc]
                 n_acc += idx.size
                 yield u_b.take(idx), v_b.take(idx)
@@ -695,8 +759,6 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
                         n_acc / n_drawn, n_drawn, count,
                     )
                     return
-    finally:
-        _DRAW_BUFFERS.append(draws)
 
 
 def _intervals(mu: float, box: _UVSupport, u, v):
@@ -713,9 +775,8 @@ def _intervals(mu: float, box: _UVSupport, u, v):
 def _draw_intervals(mu: float, energy: float, count: int, rng: np.random.Generator):
     """:func:`_intervals` of ``count`` ensemble draws of :func:`_accepted_uv`, all at once.
 
-    The state sampler needs every draw at once: it draws its seralian,
-    squeezing and angle uniforms from the same generator only after all
-    (u, v) are accepted.
+    The whole-count reference of the draws that :func:`sample_energy_constrained`
+    takes chunk by chunk.
     """
     box = _UVSupport.of(mu, energy)
     u, v = (np.concatenate(parts) for parts in zip(*_accepted_uv(box, energy, count, rng)))
@@ -744,9 +805,13 @@ def sample_energy_constrained(
     8/105 next to the edge mu = 4/E^2, up to 1/3 towards mu = 1 and not
     below 1/30 anywhere (its large-E limit near mu = 1/E), so the run time
     is bounded everywhere.  The seralian is uniform on the interval of each
-    accepted (u, v) (:func:`_draw_intervals`), lambda_A uniform on
+    accepted (u, v) (:func:`_intervals`), lambda_A uniform on
     [1, (E - b)/a] and the four rotation angles uniform; c+ and c- come
-    from :func:`~gaussgeom.core._std_form_c`.  Every
+    from :func:`~gaussgeom.core._std_form_c`.  The accepted (u, v) are kept
+    in two count-long arrays; the states are assembled in chunks of
+    :data:`_STATE_CHUNK`, each from its uniforms read off the generator's
+    stream by :func:`_stream_runs`, so the working memory beyond the output
+    is about 22 bytes per state at 200 000 states.  Every
     returned matrix has energy E exactly (to rounding) and passes the
     physicality test.  Raises DomainError outside the ensemble's support
     and above the sampler's energy cap 2**200, and ValueError unless ``seed`` is a non-negative integer and ``count``
@@ -757,18 +822,29 @@ def sample_energy_constrained(
         raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be positive")
+    box = _UVSupport.of(mu, energy)
     rng = np.random.default_rng(seed)
-    a, b, d_min, length = _draw_intervals(mu, energy, count, rng)
-    r_delta = rng.random(count)
-    r_lambda = rng.random(count)
-    angles = rng.uniform(0.0, 2.0 * np.pi, (count, 4))
+    u, v = np.empty(count), np.empty(count)
+    filled = 0
+    for u_b, v_b in _accepted_uv(box, energy, count, rng):
+        u[filled : filled + u_b.size], v[filled : filled + v_b.size] = u_b, v_b
+        filled += u_b.size
     sigma = np.empty((count, 4, 4))
-    for start in range(0, count, _STATE_CHUNK):
-        c = slice(start, start + _STATE_CHUNK)
-        delta = d_min[c] + r_delta[c] * length[c]
-        _covmats(
-            a[c], b[c], *_std_form_c(mu, a[c], b[c], delta),
-            *_squeezings(energy, a[c], b[c], r_lambda[c]), angles[c], out=sigma[c],
-        )
+    with _draw_buffer() as (draws, cursors):
+        # Seralian, squeezing and angle uniforms: the count, count and
+        # 4 count doubles that follow the proposals, read chunk by chunk.
+        _stream_runs(rng, (count, count, 4 * count), cursors)
+        for start in range(0, count, _STATE_CHUNK):
+            n = min(_STATE_CHUNK, count - start)
+            c = slice(start, start + n)
+            r_delta, r_lambda, angles = draws[0, :n], draws[1, :n], draws[2, : 4 * n]
+            for row, cursor in zip((r_delta, r_lambda, angles), cursors):
+                cursor.random(out=row)
+            # Generator.uniform(0, 2 pi) is 0 + 2 pi * random().
+            np.multiply(angles, 2.0 * np.pi, out=angles)
+            a, b, d_min, length = _intervals(mu, box, u[c], v[c])
+            _covmats(
+                a, b, *_std_form_c(mu, a, b, d_min + r_delta * length),
+                *_squeezings(energy, a, b, r_lambda), angles.reshape(n, 4), out=sigma[c],
+            )
     return sigma
-

@@ -152,6 +152,15 @@ def test_is_bona_fide_rejects_tolerance_of_one():
             is_bona_fide(np.eye(2), tol=tol)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tol", [-np.inf, np.inf])
+def test_is_bona_fide_rejects_a_non_finite_tolerance(n, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            is_bona_fide(np.eye(2 * n), tol=tol)
+
+
 def test_two_modes_take_no_linalg_call_other_sizes_one_eigen_solve(monkeypatch):
     calls = []
 
@@ -1011,6 +1020,28 @@ def test_covmat_file_errors(tmp_path):
 
 def test_energy_of_vacuum():
     assert energy(vacuum(2)) == 2.0
+
+
+def test_energy_where_the_trace_overflows_but_e_does_not():
+    # A physical, strongly squeezed product state: tr Sigma = 2e308 overflows, E = 1e308.
+    sigma = np.diag([1e308, 1e-308, 1e308, 1e-308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy(sigma) == 1e308
+        assert invariants(sigma)[1] == 1e308
+        assert energy(np.kron(np.eye(3), np.diag([1e308, 1e-308]))) == 1.5e308
+
+
+def test_energy_outside_the_float_range_raises():
+    # E = 2e308 for both; the second has a finite global purity 1/1.5e308.
+    hot = 1e308 * np.eye(4)
+    mixed = np.diag([1.5e308, 1.5e308, 1.5e308, 1.0 / 1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="energy .* leaves the float range"):
+            energy(hot)
+        with pytest.raises(ValueError, match="energy .* leaves the float range"):
+            invariants(mixed, warn_nonphysical=False)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

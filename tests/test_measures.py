@@ -322,6 +322,22 @@ def test_line_elements_with_a_huge_finite_displacement(line_element, d_sigma, me
             line_element(np.eye(2), d_sigma)
 
 
+@pytest.mark.parametrize(
+    "scale,step,want",
+    [
+        # det = 1e800: 1/sqrt(det) = 1e-400 underflows, ds^2 = 1.5e200 * 1e-400 does not.
+        (1e200, 1e300, 1.5e-200),
+        # det = 1e-640: 1/sqrt(det) = 1e320 overflows, ds^2 = 1.5e-20 * 1e320 does not.
+        (1e-160, 1e-170, 1.5e300),
+    ],
+)
+def test_line_element_hs_in_range_where_one_over_root_det_is_not(scale, step, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = line_element_hs(scale * np.eye(4), step * np.eye(4))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_line_element_hs_in_range_where_its_squared_trace_is_not():
     # ds^2 = (4e308 + 2 * 2e308) / 16 = 5e307, although (tr x)^2 = 4e308 overflows.
     with warnings.catch_warnings():

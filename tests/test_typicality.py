@@ -306,6 +306,23 @@ def test_energy_constrained_ratio_of_ones_is_exact():
     assert est.std_error == 0.0
 
 
+@pytest.mark.parametrize(
+    "inner",
+    [
+        lambda mu_a, mu_b, lo, hi: np.where(mu_a > 0.3, np.nan, hi - lo),
+        lambda mu_a, mu_b, lo, hi: np.full(mu_a.shape, np.inf),
+        lambda mu_a, mu_b, lo, hi: 1.0,
+        lambda mu_a, mu_b, lo, hi: (hi - lo)[:-1],
+        lambda mu_a, mu_b, lo, hi: np.stack([hi - lo, hi - lo]),
+    ],
+)
+def test_energy_constrained_ratio_rejects_inner_results_that_are_not_one_finite_value_per_point(
+    inner,
+):
+    with pytest.raises(ValueError, match="one finite value per point"):
+        energy_constrained_ratio(0.4, 6.0, inner, McConfig(seed=2, final_evals=500))
+
+
 def test_energy_stats_basic_properties():
     stats = energy_constrained_stats(0.3, 8.0, McConfig(seed=3, final_evals=30_000))
     for est in (stats.prop_entangled, stats.prop_steerable):
@@ -727,6 +744,20 @@ def test_local_symp_sample_rejects_non_finite_parameters(lam_a, lam_b, angles):
         LocalSympSample(lam_a, lam_b, angles)
 
 
+@pytest.mark.parametrize(
+    "std,sample",
+    [
+        (StdForm(2, 2, 1, -1), LocalSympSample(1e300, 1e300, (0, 0, 0, 0))),
+        (StdForm(1e300, 1e300, 0, 0), LocalSympSample(1e10, 1.0, (0, 0, 0, 0))),
+    ],
+)
+def test_assemble_covmat_outside_the_float_range_raises_domain_error(std, sample):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range"):
+            assemble_covmat(std, sample)
+
+
 def test_sampler_constraints_hold():
     mu, e = 0.3, 8.0
     sigmas = sample_energy_constrained(mu, e, 20_000, seed=7)
@@ -866,6 +897,59 @@ def test_draw_purities_matches_the_unblocked_loop(mu, e, count, seed):
 
 def _uv_blocks(mu, e, count, seed):
     return _accepted_uv(_UVSupport.of(mu, e), e, count, np.random.default_rng(seed))
+
+
+def test_stream_runs_read_the_doubles_drawn_in_order():
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    # A buffered 32-bit half, which bit_generator.advance drops.
+    rng.integers(10, dtype=np.int32)
+    ref.integers(10, dtype=np.int32)
+    lengths = (5, 0, 1000, 3)
+    cursors = [np.random.Generator(np.random.PCG64(0)) for _ in lengths]
+    typicality._stream_runs(rng, lengths, cursors)
+    for cursor, length in zip(cursors, lengths):
+        np.testing.assert_array_equal(cursor.random(length), ref.random(length))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.bit_generator.state["has_uint32"] == 1
+    assert rng.integers(10, dtype=np.int32) == ref.integers(10, dtype=np.int32)
+
+
+@pytest.mark.parametrize("count", [1, 4097, 30_000])
+def test_sampler_leaves_the_generator_state_of_the_unblocked_loop(count):
+    mu, e = 0.53125, 8.0
+    rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+    for g in (rng, ref):
+        g.integers(10, dtype=np.int32)
+    _unblocked_draws(mu, e, count, ref)
+    for _ in _accepted_uv(_UVSupport.of(mu, e), e, count, rng):
+        pass
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_warm_sampler_builds_no_generator(monkeypatch):
+    buffers = []
+    monkeypatch.setattr(typicality, "_DRAW_BUFFERS", buffers)
+    sample_energy_constrained(0.3, 8.0, 5_000, seed=1)
+    (entry,) = buffers
+
+    def no_new_generator(*args, **kwargs):
+        raise AssertionError("a warm call built a generator")
+
+    # default_rng, which seeds each call's own generator, does not look these up.
+    monkeypatch.setattr(np.random, "Generator", no_new_generator)
+    monkeypatch.setattr(np.random, "PCG64", no_new_generator)
+    sample_energy_constrained(0.3, 8.0, 5_000, seed=2)
+    energy_constrained_stats(0.3, 8.0, McConfig(seed=2, final_evals=5_000))
+    assert len(buffers) == 1 and buffers[0] is entry
+
+
+def test_sampler_working_memory_is_two_floats_per_state():
+    # Beyond its output, the sampler keeps the accepted (u, v) and one
+    # chunk's temporaries: at most 32 B per state at 200 000 states.
+    count = 200_000
+    states = []
+    peak = _traced_peak(lambda: states.append(sample_energy_constrained(0.3, 8.0, count)))
+    assert (peak - states[0].nbytes) / count <= 32.0
 
 
 def test_interleaved_samplers_yield_what_each_yields_alone():
