@@ -11,13 +11,13 @@ into Python floats and handled in closed form from one scalar Cholesky
 factor Sigma = L L^T: the symplectic spectrum, the physicality test and the
 purity all follow from L with no eigen-solve (see :func:`_two_mode_nu`),
 and the seralian is det A + det B + 2 det C.  The last such read is kept
-(:func:`_two_mode_read`), so back-to-back calls on one matrix validate and
-factor it once.  Other sizes run through one Hermitian eigenproblem, whose
-eigenvalues are well conditioned and come in exact +- pairs: the
-physicality test is one eigen-solve of Sigma + i*(1 - tol)*Omega, the
-symplectic spectrum one eigen-solve of L^T (i Omega) L.  A symplectic
-spectrum is defined only for positive definite input; anything else raises
-ValueError.
+(:func:`_two_mode_read`), so back-to-back calls on one matrix convert,
+validate and factor it once.  Other sizes run through one Hermitian
+eigenproblem, whose eigenvalues are well conditioned and come in exact +-
+pairs: the physicality test is one eigen-solve of
+Sigma + i*(1 - tol)*Omega, the symplectic spectrum one eigen-solve of
+L^T (i Omega) L.  A symplectic spectrum is defined only for positive
+definite input; anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -123,18 +123,23 @@ def validate_covmat(sigma) -> np.ndarray:
 
 
 def _validated(sigma) -> tuple[np.ndarray, list[list[float]] | None]:
-    """:func:`validate_covmat`, plus the rows as Python floats for 4x4 input (else None).
+    """:func:`validate_covmat`, plus the rows as Python floats for 4x4 input (else None)."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (4, 4):
+        return validate_covmat(sigma), None
+    return sigma, _two_mode_rows(sigma)
 
-    A 4x4 matrix is read once with ``tolist`` and checked on those scalars,
+
+def _two_mode_rows(sigma: np.ndarray) -> list[list[float]]:
+    """The rows of a 4x4 float array as Python floats, validated as :func:`validate_covmat` does.
+
+    The matrix is read once with ``tolist`` and checked on those scalars,
     with the verdicts and messages of :func:`validate_covmat`.  A finite sum
     of the entries proves every entry finite; only a sum that is not (a
     non-finite entry, or finite entries that overflow it) takes the
     per-entry test.  The largest asymmetry and the scale max(1, |entries|)
     are computed only for input that is not exactly symmetric.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (4, 4):
-        return validate_covmat(sigma), None
     rows = sigma.tolist()
     (_, s01, s02, s03), (s10, _, s12, s13), (s20, s21, _, s23), (s30, s31, s32, _) = rows
     entries = rows[0] + rows[1] + rows[2] + rows[3]
@@ -147,7 +152,7 @@ def _validated(sigma) -> tuple[np.ndarray, list[list[float]] | None]:
         )
         if asym > SYMMETRY_RTOL * max(1.0, *map(abs, entries)):
             raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
-    return sigma, rows
+    return rows
 
 
 #: The last two-mode read (key, rows, nu) of :func:`_two_mode_read`.  It is
@@ -158,11 +163,12 @@ _last_read: tuple[bytes, list[list[float]], tuple[float, float] | None] = (b"", 
 def _two_mode_read(sigma):
     """:func:`_validated` plus, for 4x4 input, :func:`_two_mode_nu`: (sigma, rows, nu).
 
-    The last 4x4 read is kept under the float64 bytes of the matrix, so that
-    the per-state calls on one matrix validate and factor it once.  A matrix
-    changed in place has other bytes and is read again; input that fails
-    validation raises and is not kept.  The kept rows are shared between
-    calls and only read.  Other sizes give (sigma, None, None).
+    The input is converted and its shape tested once.  The last 4x4 read is
+    kept under the float64 bytes of the matrix, so that the per-state calls
+    on one matrix validate and factor it once.  A matrix changed in place
+    has other bytes and is read again (:func:`_two_mode_rows`); input that
+    fails validation raises and is not kept.  The kept rows are shared
+    between calls and only read.  Other sizes give (sigma, None, None).
     """
     global _last_read
     sigma = np.asarray(sigma, dtype=float)
@@ -172,7 +178,7 @@ def _two_mode_read(sigma):
     last = _last_read
     if last[0] == key:
         return sigma, last[1], last[2]
-    sigma, rows = _validated(sigma)
+    rows = _two_mode_rows(sigma)
     nu = _two_mode_nu(rows)
     _last_read = (key, rows, nu)
     return sigma, rows, nu
@@ -399,17 +405,14 @@ class StdForm:
         return m
 
 
-def _require_two_mode(sigma: np.ndarray, rows: list[list[float]] | None) -> None:
-    """Raise ValueError unless the validated matrix is two-mode, that is, has rows."""
-    if rows is None:
-        raise ValueError(f"expected a two-mode (4x4) covariance matrix, got {sigma.shape}")
-
-
-def _block_dets(rows: list[list[float]]) -> tuple[float, float, float]:
+def _block_dets(sigma: np.ndarray, rows: list[list[float]] | None) -> tuple[float, float, float]:
     """det A, det B and det C of a two-mode matrix [[A, C], [C^T, B]], from its rows.
 
-    Raises DomainError unless det A and det B are positive.
+    Raises ValueError unless the validated matrix is two-mode, that is, has
+    rows, and DomainError unless det A and det B are positive.
     """
+    if rows is None:
+        raise ValueError(f"expected a two-mode (4x4) covariance matrix, got {sigma.shape}")
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     det_a = a00 * a11 - a01 * a10
     det_b = b00 * b11 - b01 * b10
@@ -438,16 +441,19 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
     ValueError where the energy leaves the float range (see :func:`energy`).
     """
     sigma, rows, nu = _two_mode_read(sigma)
-    _require_two_mode(sigma, rows)
-    det_a, det_b, det_c = _block_dets(rows)
-    physical = nu is not None and nu[0] >= 1.0 - BONA_FIDE_TOL
-    coords = InvariantCoords(
+    det_a, det_b, det_c = _block_dets(sigma, rows)
+    # The record is filled with one __dict__ write: the generated __init__ of
+    # a frozen dataclass sets each field through object.__setattr__, and took
+    # 0.9 us against 0.4 us for this write.  Equality, hash, repr and the
+    # frozen assignment check are those of InvariantCoords(...).
+    coords = object.__new__(InvariantCoords)
+    coords.__dict__.update(
         mu=_purity(sigma, nu),
         mu_a=1.0 / math.sqrt(det_a),
         mu_b=1.0 / math.sqrt(det_b),
         delta=det_a + det_b + 2.0 * det_c,
     )
-    if warn_nonphysical and not physical:
+    if warn_nonphysical and not (nu is not None and nu[0] >= 1.0 - BONA_FIDE_TOL):
         warnings.warn(
             "matrix is not a physical state (Sigma + i*Omega is not positive semidefinite)",
             NonPhysicalWarning,
@@ -486,8 +492,7 @@ def standard_form(sigma) -> StdForm:
     diagonal blocks are positive definite.
     """
     sigma, rows = _validated(sigma)
-    _require_two_mode(sigma, rows)
-    det_a, det_b, det_c = _block_dets(rows)
+    det_a, det_b, det_c = _block_dets(sigma, rows)
     a, b = np.sqrt(det_a), np.sqrt(det_b)
     (n00, n01), (n10, n11) = (
         _unit_sqrt_inverse(sigma[:2, :2], a)
@@ -634,7 +639,9 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     ``scale`` sets the standard deviation of H and thereby the typical
     amount of squeezing.  The matrix exponential is scipy's; scipy is
     loaded on the first call, not on import, so only the random-state
-    constructors pay for it.  Raises ValueError for a non-finite ``scale``.
+    constructors pay for it.  Raises ValueError for a non-finite ``scale``
+    and DomainError where the matrix leaves the float range, as a scale of
+    a few hundred or more can make it.
     """
     if not math.isfinite(scale):
         raise ValueError(f"scale = {scale} must be finite")
@@ -642,12 +649,24 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
 
     n = 2 * n_modes
     h = rng.normal(scale=scale, size=(n, n))
-    h = 0.5 * (h + h.T)
-    return expm(symplectic_form(n_modes) @ h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * (h + h.T)
+        s = expm(symplectic_form(n_modes) @ h)
+    return _in_float_range(s, f"the random symplectic matrix at scale = {scale}")
+
+
+def _in_float_range(m: np.ndarray, what: str) -> np.ndarray:
+    """``m``; DomainError, naming ``what``, unless every entry is finite."""
+    if not np.isfinite(m).all():
+        raise DomainError(f"{what} leaves the float range")
+    return m
 
 
 def random_local_symplectic(rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """Random S_A + S_B direct sum acting locally on a two-mode state."""
+    """Random S_A + S_B direct sum acting locally on a two-mode state.
+
+    Raises DomainError where :func:`random_symplectic` does.
+    """
     s = np.zeros((4, 4))
     s[:2, :2] = random_symplectic(1, rng, scale)
     s[2:, 2:] = random_symplectic(1, rng, scale)
@@ -663,13 +682,16 @@ def random_covmat(
     """Random bona fide covariance matrix S^T D S with nu ~ U[1, nu_max].
 
     Raises ValueError unless ``nu_max`` is finite and at least 1, and for a
-    non-finite ``scale`` (see :func:`random_symplectic`).
+    non-finite ``scale``; DomainError where S or the matrix leaves the
+    float range (see :func:`random_symplectic`).
     """
     if not (math.isfinite(nu_max) and nu_max >= 1.0):
         raise ValueError(f"nu_max = {nu_max} must be finite and at least 1")
     nu = rng.uniform(1.0, nu_max, size=n_modes)
     s = random_symplectic(n_modes, rng, scale)
-    return s.T @ thermal(nu) @ s
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = s.T @ thermal(nu) @ s
+    return _in_float_range(sigma, f"the random covariance matrix at scale = {scale}")
 
 
 # ---------------------------------------------------------------------------

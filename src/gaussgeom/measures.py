@@ -85,13 +85,23 @@ def fixed_purity(mu: float) -> MeasureKind:
 
 
 def _spectrum(nu) -> list[float]:
-    """The validated spectrum as Python floats: non-empty, 1D, every nu >= 1 (up to rounding)."""
-    nu = np.asarray(nu, dtype=float)
-    if nu.ndim > 1 or nu.size == 0:
+    """The validated spectrum as Python floats: non-empty, 1D, every nu >= 1 (up to rounding).
+
+    Every input kind (list, tuple, array, scalar) takes one conversion to a
+    float array and its ``tolist``, then one ``min`` and one NaN test.
+    ``min`` passes over a NaN that is not first, so the test is on the sum,
+    which any NaN makes NaN; the one other NaN sum, inf + -inf, has a -inf
+    that ``min`` returns (or a NaN first), and that fails already.
+    """
+    nu = np.asarray(nu, dtype=float).tolist()
+    if not isinstance(nu, list):  # a 0-d array
+        nu = [nu]
+    elif not nu or isinstance(nu[0], list):
         raise ValueError("spectrum must be a non-empty 1D sequence")
-    nu = nu.tolist() if nu.ndim else [nu.item()]
-    lowest = math.nan if any(map(math.isnan, nu)) else min(nu)
-    if not lowest >= 1.0 - _SPECTRUM_TOL:  # also rejects NaN
+    lowest = min(nu)
+    if not lowest >= 1.0 - _SPECTRUM_TOL or math.isnan(sum(nu)):  # also rejects NaN
+        if any(map(math.isnan, nu)):
+            lowest = math.nan
         raise ValueError(f"symplectic eigenvalues must be >= 1, got min {lowest}")
     return nu
 
@@ -142,11 +152,6 @@ def _repulsion_vanishes(nu: list[float]) -> bool:
     return sq0 == sq1 < math.inf  # inf - inf gives a NaN factor
 
 
-def _prod_exponent(kind: MeasureKind, n: int) -> float:
-    """The prod(nu_k) exponent of ``kind`` on ``n`` modes."""
-    return _PROD_EXPONENTS[kind.tag](n)
-
-
 def _off_shell(kind: MeasureKind, nu: list[float]) -> bool:
     """True iff ``kind`` is the fixed-purity measure and nu lies off its shell."""
     return kind.tag == "fixed-purity" and abs(math.prod([1.0 / v for v in nu]) - kind.mu) > 1e-9
@@ -184,10 +189,9 @@ def density(kind: MeasureKind, nu) -> float:
     where the density has no value.
     """
     nu = _finite_spectrum(nu)
-    exponent = _prod_exponent(kind, len(nu))
     if _off_shell(kind, nu):
         return 0.0
-    return _decimal_density(nu, exponent)
+    return _decimal_density(nu, _PROD_EXPONENTS[kind.tag](len(nu)))
 
 
 def _decimal_density(nu: list[float], exponent: float) -> float:
@@ -216,11 +220,14 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
     ValueError when the denominator density vanishes: at a degenerate
     spectrum (except for equal kinds) or off the shell of a fixed-purity
     denominator.  Off the shell of a fixed-purity numerator the ratio is 0.
+    Lists, tuples and arrays take the one validation of :func:`_spectrum`,
+    and the exponents are selected by the kinds' tags.
     """
     if kind_a.tag == kind_b.tag and kind_a.mu == kind_b.mu:
         return 1.0
     nu = _spectrum(nu)
-    exponent = _prod_exponent(kind_a, len(nu)) - _prod_exponent(kind_b, len(nu))
+    n = len(nu)
+    exponent = _PROD_EXPONENTS[kind_a.tag](n) - _PROD_EXPONENTS[kind_b.tag](n)
     if _off_shell(kind_b, nu) or _repulsion_vanishes(nu):
         raise ValueError("density ratio undefined: denominator density vanishes")
     if _off_shell(kind_a, nu):

@@ -234,9 +234,11 @@ def _purity_grid(mu: float, grid_size: int, plane: bool):
     along the symmetric cut mu_A = mu_B.  Region codes are positions in
     ``tuple(RegionClass)``; points without physical states (code 0,
     Unphysical) carry NaN statistics.  All four results are arrays.
+    Raises ValueError unless ``grid_size`` is a positive integer (not a bool).
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be positive")
+    if not _is_int(grid_size) or grid_size < 1:
+        raise ValueError(f"grid_size must be a positive integer, got {grid_size!r}")
+    grid_size = int(grid_size)  # a small numpy integer would wrap at grid_size + 1
     values = np.arange(1, grid_size + 1) / grid_size
     if plane:
         mu_a, mu_b = np.repeat(values, grid_size), np.tile(values, grid_size)
@@ -260,6 +262,7 @@ def scan_purity_plane(mu: float, grid_size: int) -> list[PurityPlaneCell]:
 
     The grid covers (0, 1]^2 with values (i+1)/grid_size.  Cells without
     physical states are marked Unphysical and carry empty statistics.
+    Raises ValueError unless ``grid_size`` is a positive integer.
     """
     values, codes, props, means = _purity_grid(mu, grid_size, plane=True)
     pairs = itertools.product(values.tolist(), repeat=2)
@@ -270,7 +273,10 @@ def scan_purity_plane(mu: float, grid_size: int) -> list[PurityPlaneCell]:
 
 
 def purity_cut(mu: float, grid_size: int) -> list[PurityCutPoint]:
-    """Scan along the symmetric cut mu_A = mu_B at fixed global purity."""
+    """Scan along the symmetric cut mu_A = mu_B at fixed global purity.
+
+    Raises ValueError unless ``grid_size`` is a positive integer.
+    """
     values, codes, props, means = _purity_grid(mu, grid_size, plane=False)
     return [
         PurityCutPoint(v, *stats)
@@ -507,7 +513,7 @@ def pure_state_endpoint(energy: float) -> PureEndpoint:
 #: Largest proposal batch of the sampler; fixes the layout of its random
 #: stream, which a batch fills with its u's, then its v's, then its
 #: acceptance variates.  The proposals are read from that stream slice by
-#: slice (:func:`_stream_runs`), so the batch no longer sets the working
+#: slice (:class:`_StreamCursors`), so the batch no longer sets the working
 #: memory.
 _SAMPLER_BATCH = 65_536
 #: Free list of draw buffers, each a (3, _BLOCK) array of 384 KB with its
@@ -582,10 +588,14 @@ def _covmats(a, b, c_plus, c_minus, lam_a_m1, lam_b_m1, angles, out=None) -> np.
     sa = _local_blocks(lam_a_m1, angles[:, 0], angles[:, 1])
     sb = _local_blocks(lam_b_m1, angles[:, 2], angles[:, 3])
     sigma = np.empty((len(lam_a_m1), 4, 4)) if out is None else out
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        sigma[:, i, j] = a * (sa[0][i] * sa[0][j] + sa[1][i] * sa[1][j])
+        sigma[:, 2 + i, 2 + j] = b * (sb[0][i] * sb[0][j] + sb[1][i] * sb[1][j])
+    # Entry (1, 0) of a diagonal block is the products of entry (0, 1), each
+    # commuted, so it is that entry bit for bit.
+    sigma[:, 1, 0], sigma[:, 3, 2] = sigma[:, 0, 1], sigma[:, 2, 3]
     for i in range(2):
         for j in range(2):
-            sigma[:, i, j] = a * (sa[0][i] * sa[0][j] + sa[1][i] * sa[1][j])
-            sigma[:, 2 + i, 2 + j] = b * (sb[0][i] * sb[0][j] + sb[1][i] * sb[1][j])
             sigma[:, i, 2 + j] = sigma[:, 2 + j, i] = (
                 c_plus * sa[0][i] * sb[0][j] + c_minus * sa[1][i] * sb[1][j]
             )
@@ -675,31 +685,63 @@ def _draw_buffer():
         _DRAW_BUFFERS.append(entry)
 
 
-def _stream_runs(rng: np.random.Generator, lengths, cursors):
+class _StreamCursors:
+    """Cursor generators that read consecutive runs of ``rng``'s stream where they lie.
+
+    A run holds doubles, one 64-bit output per double of ``Generator.random``.
+    ``rng``'s state is copied into every cursor once, here (a Python-level
+    128-bit conversion each); :meth:`runs` then moves each cursor from where
+    its reads left it to the start of its next run by
+    ``bit_generator.advance`` alone, which PCG64 does exactly in O(log n)
+    steps, so a run read from its cursor is, bit for bit, what drawing the
+    runs in order from ``rng`` gives.  A cursor never reads past the end of
+    its run.
+    """
+
+    def __init__(self, rng: np.random.Generator, cursors):
+        state = rng.bit_generator.state
+        for cursor in cursors:
+            cursor.bit_generator.state = state
+        self.rng, self.cursors = rng, cursors
+        self.half = state["uinteger"] if state["has_uint32"] else None
+        self.at = [0] * len(cursors)  # each cursor's position in the stream
+        self.end = 0  # where the runs handed out so far end
+
+    def runs(self, lengths) -> None:
+        """Point cursor k at the k-th of consecutive runs of ``lengths`` doubles; move ``rng`` past.
+
+        The runs follow those of the previous call.  ``advance`` drops the
+        buffered 32-bit half of ``Generator.integers``, which drawing
+        doubles keeps, so the half is put back: ``rng``'s full state ends
+        where drawing the runs would have left it.
+        """
+        start = self.end
+        for k, length in enumerate(lengths):
+            if self.end > self.at[k]:
+                self.cursors[k].bit_generator.advance(self.end - self.at[k])
+            self.at[k] = self.end
+            self.end += length
+        bits = self.rng.bit_generator
+        bits.advance(self.end - start)
+        if self.half is not None:
+            end = bits.state
+            end["has_uint32"], end["uinteger"] = 1, self.half
+            bits.state = end
+
+    def read(self, rows) -> None:
+        """Fill row k of ``rows`` with the next doubles of cursor k's run, for every k."""
+        for k, row in enumerate(rows):
+            self.cursors[k].random(out=row)
+            self.at[k] += row.size
+
+
+def _stream_runs(rng: np.random.Generator, lengths, cursors) -> None:
     """Point ``cursors`` at consecutive runs of ``rng``'s stream and move ``rng`` past them.
 
-    The runs hold ``lengths`` doubles each, one 64-bit output per double of
-    ``Generator.random``.  Each cursor gets a copy of ``rng``'s state,
-    moved to its run's start by ``bit_generator.advance``, which PCG64 does
-    exactly in O(log n) steps; so reading a run from its cursor gives, bit
-    for bit, the doubles that drawing the runs in order from ``rng`` would.
-    ``rng`` is then advanced past every run.  ``advance`` drops the buffered
-    32-bit half of ``Generator.integers``, which drawing doubles keeps, so
-    the half is put back: ``rng``'s full state ends where drawing the runs
-    would have left it.
+    The one-shot form of :class:`_StreamCursors`: one call of its
+    :meth:`~_StreamCursors.runs` on fresh copies of ``rng``'s state.
     """
-    bits = rng.bit_generator
-    state = bits.state
-    start = 0
-    for cursor, length in zip(cursors, lengths):
-        cursor.bit_generator.state = state
-        cursor.bit_generator.advance(start)
-        start += length
-    bits.advance(start)
-    if state["has_uint32"]:
-        end = bits.state
-        end["has_uint32"], end["uinteger"] = 1, state["uinteger"]
-        bits.state = end
+    _StreamCursors(rng, cursors).runs(lengths)
 
 
 def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Generator):
@@ -717,10 +759,10 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
     far, takes three runs of ``rng``'s stream: its u's, its v's and its
     acceptance variates, as three ``rng.random`` calls of the batch's size
     would.  The acceptance test runs on slices of :data:`_BLOCK` proposals,
-    each read from the three runs by the cursors of :func:`_stream_runs`
-    into the rows of a buffer from :func:`_draw_buffer` and passed once to
-    :func:`energy_weight`; u and v get the map low + (high - low) x of
-    ``Generator.uniform`` in place, so the draws are bit for bit those of
+    each read from the three runs by one :class:`_StreamCursors` for all
+    batches into the rows of a buffer from :func:`_draw_buffer` and passed
+    once to :func:`energy_weight`; u and v get the map low + (high - low) x
+    of ``Generator.uniform`` in place, so the draws are bit for bit those of
     ``rng.uniform``.  The test stops at the slice that completes ``count``;
     the rest of that batch is never generated, though ``rng`` is left past
     the whole batch.  The yielded blocks are copies, never views of the
@@ -730,18 +772,18 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
     ranges = ((box.u_lo, energy), (-v_max, v_max))
     n_acc = n_drawn = 0
     with _draw_buffer() as (draws, cursors):
+        stream = _StreamCursors(rng, cursors)
         while True:
             # Size the batch for the states still missing at the acceptance
             # seen so far: a quarter before the first batch, at least 3 %
             # anywhere.
             rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
             batch = min(_SAMPLER_BATCH, max(1024, int(1.1 * (count - n_acc) / rate)))
-            _stream_runs(rng, (batch,) * 3, cursors)
+            stream.runs((batch,) * 3)
             n_drawn += batch
             for start in range(0, batch, _BLOCK):
                 u_b, v_b, r_b = rows = draws[:, : min(_BLOCK, batch - start)]
-                for row, cursor in zip(rows, cursors):
-                    cursor.random(out=row)
+                stream.read(rows)
                 for x, (low, high) in zip((u_b, v_b), ranges):
                     # Generator.uniform(low, high) is low + (high - low) * random().
                     np.multiply(x, high - low, out=x)
@@ -820,6 +862,9 @@ def sample_energy_constrained(
     _require_seed(seed)
     if not _is_int(count):
         raise ValueError(f"count must be an integer, got {count!r}")
+    # A numpy integer would reach PCG64.advance, which takes Python ints only,
+    # and a small one would wrap in the run lengths.
+    count = int(count)
     if count < 1:
         raise ValueError("count must be positive")
     box = _UVSupport.of(mu, energy)

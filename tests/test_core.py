@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import re
 import sys
 import threading
@@ -664,6 +666,32 @@ def test_invariants_examples():
     )
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [StdForm(1.5, 1.3, 0.4, -0.2).matrix(), np.eye(4), np.diag([0.5, 0.5, 1.0, 1.0]), -np.eye(4)],
+)
+def test_invariants_record_is_the_record_of_the_constructor(sigma):
+    # invariants fills its frozen record without the generated __init__.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonPhysicalWarning)
+        coords, _ = invariants(sigma)
+    built = InvariantCoords(coords.mu, coords.mu_a, coords.mu_b, coords.delta)
+    assert type(coords) is InvariantCoords
+    assert coords == built and built == coords
+    assert hash(coords) == hash(built)
+    assert repr(coords) == repr(built)
+    assert vars(coords) == vars(built)
+    assert list(vars(coords)) == [f.name for f in dataclasses.fields(InvariantCoords)]
+    assert dataclasses.astuple(coords) == dataclasses.astuple(built)
+    assert pickle.loads(pickle.dumps(coords)) == built
+    assert dataclasses.replace(coords, mu=0.5) == dataclasses.replace(built, mu=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        coords.mu = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del coords.delta
+    assert coords == built
+
+
 def test_invariants_flags_nonphysical():
     with pytest.warns(NonPhysicalWarning):
         coords, _ = invariants(np.diag([0.5, 0.5, 1.0, 1.0]))
@@ -989,6 +1017,47 @@ def test_random_constructors_reject_bad_parameters(make, match):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             make(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e300])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng, scale: random_symplectic(2, rng, scale),
+        lambda rng, scale: random_symplectic(1, rng, scale),
+        lambda rng, scale: random_local_symplectic(rng, scale),
+        lambda rng, scale: random_covmat(2, rng, scale=scale),
+    ],
+)
+def test_random_constructors_beyond_the_float_range_raise_domain_error(make, scale):
+    # exp(Omega H) overflowed in scipy's expm: a RuntimeWarning and a
+    # non-finite matrix.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="random symplectic matrix .* leaves the float range"):
+            make(np.random.default_rng(0), scale)
+
+
+def test_random_covmat_whose_product_overflows_raises_domain_error():
+    # At this draw S is finite and S^T D S is not.
+    rng = np.random.default_rng(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="random covariance matrix .* leaves the float range"):
+            random_covmat(2, rng, scale=500.0)
+
+
+def test_random_constructors_at_scale_50_are_finite():
+    rng = np.random.default_rng(10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (
+            random_symplectic(2, rng, 50.0),
+            random_symplectic(1, rng, 50.0),
+            random_local_symplectic(rng, 50.0),
+            random_covmat(2, rng, scale=50.0),
+        ):
+            assert np.isfinite(m).all()
 
 
 def test_covmat_file_round_trip(tmp_path):

@@ -142,6 +142,72 @@ def test_density_ratio_rejects_nan_and_overflows_to_inf():
     assert density_reduced_pure([1.0, 1e160]) == np.inf
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_density_ratio_is_the_same_for_lists_tuples_and_arrays(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(30):
+        nu = _well_separated_spectrum(rng, n)
+        kinds = (HILBERT_SCHMIDT, FISHER_RAO, REDUCED_PURE, fixed_purity(np.prod(1.0 / nu)),
+                 fixed_purity(0.5))
+        for kind_a in kinds:
+            for kind_b in kinds:
+                try:
+                    want = density_ratio(kind_a, kind_b, nu)
+                except ValueError as exc:
+                    want = str(exc)
+                for same in (nu.tolist(), tuple(nu.tolist()), list(nu), nu.reshape(1, n)[0]):
+                    try:
+                        got = density_ratio(kind_a, kind_b, same)
+                    except ValueError as exc:
+                        got = str(exc)
+                    assert got == want and type(got) is type(want)
+    # A scalar and a 0-d array are a one-mode spectrum; integers are floats.
+    want = density_ratio(HILBERT_SCHMIDT, FISHER_RAO, [2.5])
+    for one_mode in (2.5, np.float64(2.5), np.array(2.5), (2.5,), np.array([2.5])):
+        assert density_ratio(HILBERT_SCHMIDT, FISHER_RAO, one_mode) == want
+    want = density_ratio(HILBERT_SCHMIDT, FISHER_RAO, [2.0, 3.0])
+    for ints in ([2, 3], (2, 3), np.array([2, 3])):
+        assert density_ratio(HILBERT_SCHMIDT, FISHER_RAO, ints) == want
+
+
+_BAD_SPECTRA = [
+    ([math.nan, 2.0], "symplectic eigenvalues must be >= 1, got min nan"),
+    ([2.0, math.nan], "symplectic eigenvalues must be >= 1, got min nan"),
+    ([2.0, 3.0, math.nan], "symplectic eigenvalues must be >= 1, got min nan"),
+    ([0.5, math.nan], "symplectic eigenvalues must be >= 1, got min nan"),
+    ([math.nan, 0.5], "symplectic eigenvalues must be >= 1, got min nan"),
+    ([math.inf, math.nan], "symplectic eigenvalues must be >= 1, got min nan"),
+    ([-math.inf, math.inf], "symplectic eigenvalues must be >= 1, got min -inf"),
+    ([math.inf, -math.inf], "symplectic eigenvalues must be >= 1, got min -inf"),
+    ([0.5, 2.0], "symplectic eigenvalues must be >= 1, got min 0.5"),
+    ([2.0, 1.0 - 1e-8], "symplectic eigenvalues must be >= 1, got min 0.99999999"),
+    ([1.5, 1.5], "density ratio undefined: denominator density vanishes"),
+    ([2.0, 1.5, 2.0], "density ratio undefined: denominator density vanishes"),
+    ([], "spectrum must be a non-empty 1D sequence"),
+    ([[1.5, 2.0]], "spectrum must be a non-empty 1D sequence"),
+    ([[1.5], [2.0]], "spectrum must be a non-empty 1D sequence"),
+]
+
+
+@pytest.mark.parametrize("nu,message", _BAD_SPECTRA)
+@pytest.mark.parametrize("container", [list, tuple, np.array])
+def test_density_ratio_errors_are_the_same_for_every_input_kind(nu, message, container):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            density_ratio(HILBERT_SCHMIDT, FISHER_RAO, container(nu))
+    assert str(info.value) == message
+    assert type(info.value) is ValueError
+
+
+def test_density_ratio_checks_the_spectrum_only_between_different_kinds():
+    assert density_ratio(FISHER_RAO, FISHER_RAO, [math.nan, 0.5]) == 1.0
+    with pytest.raises(ValueError, match="got min 0.5"):
+        density_ratio(fixed_purity(0.5), fixed_purity(0.3), (0.5, 2.0))
+    with pytest.raises(ValueError, match="got min nan"):
+        density_ratio(fixed_purity(0.5), HILBERT_SCHMIDT, np.array([2.0, math.nan]))
+
+
 def _mp_density(kind, nu):
     """prod(nu_k)^exponent times the repulsion factor in 40-digit mpmath, exponent not bounded."""
     import mpmath

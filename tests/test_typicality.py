@@ -1,3 +1,4 @@
+import collections
 import itertools
 import sys
 import threading
@@ -154,6 +155,31 @@ def test_purity_cut_rows():
     assert points[-1].region is RegionClass.UNPHYSICAL
     physical = [p for p in points if p.region is not RegionClass.UNPHYSICAL]
     assert physical and all(p.mean_logneg is not None for p in physical)
+
+
+@pytest.mark.parametrize("grid_size", [3.0, 2.5, True, False, 0, -1, None, "3"])
+@pytest.mark.parametrize("scan", [scan_purity_plane, purity_cut])
+def test_purity_scans_reject_a_grid_size_that_is_not_a_positive_integer(scan, grid_size):
+    # 3.0 leaked numpy's TypeError, purity_cut(0.5, 2.5) raised a DomainError
+    # about mu_a = 1.2, and True was taken as a grid of one.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid_size must be a positive integer") as info:
+            scan(0.5, grid_size)
+    assert type(info.value) is ValueError
+    assert str(info.value).endswith(f"got {grid_size!r}")
+
+
+@pytest.mark.parametrize("scan", [scan_purity_plane, purity_cut])
+def test_purity_scans_take_numpy_integer_grid_sizes(scan):
+    want = scan(0.5, 6)
+    for grid_size in (np.int64(6), np.int32(6), np.uint8(6)):
+        assert scan(0.5, grid_size) == want
+    # grid_size + 1 would wrap at the top of a small integer type.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(scan(0.5, np.int8(127))) == (127**2 if scan is scan_purity_plane else 127)
+        assert len(purity_cut(0.5, np.uint8(255))) == 255
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9, 1.0])
@@ -914,6 +940,76 @@ def test_stream_runs_read_the_doubles_drawn_in_order():
     assert rng.integers(10, dtype=np.int32) == ref.integers(10, dtype=np.int32)
 
 
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its state reads and writes and its advances into ``counts``."""
+
+    def __init__(self, seed, counts):
+        super().__init__(seed)
+        self.counts = counts
+
+    @property
+    def state(self):
+        self.counts["read"] += 1
+        return np.random.PCG64.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        self.counts["write"] += 1
+        # PCG64 takes only a state that names its own class.
+        np.random.PCG64.state.__set__(self, {**value, "bit_generator": type(self).__name__})
+
+    def advance(self, delta):
+        self.counts["advance"] += 1
+        return super().advance(delta)
+
+
+@pytest.mark.parametrize("mu,e,count", [(0.7222222222222222, 3.0, 20_000), (0.53125, 8.0, 1)])
+def test_sampler_copies_the_generator_state_once_per_phase(monkeypatch, mu, e, count):
+    # Each state read or write is a Python-level 128-bit conversion: the
+    # cursors take the generator's state once for all proposal batches and
+    # once for the state uniforms, and are otherwise moved by advance alone,
+    # at most three cursor advances per run of proposals or states.
+    rng_counts, cursor_counts = collections.Counter(), collections.Counter()
+    cursors = tuple(np.random.Generator(_CountingPCG64(0, cursor_counts)) for _ in range(3))
+    monkeypatch.setattr(typicality, "_DRAW_BUFFERS", [(np.empty((3, _BLOCK)), cursors)])
+    runs = []
+    stream_runs = typicality._StreamCursors.runs
+
+    def counting_runs(self, lengths):
+        runs.append(lengths)
+        stream_runs(self, lengths)
+
+    def counting_rng(seed):
+        return np.random.Generator(_CountingPCG64(seed, rng_counts))
+
+    monkeypatch.setattr(typicality._StreamCursors, "runs", counting_runs)
+    want = sample_energy_constrained(mu, e, count, seed=6)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    runs.clear()
+    cursor_counts.clear()
+    np.testing.assert_array_equal(sample_energy_constrained(mu, e, count, seed=6), want)
+    assert len(runs) >= 2  # the proposal batches, then the state uniforms
+    assert rng_counts == {"read": 2, "advance": len(runs)}
+    assert cursor_counts["write"] == 6 and cursor_counts["read"] == 0
+    assert cursor_counts["advance"] <= 3 * len(runs)
+
+
+def test_stream_cursors_keep_a_buffered_half_over_several_runs():
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for g in (rng, ref):
+        g.integers(10, dtype=np.int32)
+    cursors = [np.random.Generator(np.random.PCG64(0)) for _ in range(3)]
+    stream = typicality._StreamCursors(rng, cursors)
+    for lengths, reads in (((4, 7, 2), (4, 7, 2)), ((5, 0, 3), (2, 0, 3)), ((6, 1, 9), (6, 1, 9))):
+        stream.runs(lengths)
+        rows = [np.empty(read) for read in reads]
+        stream.read(rows)
+        for row, length, read in zip(rows, lengths, reads):
+            np.testing.assert_array_equal(row, ref.random(length)[:read])
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(10, dtype=np.int32) == ref.integers(10, dtype=np.int32)
+
+
 @pytest.mark.parametrize("count", [1, 4097, 30_000])
 def test_sampler_leaves_the_generator_state_of_the_unblocked_loop(count):
     mu, e = 0.53125, 8.0
@@ -1329,6 +1425,25 @@ def test_sampler_validation():
 def test_sampler_rejects_non_integer_count(count):
     with pytest.raises(ValueError, match="count must be an integer"):
         sample_energy_constrained(0.3, 8.0, count)
+
+
+@pytest.mark.parametrize("count_type", [np.int64, np.int32, np.uint8, np.uint64])
+@pytest.mark.parametrize("count", [1, 3, 100])
+def test_sampler_takes_numpy_integer_counts(count_type, count):
+    # A numpy integer count reached PCG64.advance, which raised
+    # OverflowError; an np.uint8 count also wrapped the 4 * count angles.
+    want = sample_energy_constrained(0.5, 8.0, count, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_energy_constrained(0.5, 8.0, count_type(count), seed=3)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_energy_stats_take_numpy_integer_draw_counts():
+    want = energy_constrained_stats(0.5, 5.0, McConfig(seed=3, final_evals=200))
+    for final_evals in (np.int64(200), np.int32(200), np.uint8(200)):
+        got = energy_constrained_stats(0.5, 5.0, McConfig(seed=np.uint8(3), final_evals=final_evals))
+        assert got == want
 
 
 @pytest.mark.parametrize("seed", [1.5, None, True, -1])
