@@ -23,6 +23,7 @@ definite input; anything else raises ValueError.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -81,15 +82,47 @@ class NonPhysicalWarning(UserWarning):
     """Invariants were computed for a matrix that is not a valid state."""
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a Python float: the one reader of the real scalar arguments.
+
+    ValueError naming ``name`` unless ``value`` is a real number (numpy's
+    too; not a bool, a string or an array).  A Python int beyond the float
+    range reads as +-inf, for the caller's range check to reject.  A float
+    is tested first: the per-state calls read their arguments here.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _integer(name: str, value, minimum: int | None) -> int:
+    """``value`` as a Python int: the one reader of the integer arguments.
+
+    ValueError naming ``name`` unless ``value`` is an integer (numpy's too;
+    not a bool) of at least ``minimum`` (None: no minimum).  As an int, a
+    small numpy integer cannot wrap later, nor reach ``PCG64.advance``.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if minimum is None or value >= minimum:
+            return int(value)
+    what = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}.get(
+        minimum, f"an integer of at least {minimum}"
+    )
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2N x 2N symplectic form for the (q1, p1, ...) ordering.
 
     Omega is block diagonal with 2x2 blocks [[0, 1], [-1, 0]]; it satisfies
     Omega.T = -Omega and Omega @ Omega = -identity.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be a positive integer")
-    return _omega(n_modes).copy()
+    return _omega(_integer("n_modes", n_modes, 1)).copy()
 
 
 @lru_cache(maxsize=8)
@@ -122,14 +155,6 @@ def validate_covmat(sigma) -> np.ndarray:
     return sigma
 
 
-def _validated(sigma) -> tuple[np.ndarray, list[list[float]] | None]:
-    """:func:`validate_covmat`, plus the rows as Python floats for 4x4 input (else None)."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (4, 4):
-        return validate_covmat(sigma), None
-    return sigma, _two_mode_rows(sigma)
-
-
 def _two_mode_rows(sigma: np.ndarray) -> list[list[float]]:
     """The rows of a 4x4 float array as Python floats, validated as :func:`validate_covmat` does.
 
@@ -160,8 +185,8 @@ def _two_mode_rows(sigma: np.ndarray) -> list[list[float]]:
 _last_read: tuple[bytes, list[list[float]], tuple[float, float] | None] = (b"", [], None)
 
 
-def _two_mode_read(sigma):
-    """:func:`_validated` plus, for 4x4 input, :func:`_two_mode_nu`: (sigma, rows, nu).
+def _two_mode_read(sigma, factor: bool = True):
+    """:func:`validate_covmat`, and for 4x4 input the rows and :func:`_two_mode_nu`: (sigma, rows, nu).
 
     The input is converted and its shape tested once.  The last 4x4 read is
     kept under the float64 bytes of the matrix, so that the per-state calls
@@ -169,6 +194,8 @@ def _two_mode_read(sigma):
     has other bytes and is read again (:func:`_two_mode_rows`); input that
     fails validation raises and is not kept.  The kept rows are shared
     between calls and only read.  Other sizes give (sigma, None, None).
+    With ``factor`` False a matrix that is not the kept one is validated
+    but neither factored (nu is None) nor kept.
     """
     global _last_read
     sigma = np.asarray(sigma, dtype=float)
@@ -179,6 +206,8 @@ def _two_mode_read(sigma):
     if last[0] == key:
         return sigma, last[1], last[2]
     rows = _two_mode_rows(sigma)
+    if not factor:
+        return sigma, rows, None
     nu = _two_mode_nu(rows)
     _last_read = (key, rows, nu)
     return sigma, rows, nu
@@ -295,7 +324,7 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     eigen-solve and from the same read as the other per-state calls on the
     matrix (:func:`_two_mode_read`).  Other sizes take one Hermitian
     eigen-solve of the pencil.
-    Raises ValueError unless tol is finite and below 1.
+    Raises ValueError unless tol is a finite real number below 1.
 
     In float64 the verdict is only as good as the rounding of the input
     allows: once that moves nu_min by more than ``tol``, physical states
@@ -304,7 +333,8 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
     library's energy grids (E <= 40) stay far below that.
     """
     sigma, rows, nu = _two_mode_read(sigma)
-    if not (math.isfinite(tol) and tol < 1.0):
+    tol = _real("tol", tol)
+    if not -math.inf < tol < 1.0:  # also rejects NaN
         raise ValueError(f"tol = {tol} must be finite and below 1")
     if rows is None:
         return _bona_fide(sigma, tol)
@@ -491,7 +521,7 @@ def standard_form(sigma) -> StdForm:
     symplectic conjugation of the input.  Raises DomainError unless both
     diagonal blocks are positive definite.
     """
-    sigma, rows = _validated(sigma)
+    sigma, rows, _ = _two_mode_read(sigma, factor=False)
     det_a, det_b, det_c = _block_dets(sigma, rows)
     a, b = np.sqrt(det_a), np.sqrt(det_b)
     (n00, n01), (n10, n11) = (
@@ -506,17 +536,25 @@ def standard_form(sigma) -> StdForm:
     return StdForm(a=float(a), b=float(b), c_plus=float(0.5 * (q + r)), c_minus=c_minus)
 
 
-def _require_purities(mu: float, mu_a, mu_b) -> None:
-    """Raise DomainError unless mu and every marginal purity lie in [2**-511, 1] (to 1e-9)."""
+def _require_purities(mu, mu_a, mu_b):
+    """(mu, mu_a, mu_b) in float64; DomainError unless each lies in [2**-511, 1] (to 1e-9).
+
+    Scalars are read by :func:`_real` into Python floats, arrays and
+    sequences of marginals into float64 arrays.
+    """
+    values = []
     for name, val in (("mu", mu), ("mu_a", mu_a), ("mu_b", mu_b)):
-        val = np.asarray(val, dtype=float)
-        bad = ~((val >= _MU_MIN) & (val <= 1.0 + 1e-9))  # NaN is bad too
-        if np.any(bad):
-            value = val[bad].flat[0]
+        array = isinstance(val, (np.ndarray, list, tuple))
+        val = np.asarray(val, dtype=float) if array else _real(name, val)
+        ok = (val >= _MU_MIN) & (val <= 1.0 + 1e-9)  # False for NaN
+        if not np.all(ok):
+            value = np.asarray(val)[np.logical_not(ok)].flat[0]
             why = "must lie in (0, 1]"
             if 0.0 < value < 1.0:
                 why = f"is below {_MU_MIN:.3g}: 1/{name}^2 leaves the float range"
             raise DomainError(f"{name} = {value} {why}")
+        values.append(val)
+    return values
 
 
 def _seralian_edges(mu, a, b):
@@ -571,8 +609,8 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
     :meth:`StdForm.matrix` holds the state to 1e-6 only while
     mu_A mu_B >= 5e-10.
     """
-    mu, mu_a, mu_b, delta = coords.mu, coords.mu_a, coords.mu_b, coords.delta
-    _require_purities(mu, mu_a, mu_b)
+    mu, mu_a, mu_b = _require_purities(coords.mu, coords.mu_a, coords.mu_b)
+    delta = _real("delta", coords.delta)
     slack = 1e-9
     mu = min(mu, 1.0)
     a, b = 1.0 / mu_a, 1.0 / mu_b
@@ -596,7 +634,7 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
 
 def vacuum(n_modes: int) -> np.ndarray:
     """Covariance matrix of the N-mode vacuum (identity)."""
-    return np.eye(2 * n_modes)
+    return np.eye(2 * _integer("n_modes", n_modes, 1))
 
 
 def thermal(nus) -> np.ndarray:
@@ -619,15 +657,15 @@ def two_mode_squeezed(r: float) -> np.ndarray:
     """Two-mode squeezed vacuum with squeezing parameter r.
 
     Standard form a = b = cosh(2r), c_plus = -c_minus = sinh(2r); the state
-    is pure with log-negativity 2r/ln 2.  Raises ValueError for a non-finite
-    r and DomainError for |r| above ``_SQUEEZING_MAX``.
+    is pure with log-negativity 2r/ln 2.  Raises ValueError unless r is a
+    real number, and DomainError unless it is finite with |r| at most
+    ``_SQUEEZING_MAX``.
     """
-    if not math.isfinite(r):
-        raise ValueError(f"squeezing parameter r = {r} must be finite")
-    if abs(r) > _SQUEEZING_MAX:
+    r = _real("r", r)
+    if not abs(r) <= _SQUEEZING_MAX:  # also rejects NaN
         raise DomainError(
-            f"squeezing parameter |r| = {abs(r)} is above {_SQUEEZING_MAX:.8g}: "
-            "cosh(2r) leaves the float range"
+            f"squeezing parameter r = {r} must be finite with |r| at most "
+            f"{_SQUEEZING_MAX:.8g}: cosh(2r) leaves the float range"
         )
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     return StdForm(ch, ch, sh, -sh).matrix()
@@ -643,6 +681,7 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     and DomainError where the matrix leaves the float range, as a scale of
     a few hundred or more can make it.
     """
+    n_modes, scale = _integer("n_modes", n_modes, 1), _real("scale", scale)
     if not math.isfinite(scale):
         raise ValueError(f"scale = {scale} must be finite")
     from scipy.linalg import expm
@@ -685,7 +724,8 @@ def random_covmat(
     non-finite ``scale``; DomainError where S or the matrix leaves the
     float range (see :func:`random_symplectic`).
     """
-    if not (math.isfinite(nu_max) and nu_max >= 1.0):
+    n_modes, nu_max = _integer("n_modes", n_modes, 1), _real("nu_max", nu_max)
+    if not 1.0 <= nu_max < math.inf:  # also rejects NaN
         raise ValueError(f"nu_max = {nu_max} must be finite and at least 1")
     nu = rng.uniform(1.0, nu_max, size=n_modes)
     s = random_symplectic(n_modes, rng, scale)

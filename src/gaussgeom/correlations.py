@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     DomainError,
     InvariantCoords,
+    _real,
     _require_purities,
     _seralian_edges,
     validate_covmat,
@@ -61,6 +62,7 @@ class PptSpectrum:
     nu_tilde_plus: float
 
     def __post_init__(self):
+        self.__dict__.update({name: _real(name, value) for name, value in vars(self).items()})
         if not self.nu_tilde_minus > 0.0:
             raise ValueError("nu_tilde_minus must be positive")
         if self.nu_tilde_plus < self.nu_tilde_minus:
@@ -106,8 +108,8 @@ def partial_transpose(sigma) -> np.ndarray:
 
 
 def _purities(coords: InvariantCoords) -> tuple[float, float, float]:
-    """(mu, mu_A, mu_B) as Python floats; DomainError unless each is positive and finite."""
-    mu, mu_a, mu_b = float(coords.mu), float(coords.mu_a), float(coords.mu_b)
+    """(mu, mu_A, mu_B) read by :func:`_real`; DomainError unless each is positive and finite."""
+    mu, mu_a, mu_b = _real("mu", coords.mu), _real("mu_a", coords.mu_a), _real("mu_b", coords.mu_b)
     if not (0.0 < mu < math.inf and 0.0 < mu_a < math.inf and 0.0 < mu_b < math.inf):
         for name, value in (("mu", mu), ("mu_a", mu_a), ("mu_b", mu_b)):
             if not 0.0 < value < math.inf:
@@ -119,7 +121,7 @@ def _ppt_nu(coords: InvariantCoords) -> tuple[float, float]:
     """(nu~_-, nu~_+) from invariants on Python floats; see :func:`ppt_spectrum`."""
     mu, mu_a, mu_b = _purities(coords)
     try:
-        d_tilde = 2.0 / mu_a**2 + 2.0 / mu_b**2 - float(coords.delta)
+        d_tilde = 2.0 / mu_a**2 + 2.0 / mu_b**2 - _real("delta", coords.delta)
     except ArithmeticError:  # a purity whose square leaves the float range
         raise DomainError("purities too far from 1 for the float range") from None
     if not 0.0 < d_tilde < math.inf:  # also rejects NaN
@@ -217,7 +219,7 @@ def delta_threshold(mu: float, mu_a: float, mu_b: float) -> float:
     seralian (at most 1 + 1/mu^2 <= 1 + 2**1022).  Raises DomainError
     where :func:`delta_bounds_batch` does.
     """
-    _require_purities(mu, mu_a, mu_b)
+    mu, mu_a, mu_b = _require_purities(mu, mu_a, mu_b)
     return 2.0 * np.minimum(1.0 / mu_a**2 + 1.0 / mu_b**2, _HALF_MAX) - 1.0 - 1.0 / mu**2
 
 
@@ -229,10 +231,8 @@ def delta_bounds_batch(mu: float, mu_a, mu_b):
     purity lies outside (0, 1], and when one is below 2**-511 (about
     1.5e-154), where its inverse square leaves the float range.
     """
-    mu_a = np.atleast_1d(np.asarray(mu_a, dtype=float))
-    mu_b = np.atleast_1d(np.asarray(mu_b, dtype=float))
-    _require_purities(mu, mu_a, mu_b)
-    mu = min(mu, 1.0)
+    mu, mu_a, mu_b = _require_purities(mu, mu_a, mu_b)
+    mu, mu_a, mu_b = min(mu, 1.0), np.atleast_1d(mu_a), np.atleast_1d(mu_b)
     a, b = 1.0 / mu_a, 1.0 / mu_b
     d_min, d_max = _seralian_edges(mu, a, b)
     d_max = np.minimum(d_max, 1.0 + 1.0 / mu**2)
@@ -268,7 +268,8 @@ def logneg_average(mu: float, mu_a, mu_b):
     zero-width interval gives the values at its single point.
     Raises DomainError where :func:`delta_bounds_batch` does.
     """
-    d_min, d_max, _ = delta_bounds_batch(mu, mu_a, mu_b)  # checks the purities first
+    mu, mu_a, mu_b = _require_purities(mu, mu_a, mu_b)
+    d_min, d_max, _ = delta_bounds_batch(mu, mu_a, mu_b)
     h = 0.5 * (1.0 / np.atleast_1d(mu_a) + 1.0 / np.atleast_1d(mu_b))
     return _seralian_average(min(mu, 1.0), h, d_max - d_min)
 

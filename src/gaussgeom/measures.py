@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MU_MIN, DomainError, InvariantCoords, StdForm, validate_covmat
+from .core import _MU_MIN, DomainError, InvariantCoords, StdForm, _real, validate_covmat
 
 __all__ = [
     "MeasureKind",
@@ -61,7 +61,7 @@ class MeasureKind:
     ``mu`` is only set for the fixed-purity measure, whose eigenvalue
     density is supported on the shell prod(1/nu_k) = mu.  Raises
     ValueError for an unknown tag and for a fixed-purity kind whose ``mu``
-    is not in (0, 1].
+    is not a real number in (0, 1]; that ``mu`` is kept as a Python float.
     """
 
     tag: str
@@ -70,8 +70,11 @@ class MeasureKind:
     def __post_init__(self):
         if self.tag not in _PROD_EXPONENTS:
             raise ValueError(f"unknown measure kind {self.tag!r}")
-        if self.tag == "fixed-purity" and not (self.mu is not None and 0.0 < self.mu <= 1.0):
-            raise ValueError(f"mu = {self.mu} must lie in (0, 1]")
+        if self.tag == "fixed-purity":
+            mu = math.nan if self.mu is None else _real("mu", self.mu)
+            if not 0.0 < mu <= 1.0:  # also rejects NaN
+                raise ValueError(f"mu = {self.mu} must lie in (0, 1]")
+            self.__dict__["mu"] = mu
 
 
 HILBERT_SCHMIDT = MeasureKind("hilbert-schmidt")
@@ -120,36 +123,6 @@ def _pow(base: float, exponent: float) -> float:
         return base**exponent
     except OverflowError:
         return math.inf
-
-
-def _repulsion(nu: list[float]) -> float:
-    """prod_{l>m} (nu_l^2 - nu_m^2)^2, the eigenvalue repulsion factor; inf beyond the float range."""
-    try:
-        sq = [v**2 for v in nu]
-        out = 1.0
-        for l in range(len(sq)):
-            for m in range(l):
-                out *= (sq[l] - sq[m]) ** 2
-    except OverflowError:
-        return math.inf
-    return out
-
-
-def _repulsion_vanishes(nu: list[float]) -> bool:
-    """Whether :func:`_repulsion` of a validated spectrum is 0.0.
-
-    Two modes are decided by their squares, without the product: it is 0.0
-    only where the squares are equal, since distinct squares of nu >= 1 - tol
-    differ by far too much for the factor to underflow, and inf where a
-    square overflows.  Other mode counts form the product.
-    """
-    if len(nu) != 2:
-        return _repulsion(nu) == 0.0
-    try:
-        sq0, sq1 = nu[0] ** 2, nu[1] ** 2
-    except OverflowError:  # the product is inf
-        return False
-    return sq0 == sq1 < math.inf  # inf - inf gives a NaN factor
 
 
 def _off_shell(kind: MeasureKind, nu: list[float]) -> bool:
@@ -218,8 +191,9 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
     The repulsion factors cancel, so the ratio is a power of prod(nu_k);
     in particular HS over FR equals (prod nu_k)^(-N^2 - N/2).  Raises
     ValueError when the denominator density vanishes: at a degenerate
-    spectrum (except for equal kinds) or off the shell of a fixed-purity
-    denominator.  Off the shell of a fixed-purity numerator the ratio is 0.
+    spectrum, one with two equal eigenvalues (except for equal kinds), or
+    off the shell of a fixed-purity denominator.  Off the shell of a
+    fixed-purity numerator the ratio is 0.
     Lists, tuples and arrays take the one validation of :func:`_spectrum`,
     and the exponents are selected by the kinds' tags.
     """
@@ -228,7 +202,8 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
     nu = _spectrum(nu)
     n = len(nu)
     exponent = _PROD_EXPONENTS[kind_a.tag](n) - _PROD_EXPONENTS[kind_b.tag](n)
-    if _off_shell(kind_b, nu) or _repulsion_vanishes(nu):
+    # The repulsion factor of the denominator is 0 exactly at an equal pair.
+    if _off_shell(kind_b, nu) or len(set(nu)) < n:
         raise ValueError("density ratio undefined: denominator density vanishes")
     if _off_shell(kind_a, nu):
         return 0.0
@@ -415,9 +390,9 @@ def hs_density_invariant_coords(coords: InvariantCoords) -> float:
     purities outside [2**-511, 1], except a global purity mu = 0, where the
     density is its limit 0, and where the value leaves the float range.
     """
-    mus = (coords.mu, coords.mu_a, coords.mu_b)
+    mus = (_real("mu", coords.mu), _real("mu_a", coords.mu_a), _real("mu_b", coords.mu_b))
     in_range = [_MU_MIN <= m <= 1.0 for m in mus]  # False for NaN
-    if not ((in_range[0] or coords.mu == 0.0) and in_range[1] and in_range[2]):
+    if not ((in_range[0] or mus[0] == 0.0) and in_range[1] and in_range[2]):
         raise DomainError(f"purities (mu, mu_A, mu_B) = {mus} must lie in [2**-511, 1]")
     with decimal.localcontext(_WIDE):
         mu, mu_a, mu_b = map(decimal.Decimal, mus)
@@ -433,7 +408,7 @@ def hs_density_std_form(std: StdForm) -> float:
     c+^2 < ab (a positive definite matrix), and where the value leaves the
     float range.
     """
-    params = (std.a, std.b, std.c_plus, std.c_minus)
+    params = tuple(map(_real, ("a", "b", "c+", "c-"), (std.a, std.b, std.c_plus, std.c_minus)))
     if not all(map(math.isfinite, params)):
         raise DomainError(f"standard form {params} must be finite")
     with decimal.localcontext(_WIDE):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SQUARE_MAX, DomainError, StdForm, _std_form_c
+from .core import _SQUARE_MAX, DomainError, StdForm, _integer, _real, _std_form_c
 from .correlations import (
     RegionClass,
     delta_bounds_batch,  # noqa: F401  (re-exported: callers import it from here)
@@ -83,28 +83,16 @@ class McConfig:
 
     ``final_evals`` exact ensemble draws are taken from a generator seeded
     with ``seed``; error bars need at least two of them.  Both must be
-    integers (not bools); anything else raises ValueError naming the field.
+    integers (not bools) and are kept as Python ints; anything else raises
+    ValueError naming the field.
     """
 
     seed: int = 0
     final_evals: int = 80_000
 
     def __post_init__(self):
-        _require_seed(self.seed)
-        if not _is_int(self.final_evals) or self.final_evals < 2:
-            raise ValueError(
-                f"final_evals must be an integer of at least 2, got {self.final_evals!r}"
-            )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _require_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is a non-negative integer (not a bool, not None)."""
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        seed, evals = _integer("seed", self.seed, 0), _integer("final_evals", self.final_evals, 2)
+        self.__dict__.update(seed=seed, final_evals=evals)
 
 
 @dataclass(frozen=True)
@@ -113,28 +101,27 @@ class EnergyEnsemble:
 
     The weight support requires E > 1/mu_A + 1/mu_B, and states with purity
     mu exist at energy E only for mu > 4/E^2 (the symmetric thermal state
-    nu_1 = nu_2 = E/2 maximizes det Sigma at fixed trace).  Raises
-    DomainError outside that support and for E >= 2**512, where E^2 leaves
-    the float range.
+    nu_1 = nu_2 = E/2 maximizes det Sigma at fixed trace).  Both are kept
+    as Python floats.  Raises ValueError unless both are real numbers, and
+    DomainError unless both are finite, outside that support and for
+    E >= 2**512, where E^2 leaves the float range.
     """
 
     mu: float
     energy: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.energy)):
-            raise DomainError(f"(mu, E) = ({self.mu}, {self.energy}) must be finite")
-        if self.energy <= 2.0:
-            raise DomainError(f"energy = {self.energy} must exceed 2 for a two-mode ensemble")
-        if self.energy > _SQUARE_MAX:
-            raise DomainError(
-                f"energy = {self.energy} must be below 2**512: E^2 leaves the float range"
-            )
-        mu_min = 4.0 / self.energy**2
-        if not mu_min < self.mu < 1.0:
-            raise DomainError(
-                f"mu = {self.mu} must lie in ({mu_min}, 1) at energy {self.energy}"
-            )
+        mu, energy = _real("mu", self.mu), _real("energy", self.energy)
+        if not (math.isfinite(mu) and math.isfinite(energy)):
+            raise DomainError(f"(mu, E) = ({mu}, {energy}) must be finite")
+        if energy <= 2.0:
+            raise DomainError(f"energy = {energy} must exceed 2 for a two-mode ensemble")
+        if energy > _SQUARE_MAX:
+            raise DomainError(f"energy = {energy} must be below 2**512: E^2 leaves the float range")
+        mu_min = 4.0 / energy**2
+        if not mu_min < mu < 1.0:
+            raise DomainError(f"mu = {mu} must lie in ({mu_min}, 1) at energy {energy}")
+        self.__dict__.update(mu=mu, energy=energy)
 
 
 @dataclass(frozen=True)
@@ -142,8 +129,9 @@ class LocalSympSample:
     """Local symplectic group element in Euler form: rotations around squeezing.
 
     lambda = (w^2 + 1/w^2)/2 >= 1 parametrizes the squeezing part; the four
-    angles are (inner A, outer A, inner B, outer B).  Raises ValueError
-    unless both lambdas and all angles are finite and both lambdas >= 1.
+    angles are (inner A, outer A, inner B, outer B), all kept as Python
+    floats.  Raises ValueError unless both lambdas and all angles are
+    finite real numbers and both lambdas >= 1.
     """
 
     lambda_a: float
@@ -151,10 +139,13 @@ class LocalSympSample:
     angles: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lambda_a, self.lambda_b, *self.angles))):
-            raise ValueError(f"lambda parameters and angles must be finite, got {self}")
-        if self.lambda_a < 1.0 or self.lambda_b < 1.0:
+        lam_a, lam_b = _real("lambda_a", self.lambda_a), _real("lambda_b", self.lambda_b)
+        angles = tuple(_real("angles", angle) for angle in self.angles)
+        if not all(map(math.isfinite, (lam_a, lam_b, *angles))):
+            raise ValueError(f"lambda parameters and angles {lam_a, lam_b, angles} must be finite")
+        if lam_a < 1.0 or lam_b < 1.0:
             raise ValueError("lambda parameters must be >= 1")
+        self.__dict__.update(lambda_a=lam_a, lambda_b=lam_b, angles=angles)
 
 
 @dataclass(frozen=True)
@@ -236,9 +227,7 @@ def _purity_grid(mu: float, grid_size: int, plane: bool):
     Unphysical) carry NaN statistics.  All four results are arrays.
     Raises ValueError unless ``grid_size`` is a positive integer (not a bool).
     """
-    if not _is_int(grid_size) or grid_size < 1:
-        raise ValueError(f"grid_size must be a positive integer, got {grid_size!r}")
-    grid_size = int(grid_size)  # a small numpy integer would wrap at grid_size + 1
+    grid_size = _integer("grid_size", grid_size, 1)
     values = np.arange(1, grid_size + 1) / grid_size
     if plane:
         mu_a, mu_b = np.repeat(values, grid_size), np.tile(values, grid_size)
@@ -294,11 +283,13 @@ def energy_weight(mu_a, mu_b, energy: float):
     (E - 1/mu_A - 1/mu_B) / (mu_A^2 mu_B^2) on its support and zero once the
     energy is exhausted by the marginal mixedness (E <= 1/mu_A + 1/mu_B).
     The mu^7 prefactor of the volume element is constant at fixed global
-    purity and cancels in every ensemble average.
+    purity and cancels in every ensemble average.  A purity of 0 gives the
+    zero, with no numpy warning.
     """
     mu_a = np.asarray(mu_a, dtype=float)
     mu_b = np.asarray(mu_b, dtype=float)
-    excess = energy - 1.0 / mu_a - 1.0 / mu_b
+    with np.errstate(divide="ignore", over="ignore"):
+        excess = _real("energy", energy) - 1.0 / mu_a - 1.0 / mu_b
     w = np.divide(excess, mu_a**2 * mu_b**2, out=np.zeros_like(excess), where=excess > 0.0)
     return float(w) if w.ndim == 0 else w
 
@@ -382,9 +373,9 @@ def _ensemble_means(mu: float, energy: float, mc: McConfig | None, rows: int, st
     box = _UVSupport.of(mu, energy)
     scratch = np.empty((rows, _BLOCK))
     sums = _ShiftedSums(rows)
-    for u, v in _accepted_uv(box, energy, mc.final_evals, np.random.default_rng(mc.seed)):
+    for u, v in _accepted_uv(box, box.energy, mc.final_evals, np.random.default_rng(mc.seed)):
         block = scratch[:, : u.size]
-        statistics(mu, box, u, v, block)
+        statistics(box.mu, box, u, v, block)
         sums.add(block)
     return sums.estimates()
 
@@ -489,13 +480,12 @@ def pure_state_endpoint(energy: float) -> PureEndpoint:
     form, with a power series near E = 2 where the closed form cancels (see
     :func:`_pure_state_means`).  At E = 2 only the vacuum remains and all
     statistics vanish; for E > 2 all states except the measure-zero point
-    nu = 1 are entangled and steerable.  Raises DomainError for non-finite
-    E or E < 2.
+    nu = 1 are entangled and steerable.  Raises ValueError unless E is a
+    real number and DomainError for non-finite E or E < 2.
     """
-    if not math.isfinite(energy):
-        raise DomainError(f"energy = {energy} must be finite")
-    if energy < 2.0 - 1e-12:
-        raise DomainError(f"energy = {energy} must be at least 2")
+    energy = _real("energy", energy)
+    if not 2.0 - 1e-12 <= energy < math.inf:  # also rejects NaN
+        raise DomainError(f"energy = {energy} must be finite and at least 2")
     if energy <= 2.0 + 1e-12:
         return PureEndpoint(0.0, 0.0, 0.0, 0.0)
     en, g = _pure_state_means(energy / 2.0 - 1.0)
@@ -638,11 +628,14 @@ class _UVSupport:
     energy, and (E - u) L <= (E - 2/sqrt(mu)) V^2 = ``rho_max`` on it.
 
     :meth:`of` is the one support check of the (mu, E) entry points: it
-    raises DomainError outside the support of :class:`EnergyEnsemble` and
-    for E above :data:`_SAMPLER_ENERGY_MAX`, where the sampler's weight
-    leaves the float range.
+    raises where :class:`EnergyEnsemble` does, whose Python floats it keeps
+    as ``mu`` and ``energy``, and DomainError for E above
+    :data:`_SAMPLER_ENERGY_MAX`, where the sampler's weight leaves the float
+    range.
     """
 
+    mu: float
+    energy: float
     four_over_mu: float
     u_lo: float
     v_sq: float
@@ -651,7 +644,8 @@ class _UVSupport:
 
     @classmethod
     def of(cls, mu: float, energy: float) -> "_UVSupport":
-        EnergyEnsemble(mu, energy)
+        ensemble = EnergyEnsemble(mu, energy)
+        mu, energy = ensemble.mu, ensemble.energy
         if energy > _SAMPLER_ENERGY_MAX:
             raise DomainError(
                 f"energy = {energy} must be at most 2**200 for the sampler: its weight "
@@ -660,7 +654,7 @@ class _UVSupport:
         u_lo = 2.0 / np.sqrt(mu)
         cap = (1.0 / mu - 1.0) ** 2
         v_sq = min(cap, energy**2 - 4.0 / mu)
-        return cls(4.0 / mu, u_lo, v_sq, cap, (energy - u_lo) * v_sq)
+        return cls(mu, energy, 4.0 / mu, u_lo, v_sq, cap, (energy - u_lo) * v_sq)
 
     def length(self, u, v):
         """Seralian interval length L(u, v); not positive off the support."""
@@ -733,15 +727,6 @@ class _StreamCursors:
         for k, row in enumerate(rows):
             self.cursors[k].random(out=row)
             self.at[k] += row.size
-
-
-def _stream_runs(rng: np.random.Generator, lengths, cursors) -> None:
-    """Point ``cursors`` at consecutive runs of ``rng``'s stream and move ``rng`` past them.
-
-    The one-shot form of :class:`_StreamCursors`: one call of its
-    :meth:`~_StreamCursors.runs` on fresh copies of ``rng``'s state.
-    """
-    _StreamCursors(rng, cursors).runs(lengths)
 
 
 def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Generator):
@@ -821,8 +806,8 @@ def _draw_intervals(mu: float, energy: float, count: int, rng: np.random.Generat
     takes chunk by chunk.
     """
     box = _UVSupport.of(mu, energy)
-    u, v = (np.concatenate(parts) for parts in zip(*_accepted_uv(box, energy, count, rng)))
-    return _intervals(mu, box, u, v)
+    u, v = (np.concatenate(parts) for parts in zip(*_accepted_uv(box, box.energy, count, rng)))
+    return _intervals(box.mu, box, u, v)
 
 
 def _squeezings(energy, a, b, r):
@@ -852,22 +837,18 @@ def sample_energy_constrained(
     from :func:`~gaussgeom.core._std_form_c`.  The accepted (u, v) are kept
     in two count-long arrays; the states are assembled in chunks of
     :data:`_STATE_CHUNK`, each from its uniforms read off the generator's
-    stream by :func:`_stream_runs`, so the working memory beyond the output
-    is about 22 bytes per state at 200 000 states.  Every
+    stream by one :class:`_StreamCursors`, so the working memory beyond the
+    output is about 22 bytes per state at 200 000 states.  Every
     returned matrix has energy E exactly (to rounding) and passes the
     physicality test.  Raises DomainError outside the ensemble's support
-    and above the sampler's energy cap 2**200, and ValueError unless ``seed`` is a non-negative integer and ``count``
-    a positive one.
+    and above the sampler's energy cap 2**200, and ValueError unless
+    ``seed`` is a non-negative integer and ``count`` a positive one.
     """
-    _require_seed(seed)
-    if not _is_int(count):
-        raise ValueError(f"count must be an integer, got {count!r}")
-    # A numpy integer would reach PCG64.advance, which takes Python ints only,
-    # and a small one would wrap in the run lengths.
-    count = int(count)
+    seed, count = _integer("seed", seed, 0), _integer("count", count, None)
     if count < 1:
         raise ValueError("count must be positive")
     box = _UVSupport.of(mu, energy)
+    mu, energy = box.mu, box.energy
     rng = np.random.default_rng(seed)
     u, v = np.empty(count), np.empty(count)
     filled = 0
@@ -878,13 +859,13 @@ def sample_energy_constrained(
     with _draw_buffer() as (draws, cursors):
         # Seralian, squeezing and angle uniforms: the count, count and
         # 4 count doubles that follow the proposals, read chunk by chunk.
-        _stream_runs(rng, (count, count, 4 * count), cursors)
+        stream = _StreamCursors(rng, cursors)
+        stream.runs((count, count, 4 * count))
         for start in range(0, count, _STATE_CHUNK):
             n = min(_STATE_CHUNK, count - start)
             c = slice(start, start + n)
-            r_delta, r_lambda, angles = draws[0, :n], draws[1, :n], draws[2, : 4 * n]
-            for row, cursor in zip((r_delta, r_lambda, angles), cursors):
-                cursor.random(out=row)
+            r_delta, r_lambda, angles = rows = draws[0, :n], draws[1, :n], draws[2, : 4 * n]
+            stream.read(rows)
             # Generator.uniform(0, 2 pi) is 0 + 2 pi * random().
             np.multiply(angles, 2.0 * np.pi, out=angles)
             a, b, d_min, length = _intervals(mu, box, u[c], v[c])

@@ -286,7 +286,7 @@ _ALL_INDICES = _FIRST_INDICES + [
 def test_two_mode_single_non_finite_entry_rejected(index, bad):
     sigma = StdForm(1.5, 1.3, 0.4, -0.2).matrix()
     sigma[index] = bad
-    outcome = _validation_outcome(core._validated, sigma)
+    outcome = _validation_outcome(core._two_mode_rows, sigma)
     assert outcome == _validation_outcome(validate_covmat, sigma)
     for fn in (validate_covmat, symplectic_spectrum, is_bona_fide, invariants):
         with pytest.raises(ValueError, match="non-finite"):
@@ -297,12 +297,12 @@ def test_two_mode_single_non_finite_entry_rejected(index, bad):
 def test_two_mode_symmetry_tolerance(largest):
     base = StdForm(largest, 0.6 * largest, 0.2 * largest, -0.1 * largest).matrix()
     step = SYMMETRY_RTOL * max(largest, 1.0)
-    assert _validation_outcome(core._validated, base) is None
+    assert _validation_outcome(core._two_mode_rows, base) is None
     for index in ((3, 1), (1, 0), (2, 0), (0, 3), (2, 1), (3, 2)):
         for factor, symmetric in ((0.5, True), (1.5, False)):
             sigma = base.copy()
             sigma[index] += factor * step
-            outcome = _validation_outcome(core._validated, sigma)
+            outcome = _validation_outcome(core._two_mode_rows, sigma)
             assert outcome == _validation_outcome(validate_covmat, sigma)
             assert (outcome is None) == symmetric
             for fn in (symplectic_spectrum, is_bona_fide, lambda m: invariants(m, False)):
@@ -325,9 +325,7 @@ def test_two_mode_finite_entries_whose_sum_overflows_are_accepted(rows):
     sigma = np.array(rows, dtype=float)
     assert not np.isfinite(sum(sigma.ravel().tolist()))  # the sum overflows
     assert _validation_outcome(validate_covmat, sigma) is None
-    checked, got_rows = core._validated(sigma)
-    np.testing.assert_array_equal(checked, sigma)
-    assert got_rows == rows
+    assert core._two_mode_rows(sigma) == rows
 
 
 def test_two_mode_list_and_integer_input():

@@ -932,7 +932,7 @@ def test_stream_runs_read_the_doubles_drawn_in_order():
     ref.integers(10, dtype=np.int32)
     lengths = (5, 0, 1000, 3)
     cursors = [np.random.Generator(np.random.PCG64(0)) for _ in lengths]
-    typicality._stream_runs(rng, lengths, cursors)
+    typicality._StreamCursors(rng, cursors).runs(lengths)
     for cursor, length in zip(cursors, lengths):
         np.testing.assert_array_equal(cursor.random(length), ref.random(length))
     assert rng.bit_generator.state == ref.bit_generator.state
