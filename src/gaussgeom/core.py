@@ -22,8 +22,10 @@ definite input; anything else raises ValueError.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
@@ -98,6 +100,22 @@ def _real(name: str, value) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array: the one reader of the real array arguments.
+
+    ValueError naming ``name`` unless ``value`` holds real numbers (numpy's
+    too) in the float range: not bools, strings, None, complex or objects.
+    """
+    array = np.asarray(value)
+    kind = array.dtype.kind
+    if kind in "fiu":
+        return array.astype(float, copy=False)
+    if kind == "O" and all(isinstance(x, numbers.Real) and type(x) is not bool for x in array.flat):
+        with contextlib.suppress(OverflowError):  # raised by an int beyond the float range
+            return array.astype(float)
+    raise ValueError(f"{name} must be real numbers in the float range, got {reprlib.repr(value)}")
 
 
 def _integer(name: str, value, minimum: int | None) -> int:
@@ -427,11 +445,15 @@ class StdForm:
         the state of the parameters to about 2 eps/(mu_A mu_B) relative:
         within 1e-6 while mu_A mu_B >= 5e-10 (both marginal purities above
         about 2.2e-5), and from mu_A mu_B near 1e-16 the matrix may not be
-        positive definite at all.
+        positive definite at all.  The fields are read by :func:`_real`;
+        ValueError unless they are finite real numbers.
         """
-        m = np.diag([self.a, self.a, self.b, self.b])
-        m[0, 2] = m[2, 0] = self.c_plus
-        m[1, 3] = m[3, 1] = self.c_minus
+        a, b, c_plus, c_minus = params = [_real(k, v) for k, v in vars(self).items()]
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"standard form {params} must be finite")
+        m = np.diag([a, a, b, b])
+        m[0, 2] = m[2, 0] = c_plus
+        m[1, 3] = m[3, 1] = c_minus
         return m
 
 
@@ -540,12 +562,12 @@ def _require_purities(mu, mu_a, mu_b):
     """(mu, mu_a, mu_b) in float64; DomainError unless each lies in [2**-511, 1] (to 1e-9).
 
     Scalars are read by :func:`_real` into Python floats, arrays and
-    sequences of marginals into float64 arrays.
+    sequences of marginals by :func:`_real_array` into float64 arrays.
     """
     values = []
     for name, val in (("mu", mu), ("mu_a", mu_a), ("mu_b", mu_b)):
         array = isinstance(val, (np.ndarray, list, tuple))
-        val = np.asarray(val, dtype=float) if array else _real(name, val)
+        val = _real_array(name, val) if array else _real(name, val)
         ok = (val >= _MU_MIN) & (val <= 1.0 + 1e-9)  # False for NaN
         if not np.all(ok):
             value = np.asarray(val)[np.logical_not(ok)].flat[0]
@@ -640,10 +662,11 @@ def vacuum(n_modes: int) -> np.ndarray:
 def thermal(nus) -> np.ndarray:
     """Product of thermal states with symplectic eigenvalues ``nus``.
 
-    Raises ValueError for a non-finite eigenvalue.  Finite values below 1,
-    which give no state, are accepted.
+    Raises ValueError unless the eigenvalues are finite real numbers (see
+    :func:`_real_array`).  Finite values below 1, which give no state, are
+    accepted.
     """
-    nus = np.asarray(nus, dtype=float)
+    nus = _real_array("nus", nus)
     if not np.isfinite(nus).all():
         raise ValueError("symplectic eigenvalues must be finite")
     return np.diag(np.repeat(nus, 2))

@@ -80,7 +80,7 @@ class RegionClass(Enum):
     @classmethod
     def of_proportion(cls, prop: float) -> "RegionClass":
         """Class of a point from its entangled proportion (NaN: no physical states)."""
-        return tuple(cls)[int(_region_codes(prop))]
+        return tuple(cls)[int(_region_codes(_real("prop", prop)))]
 
 
 def _region_codes(prop) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _integer
 from .typicality import McEstimate  # defined there; re-exported here
 
 __all__ = [
@@ -189,8 +190,8 @@ def vegas_integrate(
     :func:`sample_from_grid`).
     """
     lo, hi = _check_bounds(bounds)
-    if iterations < 1 or evals_per_iter < 2:
-        raise ValueError("need at least 1 iteration and 2 evaluations per iteration")
+    iterations = _integer("iterations", iterations, 1)
+    evals_per_iter = _integer("evals_per_iter", evals_per_iter, 2)
     d = lo.size
     vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)
@@ -233,6 +234,7 @@ def sample_from_grid(grid: AdaptiveGrid, bounds, n: int, seed: int):
     lo, hi = _check_bounds(bounds)
     if grid.dims != lo.size:
         raise ValueError("grid dimension does not match the bounds")
+    n = _integer("n", n, 0)
     rng = np.random.default_rng(seed)
     u = rng.random((n, grid.dims))
     x01, jac, _ = grid.map_points(u)
@@ -242,8 +244,7 @@ def sample_from_grid(grid: AdaptiveGrid, bounds, n: int, seed: int):
 def plain_integrate(f, bounds, n: int = 10_000, seed: int = 0) -> McEstimate:
     """Uniform-sampling Monte Carlo estimate over a box, with standard error."""
     lo, hi = _check_bounds(bounds)
-    if n < 2:
-        raise ValueError("need at least 2 evaluations")
+    n = _integer("n", n, 2)
     vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)
     x = lo + (hi - lo) * rng.random((n, lo.size))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MU_MIN, DomainError, InvariantCoords, StdForm, _real, validate_covmat
+from .core import _MU_MIN, DomainError, InvariantCoords, StdForm, _real, _real_array, validate_covmat
 
 __all__ = [
     "MeasureKind",
@@ -90,13 +90,15 @@ def fixed_purity(mu: float) -> MeasureKind:
 def _spectrum(nu) -> list[float]:
     """The validated spectrum as Python floats: non-empty, 1D, every nu >= 1 (up to rounding).
 
-    Every input kind (list, tuple, array, scalar) takes one conversion to a
-    float array and its ``tolist``, then one ``min`` and one NaN test.
+    Every input kind (list, tuple, array, scalar) takes one read by
+    :func:`~gaussgeom.core._real_array`, which raises ValueError for bool,
+    string and other non-real input, and its ``tolist``, then one ``min``
+    and one NaN test.
     ``min`` passes over a NaN that is not first, so the test is on the sum,
     which any NaN makes NaN; the one other NaN sum, inf + -inf, has a -inf
     that ``min`` returns (or a NaN first), and that fails already.
     """
-    nu = np.asarray(nu, dtype=float).tolist()
+    nu = _real_array("nu", nu).tolist()
     if not isinstance(nu, list):  # a 0-d array
         nu = [nu]
     elif not nu or isinstance(nu[0], list):

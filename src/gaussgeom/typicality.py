@@ -9,25 +9,23 @@ marginal purities with the weight of :func:`energy_weight`.  One exact
 rejection sampler draws them against their density, weight times
 seralian-interval length, in u = 1/mu_A + 1/mu_B and v = 1/mu_A - 1/mu_B.
 It tests its proposals in cache-sized blocks and stops at the block that
-completes the requested number of draws.  It reads each block's uniforms
-where they lie in the generator's stream, by cursors that PCG64 moves
-there exactly, into one reused buffer of 384 KB kept between calls, so
-that a call neither stores its proposal batches nor grows the heap and
-faults its pages in again; the draws are bit for bit those of drawing
-the batches whole.  The
-sampler takes energies up to 2**200, below the 1.29e62 where its weight
-leaves the float range.  Both ensemble averages, the four statistics
-and the ratio of a custom seralian integral to the interval length, are
-sample means taken by one loop, block by block straight from the accepted
-(u, v) into running sums, so their memory does not grow with the number of
-draws.  The state sampler builds each state from the
-accepted (u, v) too, with a seralian uniform on its interval and the
-standard form of core; beyond its output (128 bytes per state) it keeps
-the accepted (u, v), 16 bytes per state, and assembles the states in
-cache-sized chunks, each from its own stretch of the stream and written
-straight into the output.  Each local rotation's cosine and sine
-come from one half-angle tangent, which numpy vectorises where its sine
-and cosine are scalar calls.
+completes the requested number of draws.  Each call reads one random
+stream, seeded once from its seed: cursors that PCG64 moves exactly read
+each block's uniforms where they lie, into one 384 KB buffer reused
+between calls, so a call neither stores its proposal batches nor faults
+fresh pages in; the draws are bit for bit those of drawing the batches
+whole from ``default_rng(seed)``.  The sampler takes energies up to
+2**200, below the 1.29e62 where its weight leaves the float range.  Both
+ensemble averages, the four statistics and the ratio of a custom seralian
+integral to the interval length, are sample means taken block by block
+straight into running sums, so their memory does not grow with the number
+of draws.  The state sampler builds each state from the accepted (u, v)
+too, with a seralian uniform on its interval and the standard form of
+core; beyond its output (128 bytes per state) it keeps the accepted
+(u, v), 16 bytes per state, and assembles the states in cache-sized
+chunks from the stretch of the stream after the proposals.  Each local
+rotation's cosine and sine come from one half-angle tangent, which numpy
+vectorises where its sine and cosine are scalar calls.
 The pure-state (mu = 1) endpoint is closed form in h = E/2, with a power
 series in t = h - 1 below t = 0.1 where the closed form cancels.  Nothing
 here needs scipy.
@@ -362,38 +360,37 @@ def energy_constrained_stats(mu: float, energy: float, mc: McConfig | None = Non
 def _ensemble_means(mu: float, energy: float, mc: McConfig | None, rows: int, statistics):
     """Sample means and standard errors of ``rows`` per-draw statistics of the (mu, E) ensemble.
 
-    ``statistics(mu, box, u, v, out)`` writes the statistics of the accepted
+    ``statistics(box, u, v, out)`` writes the statistics of the accepted
     draws (u, v) of :func:`_accepted_uv` into the rows of ``out``, given the
-    box of :meth:`_UVSupport.of`, which checks (mu, E).  Each accepted
-    block is written into one reused (rows, _BLOCK) scratch array
-    and added to running sums (:class:`_ShiftedSums`), so memory does not
-    grow with ``mc.final_evals`` (default :class:`McConfig`).
+    box of :meth:`_UVSupport.of`, which checks (mu, E).  The draws come from
+    one :func:`_stream` seeded with ``mc.seed``.  Each accepted block is
+    written into one reused (rows, _BLOCK) scratch array and added to running
+    sums (:class:`_ShiftedSums`), so memory does not grow with
+    ``mc.final_evals`` (default :class:`McConfig`).
     """
     mc = mc or McConfig()
     box = _UVSupport.of(mu, energy)
     scratch = np.empty((rows, _BLOCK))
     sums = _ShiftedSums(rows)
-    for u, v in _accepted_uv(box, box.energy, mc.final_evals, np.random.default_rng(mc.seed)):
-        block = scratch[:, : u.size]
-        statistics(box.mu, box, u, v, block)
-        sums.add(block)
+    with _stream(np.random.default_rng(mc.seed)) as stream:
+        for u, v in _accepted_uv(box, mc.final_evals, stream):
+            block = scratch[:, : u.size]
+            statistics(box, u, v, block)
+            sums.add(block)
     return sums.estimates()
 
 
-def _uv_statistics(mu: float, box: _UVSupport, u, v, out: np.ndarray) -> None:
+def _uv_statistics(box: _UVSupport, u, v, out: np.ndarray) -> None:
     """Write the four per-draw statistics of accepted draws (u, v) into ``out``.
 
     The rows of ``out`` are the entangled proportion, the mean E_N, the
-    steering indicator and G; see :func:`energy_constrained_stats`.  The
-    first two come from :func:`~gaussgeom.correlations._seralian_average`
-    at h = (1/mu_A + 1/mu_B)/2 = u/2 and the interval length L(u, v), as in
-    :func:`~gaussgeom.correlations.logneg_average`.
+    steering indicator and G; see :func:`energy_constrained_stats`.
     """
-    out[0], out[1] = _seralian_average(mu, 0.5 * u, box.length(u, v))
+    out[0], out[1] = _seralian_average(box.mu, 0.5 * u, box.length(u, v))
     steer, g = out[2:]
     x_max = 0.5 * (u + np.abs(v))
-    np.greater(x_max, 1.0 / mu, out=steer)
-    np.maximum(np.log(mu * x_max), 0.0, out=g)
+    np.greater(x_max, 1.0 / box.mu, out=steer)
+    np.maximum(np.log(box.mu * x_max), 0.0, out=g)
 
 
 def energy_constrained_ratio(
@@ -413,8 +410,8 @@ def energy_constrained_ratio(
     returns anything but one finite value per point.
     """
 
-    def ratio(mu, box, u, v, out):
-        a, b, lo, length = _intervals(mu, box, u, v)
+    def ratio(box, u, v, out):
+        a, b, lo, length = _intervals(box, u, v)
         hi = lo + length
         integral = np.asarray(inner(1.0 / a, 1.0 / b, lo, hi), dtype=float)
         if integral.shape != a.shape or not np.isfinite(integral).all():
@@ -503,15 +500,14 @@ def pure_state_endpoint(energy: float) -> PureEndpoint:
 #: Largest proposal batch of the sampler; fixes the layout of its random
 #: stream, which a batch fills with its u's, then its v's, then its
 #: acceptance variates.  The proposals are read from that stream slice by
-#: slice (:class:`_StreamCursors`), so the batch no longer sets the working
+#: slice (:class:`_Stream`), so the batch no longer sets the working
 #: memory.
 _SAMPLER_BATCH = 65_536
 #: Free list of draw buffers, each a (3, _BLOCK) array of 384 KB with its
-#: three cursor generators.  A sampler pops one (or builds one if the list
-#: is empty) and appends it back when it finishes or is closed, so the list
-#: holds at most one per sampler ever running at once and a warm call
-#: builds no generator.  Fresh arrays per batch made the heap grow during a
-#: call and shrink after it, so every call faulted its pages in again.
+#: three cursor generators.  A sampler call pops one (:func:`_stream`) or
+#: builds one (about 54 us) and puts it back when it finishes or is closed,
+#: so the list holds one per sampler ever running at once.  Fresh arrays per
+#: batch made the heap grow and shrink, faulting pages in every call.
 _DRAW_BUFFERS: list[tuple[np.ndarray, tuple[np.random.Generator, ...]]] = []
 #: Largest energy of the sampler.  On the support, energy_weight =
 #: (E - u)(xy)^2 in x = 1/mu_A, y = 1/mu_B peaks at (16/3125) E^5 (xy <= u^2/4,
@@ -661,12 +657,46 @@ class _UVSupport:
         return np.minimum(u * u - self.four_over_mu, self.cap) - v * v
 
 
-@contextlib.contextmanager
-def _draw_buffer():
-    """A (3, _BLOCK) draw buffer and its three cursors, taken from :data:`_DRAW_BUFFERS`.
+class _Stream:
+    """Consecutive runs of one PCG64 stream, read where they lie into rows of ``draws``.
 
-    The pair goes back on the free list when the block exits.  The cursors
-    are PCG64 generators, numpy's default, the only kind the samplers use.
+    Cursor k, seeded with ``state``, reads the k-th run of each :meth:`runs`
+    call, moved there by ``bit_generator.advance``, exact in O(log n) steps,
+    so each run is bit for bit what drawing the runs in order from ``state``
+    gives, one 64-bit output per double.  A cursor never reads past its run;
+    ``end`` is where the runs handed out so far end.
+    """
+
+    def __init__(self, draws: np.ndarray, cursors, state):
+        for cursor in cursors:
+            cursor.bit_generator.state = state
+        self.draws, self.cursors = draws, cursors
+        self.at = [0] * len(cursors)  # each cursor's position in the stream
+        self.end = 0
+
+    def runs(self, lengths) -> None:
+        """Point cursor k at the k-th of consecutive runs of ``lengths`` doubles, after the last."""
+        for k, length in enumerate(lengths):
+            if self.end > self.at[k]:
+                self.cursors[k].bit_generator.advance(self.end - self.at[k])
+            self.at[k] = self.end
+            self.end += length
+
+    def read(self, *sizes) -> list[np.ndarray]:
+        """The next ``sizes[k]`` doubles of cursor k's run, for every k, in rows of ``draws``."""
+        rows = [self.draws[k, :size] for k, size in enumerate(sizes)]
+        for k, row in enumerate(rows):
+            self.cursors[k].random(out=row)
+            self.at[k] += row.size
+        return rows
+
+
+@contextlib.contextmanager
+def _stream(rng: np.random.Generator):
+    """A :class:`_Stream` of ``rng``'s stream on a draw buffer from :data:`_DRAW_BUFFERS`.
+
+    ``rng``'s state is read once, and ``rng`` is never moved.  The buffer and
+    its PCG64 cursors go back on the free list when the block exits.
     """
     try:
         entry = _DRAW_BUFFERS.pop()
@@ -674,62 +704,12 @@ def _draw_buffer():
         cursors = tuple(np.random.Generator(np.random.PCG64(0)) for _ in range(3))
         entry = (np.empty((3, _BLOCK)), cursors)
     try:
-        yield entry
+        yield _Stream(*entry, rng.bit_generator.state)
     finally:
         _DRAW_BUFFERS.append(entry)
 
 
-class _StreamCursors:
-    """Cursor generators that read consecutive runs of ``rng``'s stream where they lie.
-
-    A run holds doubles, one 64-bit output per double of ``Generator.random``.
-    ``rng``'s state is copied into every cursor once, here (a Python-level
-    128-bit conversion each); :meth:`runs` then moves each cursor from where
-    its reads left it to the start of its next run by
-    ``bit_generator.advance`` alone, which PCG64 does exactly in O(log n)
-    steps, so a run read from its cursor is, bit for bit, what drawing the
-    runs in order from ``rng`` gives.  A cursor never reads past the end of
-    its run.
-    """
-
-    def __init__(self, rng: np.random.Generator, cursors):
-        state = rng.bit_generator.state
-        for cursor in cursors:
-            cursor.bit_generator.state = state
-        self.rng, self.cursors = rng, cursors
-        self.half = state["uinteger"] if state["has_uint32"] else None
-        self.at = [0] * len(cursors)  # each cursor's position in the stream
-        self.end = 0  # where the runs handed out so far end
-
-    def runs(self, lengths) -> None:
-        """Point cursor k at the k-th of consecutive runs of ``lengths`` doubles; move ``rng`` past.
-
-        The runs follow those of the previous call.  ``advance`` drops the
-        buffered 32-bit half of ``Generator.integers``, which drawing
-        doubles keeps, so the half is put back: ``rng``'s full state ends
-        where drawing the runs would have left it.
-        """
-        start = self.end
-        for k, length in enumerate(lengths):
-            if self.end > self.at[k]:
-                self.cursors[k].bit_generator.advance(self.end - self.at[k])
-            self.at[k] = self.end
-            self.end += length
-        bits = self.rng.bit_generator
-        bits.advance(self.end - start)
-        if self.half is not None:
-            end = bits.state
-            end["has_uint32"], end["uinteger"] = 1, self.half
-            bits.state = end
-
-    def read(self, rows) -> None:
-        """Fill row k of ``rows`` with the next doubles of cursor k's run, for every k."""
-        for k, row in enumerate(rows):
-            self.cursors[k].random(out=row)
-            self.at[k] += row.size
-
-
-def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Generator):
+def _accepted_uv(box: _UVSupport, count: int, stream: _Stream):
     """Yield blocks of accepted (u, v) proposals until ``count`` are accepted.
 
     In x = 1/mu_A, y = 1/mu_B the weight times d mu_A d mu_B is
@@ -741,54 +721,47 @@ def _accepted_uv(box: _UVSupport, energy: float, count: int, rng: np.random.Gene
     L <= 0 and are rejected).  Every accepted draw has L > 0: the one support test.
 
     Each batch, sized for the draws still missing at the acceptance seen so
-    far, takes three runs of ``rng``'s stream: its u's, its v's and its
-    acceptance variates, as three ``rng.random`` calls of the batch's size
-    would.  The acceptance test runs on slices of :data:`_BLOCK` proposals,
-    each read from the three runs by one :class:`_StreamCursors` for all
-    batches into the rows of a buffer from :func:`_draw_buffer` and passed
-    once to :func:`energy_weight`; u and v get the map low + (high - low) x
-    of ``Generator.uniform`` in place, so the draws are bit for bit those of
-    ``rng.uniform``.  The test stops at the slice that completes ``count``;
-    the rest of that batch is never generated, though ``rng`` is left past
-    the whole batch.  The yielded blocks are copies, never views of the
-    buffer.
+    far, takes the next three runs of ``stream``: its u's, its v's and its
+    acceptance variates, read slice by slice (:data:`_BLOCK` proposals) into
+    the stream's buffer, mapped in place as ``Generator.uniform`` maps them
+    (bit for bit) and passed once to :func:`energy_weight`.  The test stops
+    at the slice that completes ``count``, leaving the rest of that batch
+    unread though the stream ends past it.  The yielded blocks are copies.
     """
     v_max = np.sqrt(box.v_sq)
-    ranges = ((box.u_lo, energy), (-v_max, v_max))
+    ranges = ((box.u_lo, box.energy), (-v_max, v_max))
     n_acc = n_drawn = 0
-    with _draw_buffer() as (draws, cursors):
-        stream = _StreamCursors(rng, cursors)
-        while True:
-            # Size the batch for the states still missing at the acceptance
-            # seen so far: a quarter before the first batch, at least 3 %
-            # anywhere.
-            rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
-            batch = min(_SAMPLER_BATCH, max(1024, int(1.1 * (count - n_acc) / rate)))
-            stream.runs((batch,) * 3)
-            n_drawn += batch
-            for start in range(0, batch, _BLOCK):
-                u_b, v_b, r_b = rows = draws[:, : min(_BLOCK, batch - start)]
-                stream.read(rows)
-                for x, (low, high) in zip((u_b, v_b), ranges):
-                    # Generator.uniform(low, high) is low + (high - low) * random().
-                    np.multiply(x, high - low, out=x)
-                    np.add(x, low, out=x)
-                mu_a = 1.0 / np.maximum(0.5 * (u_b + v_b), 1.0)
-                mu_b = 1.0 / np.maximum(0.5 * (u_b - v_b), 1.0)
-                excess = energy_weight(mu_a, mu_b, energy) * (mu_a * mu_b) ** 2  # E - u
-                ok = r_b * box.rho_max < excess * box.length(u_b, v_b)
-                idx = np.flatnonzero(ok)[: count - n_acc]
-                n_acc += idx.size
-                yield u_b.take(idx), v_b.take(idx)
-                if n_acc == count:
-                    logger.debug(
-                        "sampler acceptance %.3g (%d proposals for %d states)",
-                        n_acc / n_drawn, n_drawn, count,
-                    )
-                    return
+    while True:
+        # Size the batch for the states still missing at the acceptance
+        # seen so far: a quarter before the first batch, at least 3 %
+        # anywhere.
+        rate = n_acc / n_drawn if n_acc else (0.03 if n_drawn else 0.25)
+        batch = min(_SAMPLER_BATCH, max(1024, int(1.1 * (count - n_acc) / rate)))
+        stream.runs((batch,) * 3)
+        n_drawn += batch
+        for start in range(0, batch, _BLOCK):
+            size = min(_BLOCK, batch - start)
+            u_b, v_b, r_b = stream.read(size, size, size)
+            for x, (low, high) in zip((u_b, v_b), ranges):
+                # Generator.uniform(low, high) is low + (high - low) * random().
+                np.multiply(x, high - low, out=x)
+                np.add(x, low, out=x)
+            mu_a = 1.0 / np.maximum(0.5 * (u_b + v_b), 1.0)
+            mu_b = 1.0 / np.maximum(0.5 * (u_b - v_b), 1.0)
+            excess = energy_weight(mu_a, mu_b, box.energy) * (mu_a * mu_b) ** 2  # E - u
+            ok = r_b * box.rho_max < excess * box.length(u_b, v_b)
+            idx = np.flatnonzero(ok)[: count - n_acc]
+            n_acc += idx.size
+            yield u_b.take(idx), v_b.take(idx)
+            if n_acc == count:
+                logger.debug(
+                    "sampler acceptance %.3g (%d proposals for %d states)",
+                    n_acc / n_drawn, n_drawn, count,
+                )
+                return
 
 
-def _intervals(mu: float, box: _UVSupport, u, v):
+def _intervals(box: _UVSupport, u, v):
     """Standard-form diagonals and seralian intervals (a, b, lower end, length) of draws (u, v).
 
     a = max((u + v)/2, 1), b = max((u - v)/2, 1) and the interval runs from
@@ -796,18 +769,20 @@ def _intervals(mu: float, box: _UVSupport, u, v):
     """
     a = np.maximum(0.5 * (u + v), 1.0)
     b = np.maximum(0.5 * (u - v), 1.0)
-    return a, b, 2.0 / mu + v * v, box.length(u, v)
+    return a, b, 2.0 / box.mu + v * v, box.length(u, v)
 
 
 def _draw_intervals(mu: float, energy: float, count: int, rng: np.random.Generator):
     """:func:`_intervals` of ``count`` ensemble draws of :func:`_accepted_uv`, all at once.
 
-    The whole-count reference of the draws that :func:`sample_energy_constrained`
-    takes chunk by chunk.
+    The whole-count reference of the draws of :func:`sample_energy_constrained`,
+    from the stream of a fresh ``rng``, left past the proposals.
     """
     box = _UVSupport.of(mu, energy)
-    u, v = (np.concatenate(parts) for parts in zip(*_accepted_uv(box, box.energy, count, rng)))
-    return _intervals(box.mu, box, u, v)
+    with _stream(rng) as stream:
+        u, v = (np.concatenate(parts) for parts in zip(*_accepted_uv(box, count, stream)))
+    rng.bit_generator.advance(stream.end)
+    return _intervals(box, u, v)
 
 
 def _squeezings(energy, a, b, r):
@@ -836,11 +811,11 @@ def sample_energy_constrained(
     [1, (E - b)/a] and the four rotation angles uniform; c+ and c- come
     from :func:`~gaussgeom.core._std_form_c`.  The accepted (u, v) are kept
     in two count-long arrays; the states are assembled in chunks of
-    :data:`_STATE_CHUNK`, each from its uniforms read off the generator's
-    stream by one :class:`_StreamCursors`, so the working memory beyond the
-    output is about 22 bytes per state at 200 000 states.  Every
-    returned matrix has energy E exactly (to rounding) and passes the
-    physicality test.  Raises DomainError outside the ensemble's support
+    :data:`_STATE_CHUNK` from the uniforms that follow the proposals in the
+    call's one :func:`_stream`, so the working memory beyond the output is
+    about 22 bytes per state at 200 000 states.  Every returned matrix has
+    energy E exactly (to rounding) and passes the physicality test.
+    Raises DomainError outside the ensemble's support
     and above the sampler's energy cap 2**200, and ValueError unless
     ``seed`` is a non-negative integer and ``count`` a positive one.
     """
@@ -848,29 +823,25 @@ def sample_energy_constrained(
     if count < 1:
         raise ValueError("count must be positive")
     box = _UVSupport.of(mu, energy)
-    mu, energy = box.mu, box.energy
-    rng = np.random.default_rng(seed)
     u, v = np.empty(count), np.empty(count)
     filled = 0
-    for u_b, v_b in _accepted_uv(box, energy, count, rng):
-        u[filled : filled + u_b.size], v[filled : filled + v_b.size] = u_b, v_b
-        filled += u_b.size
-    sigma = np.empty((count, 4, 4))
-    with _draw_buffer() as (draws, cursors):
+    with _stream(np.random.default_rng(seed)) as stream:
+        for u_b, v_b in _accepted_uv(box, count, stream):
+            u[filled : filled + u_b.size], v[filled : filled + v_b.size] = u_b, v_b
+            filled += u_b.size
+        sigma = np.empty((count, 4, 4))
         # Seralian, squeezing and angle uniforms: the count, count and
         # 4 count doubles that follow the proposals, read chunk by chunk.
-        stream = _StreamCursors(rng, cursors)
         stream.runs((count, count, 4 * count))
         for start in range(0, count, _STATE_CHUNK):
             n = min(_STATE_CHUNK, count - start)
             c = slice(start, start + n)
-            r_delta, r_lambda, angles = rows = draws[0, :n], draws[1, :n], draws[2, : 4 * n]
-            stream.read(rows)
+            r_delta, r_lambda, angles = stream.read(n, n, 4 * n)
             # Generator.uniform(0, 2 pi) is 0 + 2 pi * random().
             np.multiply(angles, 2.0 * np.pi, out=angles)
-            a, b, d_min, length = _intervals(mu, box, u[c], v[c])
+            a, b, d_min, length = _intervals(box, u[c], v[c])
             _covmats(
-                a, b, *_std_form_c(mu, a, b, d_min + r_delta * length),
-                *_squeezings(energy, a, b, r_lambda), angles.reshape(n, 4), out=sigma[c],
+                a, b, *_std_form_c(box.mu, a, b, d_min + r_delta * length),
+                *_squeezings(box.energy, a, b, r_lambda), angles.reshape(n, 4), out=sigma[c],
             )
     return sigma

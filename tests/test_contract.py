@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussgeom as gg
-from gaussgeom import correlations, typicality
+from gaussgeom import correlations, mcint, typicality
 
 _EDGES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
@@ -75,6 +75,13 @@ def _rng():
     return np.random.default_rng(5)
 
 
+def _first(x):
+    return x[:, 0]
+
+
+_GRID = gg.AdaptiveGrid.uniform(1, nbins=4)
+
+
 #: (name, slots, call(x, slot)): each public function with a scalar argument.
 _CALLS = [
     ("symplectic_form", 1, lambda x, k: gg.symplectic_form(x), COUNTS),
@@ -104,6 +111,39 @@ _CALLS = [
         SCALARS,
     ),
     ("PptSpectrum", 2, lambda x, k: gg.PptSpectrum(*_at((0.5, 2.0), k, x)), SCALARS),
+    (
+        "StdForm.matrix", 4,
+        lambda x, k: gg.StdForm(*_at((2.0, 2.0, 1.0, -0.5), k, x)).matrix(), SCALARS,
+    ),
+    (
+        "numeric_std_form_density", 4,
+        lambda x, k: gg.numeric_std_form_density(gg.StdForm(*_at((2.0, 2.0, 1.0, -0.5), k, x))),
+        SCALARS,
+    ),
+    ("RegionClass.of_proportion", 1, lambda x, k: gg.RegionClass.of_proportion(x), SCALARS),
+    # The array arguments: a spectrum, the eigenvalues of thermal, marginals.
+    ("density_hs", 1, lambda x, k: gg.density_hs(x), SCALARS),
+    (
+        "density_ratio", 2,
+        lambda x, k: gg.density_ratio(gg.HILBERT_SCHMIDT, gg.FISHER_RAO, _at((1.5, 2.0), k, x)),
+        SCALARS,
+    ),
+    ("thermal", 2, lambda x, k: gg.thermal(_at((1.5, 2.0), k, x)), SCALARS),
+    (
+        "delta_bounds_batch.arrays", 3,
+        lambda x, k: correlations.delta_bounds_batch(*_at(_COORDS[:3], k, [x, 0.6])), SCALARS,
+    ),
+    # Counts of mcint.
+    ("plain_integrate.n", 1, lambda x, k: gg.plain_integrate(_first, [(0, 1)], n=x), COUNTS),
+    (
+        "vegas_integrate.iterations", 1,
+        lambda x, k: gg.vegas_integrate(_first, [(0, 1)], iterations=x, evals_per_iter=8), COUNTS,
+    ),
+    (
+        "vegas_integrate.evals_per_iter", 1,
+        lambda x, k: gg.vegas_integrate(_first, [(0, 1)], iterations=1, evals_per_iter=x), COUNTS,
+    ),
+    ("sample_from_grid.n", 1, lambda x, k: mcint.sample_from_grid(_GRID, [(0, 1)], x, 1), COUNTS),
 ] + [
     (
         fn.__name__, 4,
@@ -297,3 +337,73 @@ def test_density_ratio_without_an_equal_pair_is_finite_where_the_repulsion_under
     nu = [1.0 + k * 1e-12 for k in range(20)]
     ratio = gg.density_ratio(gg.HILBERT_SCHMIDT, gg.FISHER_RAO, nu)
     assert ratio == pytest.approx(math.prod(nu) ** (-20 * 22.5 + 1 + 2 * 20 - 1), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Array arguments, mcint counts and standard-form fields, each probe as found.
+
+_ARRAY_PROBES = {
+    "density_hs.huge": (lambda: gg.density_hs([_HUGE]), "nu"),
+    "density_ratio.huge": (
+        lambda: gg.density_ratio(gg.HILBERT_SCHMIDT, gg.FISHER_RAO, [_HUGE, 2.0]), "nu"
+    ),
+    "thermal.huge": (lambda: gg.thermal([_HUGE]), "nus"),
+    "density_hs.bool": (lambda: gg.density_hs(True), "nu"),
+    "density_hs.str": (lambda: gg.density_hs("2"), "nu"),
+    "thermal.str": (lambda: gg.thermal("3"), "nus"),
+    "delta_bounds_batch.str": (lambda: correlations.delta_bounds_batch(0.5, ["0.5"], 0.6), "mu_a"),
+    "logneg_average.bool": (lambda: correlations.logneg_average(0.5, 0.6, [True]), "mu_b"),
+}
+
+
+@pytest.mark.parametrize("call, name", _ARRAY_PROBES.values(), ids=_ARRAY_PROBES.keys())
+def test_array_arguments_are_real_numbers_in_the_float_range(call, name):
+    # The huge ints raised OverflowError; the bools and strings were read as
+    # numbers (density_hs(True) was 1.0, density_hs("2") 0.177).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be real numbers in the float range"):
+            call()
+
+
+def test_an_array_of_ints_beyond_int64_is_read_as_floats():
+    assert gg.density_hs([2**70, 3]) == gg.density_hs([2.0**70, 3.0])
+    assert gg.thermal([2**70]).tolist() == [[2.0**70, 0.0], [0.0, 2.0**70]]
+
+
+_COUNT_PROBES = {
+    "plain_integrate.float": (lambda: gg.plain_integrate(_first, [(0, 1)], n=2.5), "n"),
+    "plain_integrate.bool": (lambda: gg.plain_integrate(_first, [(0, 1)], n=True), "n"),
+    "vegas_integrate.iterations": (
+        lambda: gg.vegas_integrate(_first, [(0, 1)], iterations=2.5), "iterations"
+    ),
+    "vegas_integrate.evals_per_iter": (
+        lambda: gg.vegas_integrate(_first, [(0, 1)], evals_per_iter=True), "evals_per_iter"
+    ),
+    "sample_from_grid.bool": (lambda: mcint.sample_from_grid(_GRID, [(0, 1)], True, 1), "n"),
+}
+
+
+@pytest.mark.parametrize("call, name", _COUNT_PROBES.values(), ids=_COUNT_PROBES.keys())
+def test_mcint_counts_are_integers(call, name):
+    # n=2.5 leaked a raw TypeError; a bool was taken as a count.
+    with pytest.raises(ValueError, match=f"{name} must be an? [a-z -]*integer"):
+        call()
+
+
+def test_region_of_a_proportion_is_read_as_a_real_number():
+    # "0.5" gave Coexistence; 10**400 raised OverflowError.
+    with pytest.raises(ValueError, match="prop must be a real number"):
+        gg.RegionClass.of_proportion("0.5")
+    assert gg.RegionClass.of_proportion(_HUGE) is gg.RegionClass.ALL_ENTANGLED
+
+
+def test_standard_form_matrix_reads_real_finite_fields():
+    # A string field gave a string matrix; 10**400 raised OverflowError.
+    with pytest.raises(ValueError, match="a must be a real number"):
+        gg.StdForm("2", 1, 0, 0).matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            gg.numeric_std_form_density(gg.StdForm(_HUGE, 1, 0, 0))
+    assert gg.StdForm(np.float32(2.0), 2, 1, 0).matrix().dtype == np.float64

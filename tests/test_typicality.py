@@ -502,6 +502,51 @@ def test_energy_ratio_memory_does_not_grow_with_the_draws():
     assert abs(large - small) <= 0.1 * small
 
 
+# Values recorded before the sampler read one stream per call: the same
+# seeds must give the same draws, bit for bit.
+_PINNED_STATS = {
+    (0.53125, 8.0, 5, 20_000): (
+        (0.9570523066058751, 0.0013108553966779386),
+        (0.9866332335783061, 0.0037493155574938298),
+        (0.7822, 0.0029186613248536495),
+        (0.2514357466663602, 0.0015600019881221719),
+    ),
+    (0.7222222222222222, 3.0, 7, 3): (
+        (1.0, 0.0),
+        (0.6084582436565313, 0.13478717291417405),
+        (1.0, 0.0),
+        (0.07701354579479104, 0.02687841371169582),
+    ),
+}
+
+
+@pytest.mark.parametrize("key, want", _PINNED_STATS.items(), ids=str)
+def test_energy_stats_unchanged_at_fixed_seeds(key, want):
+    mu, e, seed, evals = key
+    stats = energy_constrained_stats(mu, e, McConfig(seed=seed, final_evals=evals))
+    got = [(est.value, est.std_error, est.n_evals) for est in vars(stats).values()]
+    assert got == [(value, error, evals) for value, error in want]
+
+
+@pytest.mark.parametrize(
+    "mu, e, seed, evals, inner, want",
+    [
+        (
+            0.53125, 8.0, 5, 20_000, lambda a, b, lo, hi: (hi - lo) * (a + b),
+            (0.9501266202681686, 0.0017581976254151845),
+        ),
+        (
+            4.0 / 144.0 * (1.0 + 1e-4), 12.0, 123, 30_000,
+            lambda a, b, lo, hi: 0.5 * (hi * hi - lo * lo),
+            (71.99756797042534, 1.1768532877073105e-05),
+        ),
+    ],
+)
+def test_energy_ratio_unchanged_at_fixed_seeds(mu, e, seed, evals, inner, want):
+    est = energy_constrained_ratio(mu, e, inner, McConfig(seed=seed, final_evals=evals))
+    assert (est.value, est.std_error, est.n_evals) == (*want, evals)
+
+
 def test_energy_ratio_calls_inner_once_per_accepted_block():
     sizes = []
 
@@ -902,12 +947,12 @@ def test_draw_purities_matches_the_unblocked_loop(mu, e, count, seed):
     ref_rng = np.random.default_rng(seed)
     (mu_a, mu_b, lo, hi), (u, v, ok) = _unblocked_draws(mu, e, count, ref_rng)
     u, v = u[ok][:count], v[ok][:count]
-    rng = np.random.default_rng(seed)
-    got = _accepted_uv(_UVSupport.of(mu, e), e, count, rng)
-    for g, w in zip((np.concatenate(parts) for parts in zip(*got)), (u, v)):
-        np.testing.assert_array_equal(g, w)
-    # The generator is left where the unblocked loop leaves it.
-    assert rng.random() == ref_rng.random()
+    with typicality._stream(np.random.default_rng(seed)) as stream:
+        got = _accepted_uv(_UVSupport.of(mu, e), count, stream)
+        for g, w in zip((np.concatenate(parts) for parts in zip(*got)), (u, v)):
+            np.testing.assert_array_equal(g, w)
+    # The stream ends where the unblocked loop leaves its generator.
+    assert stream.end == 3 * ok.size
     # The draws' standard form and seralian interval come from (u, v), not
     # from the purities and their seralian bounds, so the two agree to
     # rounding: a and b to 2 eps, the interval ends to 4 eps relative to
@@ -922,22 +967,19 @@ def test_draw_purities_matches_the_unblocked_loop(mu, e, count, seed):
 
 
 def _uv_blocks(mu, e, count, seed):
-    return _accepted_uv(_UVSupport.of(mu, e), e, count, np.random.default_rng(seed))
+    with typicality._stream(np.random.default_rng(seed)) as stream:
+        yield from _accepted_uv(_UVSupport.of(mu, e), count, stream)
 
 
 def test_stream_runs_read_the_doubles_drawn_in_order():
-    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    # A buffered 32-bit half, which bit_generator.advance drops.
-    rng.integers(10, dtype=np.int32)
-    ref.integers(10, dtype=np.int32)
+    ref = np.random.default_rng(4)
     lengths = (5, 0, 1000, 3)
     cursors = [np.random.Generator(np.random.PCG64(0)) for _ in lengths]
-    typicality._StreamCursors(rng, cursors).runs(lengths)
+    stream = typicality._Stream(None, cursors, np.random.default_rng(4).bit_generator.state)
+    stream.runs(lengths)
     for cursor, length in zip(cursors, lengths):
         np.testing.assert_array_equal(cursor.random(length), ref.random(length))
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.bit_generator.state["has_uint32"] == 1
-    assert rng.integers(10, dtype=np.int32) == ref.integers(10, dtype=np.int32)
+    assert stream.end == sum(lengths)
 
 
 class _CountingPCG64(np.random.PCG64):
@@ -964,16 +1006,17 @@ class _CountingPCG64(np.random.PCG64):
 
 
 @pytest.mark.parametrize("mu,e,count", [(0.7222222222222222, 3.0, 20_000), (0.53125, 8.0, 1)])
-def test_sampler_copies_the_generator_state_once_per_phase(monkeypatch, mu, e, count):
+def test_sampler_copies_the_generator_state_once_per_call(monkeypatch, mu, e, count):
     # Each state read or write is a Python-level 128-bit conversion: the
-    # cursors take the generator's state once for all proposal batches and
-    # once for the state uniforms, and are otherwise moved by advance alone,
-    # at most three cursor advances per run of proposals or states.
+    # cursors take the seeded generator's state once for all proposal
+    # batches and the state uniforms, and are otherwise moved by advance
+    # alone, at most three cursor advances per run of proposals or states.
+    # The seeded generator itself is never advanced.
     rng_counts, cursor_counts = collections.Counter(), collections.Counter()
     cursors = tuple(np.random.Generator(_CountingPCG64(0, cursor_counts)) for _ in range(3))
     monkeypatch.setattr(typicality, "_DRAW_BUFFERS", [(np.empty((3, _BLOCK)), cursors)])
     runs = []
-    stream_runs = typicality._StreamCursors.runs
+    stream_runs = typicality._Stream.runs
 
     def counting_runs(self, lengths):
         runs.append(lengths)
@@ -982,43 +1025,24 @@ def test_sampler_copies_the_generator_state_once_per_phase(monkeypatch, mu, e, c
     def counting_rng(seed):
         return np.random.Generator(_CountingPCG64(seed, rng_counts))
 
-    monkeypatch.setattr(typicality._StreamCursors, "runs", counting_runs)
+    monkeypatch.setattr(typicality._Stream, "runs", counting_runs)
     want = sample_energy_constrained(mu, e, count, seed=6)
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     runs.clear()
     cursor_counts.clear()
     np.testing.assert_array_equal(sample_energy_constrained(mu, e, count, seed=6), want)
     assert len(runs) >= 2  # the proposal batches, then the state uniforms
-    assert rng_counts == {"read": 2, "advance": len(runs)}
-    assert cursor_counts["write"] == 6 and cursor_counts["read"] == 0
+    assert rng_counts == {"read": 1}
+    assert cursor_counts["write"] == 3 and cursor_counts["read"] == 0
     assert cursor_counts["advance"] <= 3 * len(runs)
 
 
-def test_stream_cursors_keep_a_buffered_half_over_several_runs():
-    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-    for g in (rng, ref):
-        g.integers(10, dtype=np.int32)
-    cursors = [np.random.Generator(np.random.PCG64(0)) for _ in range(3)]
-    stream = typicality._StreamCursors(rng, cursors)
-    for lengths, reads in (((4, 7, 2), (4, 7, 2)), ((5, 0, 3), (2, 0, 3)), ((6, 1, 9), (6, 1, 9))):
-        stream.runs(lengths)
-        rows = [np.empty(read) for read in reads]
-        stream.read(rows)
-        for row, length, read in zip(rows, lengths, reads):
-            np.testing.assert_array_equal(row, ref.random(length)[:read])
-        assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.integers(10, dtype=np.int32) == ref.integers(10, dtype=np.int32)
-
-
 @pytest.mark.parametrize("count", [1, 4097, 30_000])
-def test_sampler_leaves_the_generator_state_of_the_unblocked_loop(count):
+def test_draw_intervals_leave_the_generator_state_of_the_unblocked_loop(count):
     mu, e = 0.53125, 8.0
     rng, ref = np.random.default_rng(count), np.random.default_rng(count)
-    for g in (rng, ref):
-        g.integers(10, dtype=np.int32)
     _unblocked_draws(mu, e, count, ref)
-    for _ in _accepted_uv(_UVSupport.of(mu, e), e, count, rng):
-        pass
+    _draw_intervals(mu, e, count, rng)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -1134,7 +1158,7 @@ def test_uv_statistics_match_logneg_average_on_oracle_draws(mu, e):
     u, v = u[ok][: mu_a.size], v[ok][: mu_a.size]
     box = _UVSupport.of(mu, e)
     got = np.empty((4, u.size))
-    _uv_statistics(mu, box, u, v, got)
+    _uv_statistics(box, u, v, got)
     prop, mean_en = logneg_average(mu, mu_a, mu_b)
     mu_min = np.minimum(mu_a, mu_b)
     np.testing.assert_array_equal(got[2], (mu_min < mu).astype(float))
@@ -1184,8 +1208,9 @@ def test_sampler_states_unchanged_at_fixed_seeds(monkeypatch):
         rtol=1e-12,
     )
     # Bit for bit against the sampler run on the unblocked loop.
-    def unblocked_uv(box, e, count, rng):
-        _, (u, v, ok) = _unblocked_draws(0.53125, e, count, rng)
+    def unblocked_uv(box, count, stream):
+        _, (u, v, ok) = _unblocked_draws(0.53125, box.energy, count, np.random.default_rng(5))
+        stream.runs((3 * ok.size,))
         yield u[ok][:count], v[ok][:count]
 
     monkeypatch.setattr(typicality, "_accepted_uv", unblocked_uv)
