@@ -1,13 +1,16 @@
 """Iterative adaptive importance-sampling integration over rectangles.
 
-The adaptive integrator follows the classic per-axis binning scheme: each
-iteration samples through a separable piecewise-uniform grid, accumulates
-squared contributions per bin, and compresses the grid toward regions of
-large |f|^2 with a damped update.  Per-iteration estimates are combined by
-inverse-variance weighting and their mutual consistency is reported as a
-chi^2 per degree of freedom.  A plain uniform-sampling integrator is
-provided as a cross-check.
+The adaptive integrator follows the classic per-axis binning scheme
+(Lepage, J. Comput. Phys. 27, 192 (1978)): each iteration samples through a
+separable piecewise-uniform grid and accumulates squared contributions per
+bin; a damped update then moves the edges toward large |f|^2 by
+interpolating the cumulative importance, so that each new bin holds an
+equal share.  Per-iteration estimates are combined by inverse-variance
+weighting, with their consistency reported as chi^2 per degree of freedom.
+A plain uniform-sampling integrator is provided as a cross-check.
 
+Arguments are read by :mod:`gaussgeom.core`'s readers, an integrand returns
+one value per point, and a result beyond the float range raises ValueError.
 All routines are deterministic for a fixed seed.
 """
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _integer
+from .core import _integer, _real, _real_array
 from .typicality import McEstimate  # defined there; re-exported here
 
 __all__ = [
@@ -37,40 +40,74 @@ class IntegrationError(RuntimeError):
     """Monte Carlo integration failed (bad integrand or degenerate sampling)."""
 
 
-def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
-    bounds = list(bounds)
-    if not 1 <= len(bounds) <= MAX_DIM:
-        raise ValueError(f"dimension must be between 1 and {MAX_DIM}, got {len(bounds)}")
-    lo = np.array([float(b[0]) for b in bounds])
-    hi = np.array([float(b[1]) for b in bounds])
+def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray, float]:
+    """The box's low corner, its widths and its volume, from (low, high) pairs."""
+    box = _real_array("bounds", bounds)
+    if box.ndim != 2 or box.shape[1] != 2 or not 1 <= len(box) <= MAX_DIM:
+        raise ValueError(f"bounds must have shape (d, 2), dimension d 1 to {MAX_DIM}, got {box.shape}")
+    lo, hi = box.T
     if np.any(hi <= lo):
         raise ValueError("each axis must have high > low")
-    return lo, hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+        vol = float(np.prod(width))
+    if not np.isfinite(vol):  # an infinite or NaN bound too
+        raise ValueError("bounds must be finite, and so must the volume of the box")
+    return lo, width, vol
+
+
+def _evaluate(f, points: np.ndarray, jac, vol: float, n_bad: int = 0, n_done: int = 0):
+    """(w, mean of w, variance of that mean, n_bad) for w = f(points) * jac * vol.
+
+    ValueError unless f gives one real value per point and both moments are
+    finite.  Non-finite values of f are zeroed and counted into ``n_bad``:
+    IntegrationError once they pass 0.1 % of all ``n_done`` + n evaluations.
+    """
+    n = len(points)
+    values = np.asarray(f(points))
+    if values.shape != (n,) or values.dtype.kind not in "biuf":
+        got = f"{values.dtype} of shape {values.shape}"
+        raise ValueError(f"f must return {n} real values for {n} points, got {got}")
+    bad = ~np.isfinite(values)
+    n_bad += int(bad.sum())
+    if n_bad > _NONFINITE_LIMIT * (n_done + n):
+        raise IntegrationError(f"{n_bad} non-finite integrand values in {n_done + n} evaluations")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.where(bad, 0.0, values) * jac * vol
+        mean, var = float(w.mean()), float(w.var(ddof=1)) / n
+    if not (np.isfinite(mean) and np.isfinite(var)):
+        raise ValueError("the weighted integrand values leave the float range")
+    return w, mean, var, n_bad
 
 
 @dataclass
 class AdaptiveGrid:
     """Per-axis piecewise-uniform sampling grid on [0, 1]^d.
 
-    ``edges[ax]`` holds nbins + 1 strictly increasing values from 0 to 1.
-    Sampling maps uniform variates through the grid so that each bin receives
-    the same number of points on average; the importance update moves bin
-    edges toward regions of large accumulated weight, damped by ``damping``.
+    ``edges[ax]`` holds nbins + 1 strictly increasing values from 0 to 1 on
+    every axis.  Sampling maps uniform variates through the grid so that
+    each bin receives the same number of points on average; the importance
+    update moves bin edges toward regions of large accumulated weight,
+    damped by ``damping``.
     """
 
     edges: list[np.ndarray]
     damping: float = 1.5
 
     def __post_init__(self):
+        self.damping = _real("damping", self.damping)
         if not 0.0 < self.damping <= 2.0:
             raise ValueError("damping must lie in (0, 2]")
-        for e in self.edges:
-            if e[0] != 0.0 or e[-1] != 1.0 or np.any(np.diff(e) <= 0.0):
-                raise ValueError("edges must increase strictly from 0 to 1")
+        edges = _real_array("edges", self.edges)  # one row per axis
+        ends = edges.ndim == 2 and edges.size and (edges[:, [0, -1]] == (0.0, 1.0)).all()
+        if not (ends and np.all(np.diff(edges) > 0.0)):
+            raise ValueError("edges must be equal-length arrays increasing strictly from 0 to 1")
+        self.edges = list(edges)
 
     @classmethod
     def uniform(cls, dims: int, nbins: int = 50, damping: float = 1.5) -> "AdaptiveGrid":
-        return cls(edges=[np.linspace(0.0, 1.0, nbins + 1) for _ in range(dims)], damping=damping)
+        nodes = np.linspace(0.0, 1.0, _integer("nbins", nbins, 1) + 1)
+        return cls(edges=np.tile(nodes, (_integer("dims", dims, 1), 1)), damping=damping)
 
     @property
     def dims(self) -> int:
@@ -87,19 +124,11 @@ class AdaptiveGrid:
         normalized so that a uniform grid gives weight 1.
         """
         nb = self.nbins
-        n, d = u.shape
-        x = np.empty_like(u)
-        jac = np.ones(n)
-        bins = np.empty((n, d), dtype=np.intp)
-        for ax in range(d):
-            t = u[:, ax] * nb
-            k = np.minimum(t.astype(np.intp), nb - 1)
-            e = self.edges[ax]
-            width = e[k + 1] - e[k]
-            x[:, ax] = e[k] + width * (t - k)
-            jac *= nb * width
-            bins[:, ax] = k
-        return x, jac, bins
+        t = u * nb
+        bins = np.minimum(t.astype(np.intp), nb - 1)
+        edges, axes = np.array(self.edges), np.arange(u.shape[1])
+        low, width = edges[axes, bins], np.diff(edges)[axes, bins]
+        return low + width * (t - bins), np.prod(nb * width, axis=1), bins
 
     def refine(self, importance: np.ndarray) -> None:
         """Damped importance update from accumulated per-bin weights."""
@@ -108,8 +137,7 @@ class AdaptiveGrid:
             if w.sum() <= 0.0:
                 continue
             w = self._smooth(w)
-            m = w / w.sum()
-            m = np.clip(m, 1e-12, 1.0 - 1e-12)
+            m = np.clip(w / w.sum(), 1e-12, 1.0 - 1e-12)
             r = ((1.0 - m) / -np.log(m)) ** self.damping
             self.edges[ax] = self._redistribute(self.edges[ax], r)
 
@@ -126,21 +154,12 @@ class AdaptiveGrid:
 
     @staticmethod
     def _redistribute(edges: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Edges splitting the cumulative weight ``w`` into equal parts: it rises
+        linearly across each old bin, so they interpolate its inverse."""
         nb = w.size
-        target = w.sum() / nb
-        new = np.empty_like(edges)
+        cumulative = np.concatenate(([0.0], np.cumsum(w)))
+        new = np.interp(np.arange(nb + 1) * (cumulative[-1] / nb), cumulative, edges)
         new[0], new[-1] = 0.0, 1.0
-        j = 0
-        used = 0.0
-        for i in range(1, nb):
-            need = target
-            while j < nb - 1 and w[j] - used < need:
-                need -= w[j] - used
-                j += 1
-                used = 0.0
-            used += need
-            frac = min(used / w[j], 1.0) if w[j] > 0.0 else 1.0
-            new[i] = edges[j] + (edges[j + 1] - edges[j]) * frac
         new = np.clip(new, 0.0, 1.0)
         for i in range(1, nb):
             if new[i] <= new[i - 1]:
@@ -152,20 +171,21 @@ class AdaptiveGrid:
 
 
 def _combine(estimates: list[tuple[float, float]]) -> tuple[float, float, float]:
-    """Inverse-variance combination and chi^2/dof across iterations."""
-    values = np.array([e[0] for e in estimates])
-    variances = np.array([e[1] for e in estimates])
+    """Inverse-variance combination and chi^2/dof; ValueError outside the float range."""
+    values, variances = np.array(estimates).T
     if np.all(variances == 0.0):
         return float(values[-1]), 0.0, 0.0
     # Rare mixed case: treat an exactly-zero sample variance conservatively.
     positive = variances[variances > 0.0]
     variances = np.where(variances == 0.0, positive.min(), variances)
-    weights = 1.0 / variances
-    mean = float(np.sum(weights * values) / np.sum(weights))
-    err = float(np.sqrt(1.0 / np.sum(weights)))
-    dof = values.size - 1
-    chi2 = float(np.sum(weights * (values - mean) ** 2))
-    return mean, err, chi2 / dof if dof > 0 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = 1.0 / variances
+        mean = float(np.sum(weights * values) / np.sum(weights))
+        err = float(np.sqrt(1.0 / np.sum(weights)))
+        chi2 = float(np.sum(weights * (values - mean) ** 2))
+    if not np.isfinite([mean, err, chi2]).all():
+        raise ValueError("the combined estimate leaves the float range")
+    return mean, err, chi2 / (values.size - 1) if values.size > 1 else 0.0
 
 
 def vegas_integrate(
@@ -182,46 +202,31 @@ def vegas_integrate(
 
     ``f`` must accept an (n, d) array of points and return n values; it may
     be signed.  Non-finite values are zeroed and counted, and the run aborts
-    if they exceed 0.1% of all evaluations.  Identical (seed, configuration)
-    reproduce the estimate bit for bit.
+    if they exceed 0.1% of all evaluations.  After each iteration the grid
+    takes new edges by interpolating the cumulative damped importance.
+    Identical (seed, configuration) reproduce the estimate bit for bit.
 
     Returns an :class:`McEstimate`, or ``(estimate, grid)`` when
     ``return_grid`` is set (the grid can then be reused through
     :func:`sample_from_grid`).
     """
-    lo, hi = _check_bounds(bounds)
+    lo, width, vol = _check_bounds(bounds)
     iterations = _integer("iterations", iterations, 1)
     evals_per_iter = _integer("evals_per_iter", evals_per_iter, 2)
-    d = lo.size
-    vol = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    grid = AdaptiveGrid.uniform(d, nbins=nbins, damping=damping)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
+    grid = AdaptiveGrid.uniform(lo.size, nbins=nbins, damping=damping)
 
     estimates = []
     n_bad = 0
-    n_total = 0
-    for _ in range(iterations):
-        u = rng.random((evals_per_iter, d))
-        x01, jac, bin_idx = grid.map_points(u)
-        fv = np.asarray(f(lo + (hi - lo) * x01), dtype=float)
-        bad = ~np.isfinite(fv)
-        n_bad += int(bad.sum())
-        n_total += fv.size
-        if n_bad > _NONFINITE_LIMIT * n_total:
-            raise IntegrationError(
-                f"{n_bad} non-finite integrand values in {n_total} evaluations"
-            )
-        fv = np.where(bad, 0.0, fv)
-        w = fv * jac * vol
-        estimates.append((float(w.mean()), float(w.var(ddof=1)) / w.size))
-        importance = np.zeros((grid.nbins, d))
-        w2 = w * w
-        for ax in range(d):
-            np.add.at(importance[:, ax], bin_idx[:, ax], w2)
-        grid.refine(importance)
+    for it in range(iterations):
+        x01, jac, bin_idx = grid.map_points(rng.random((evals_per_iter, lo.size)))
+        w, mean, var, n_bad = _evaluate(f, lo + width * x01, jac, vol, n_bad, it * evals_per_iter)
+        estimates.append((mean, var))
+        # Squared in units of a power of two near max |w|: exact, and finite.
+        w2 = np.square(np.ldexp(w, -np.frexp(np.abs(w).max())[1]))
+        grid.refine(np.array([np.bincount(k, w2, grid.nbins) for k in bin_idx.T]).T)
 
-    value, err, chi2 = _combine(estimates)
-    est = McEstimate(value=value, std_error=err, chi2_per_dof=chi2, n_evals=n_total)
+    est = McEstimate(*_combine(estimates), n_evals=iterations * evals_per_iter)
     return (est, grid) if return_grid else est
 
 
@@ -231,32 +236,23 @@ def sample_from_grid(grid: AdaptiveGrid, bounds, n: int, seed: int):
     The weights are vol / (n * pdf) summands: ``mean(weights * f(points))``
     estimates the integral of f over the box without further adaptation.
     """
-    lo, hi = _check_bounds(bounds)
+    lo, width, vol = _check_bounds(bounds)
     if grid.dims != lo.size:
         raise ValueError("grid dimension does not match the bounds")
     n = _integer("n", n, 0)
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, grid.dims))
-    x01, jac, _ = grid.map_points(u)
-    return lo + (hi - lo) * x01, jac * float(np.prod(hi - lo))
+    rng = np.random.default_rng(_integer("seed", seed, 0))
+    x01, jac, _ = grid.map_points(rng.random((n, grid.dims)))
+    with np.errstate(over="ignore"):
+        weights = jac * vol
+    if not np.isfinite(weights).all():
+        raise ValueError("the importance weights leave the float range")
+    return lo + width * x01, weights
 
 
 def plain_integrate(f, bounds, n: int = 10_000, seed: int = 0) -> McEstimate:
     """Uniform-sampling Monte Carlo estimate over a box, with standard error."""
-    lo, hi = _check_bounds(bounds)
+    lo, width, vol = _check_bounds(bounds)
     n = _integer("n", n, 2)
-    vol = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    x = lo + (hi - lo) * rng.random((n, lo.size))
-    fv = np.asarray(f(x), dtype=float)
-    bad = ~np.isfinite(fv)
-    if bad.sum() > _NONFINITE_LIMIT * n:
-        raise IntegrationError(f"{int(bad.sum())} non-finite integrand values in {n} evaluations")
-    fv = np.where(bad, 0.0, fv)
-    w = fv * vol
-    return McEstimate(
-        value=float(w.mean()),
-        std_error=float(np.sqrt(w.var(ddof=1) / n)),
-        chi2_per_dof=0.0,
-        n_evals=n,
-    )
+    rng = np.random.default_rng(_integer("seed", seed, 0))
+    _, mean, var, _ = _evaluate(f, lo + width * rng.random((n, lo.size)), 1.0, vol)
+    return McEstimate(value=mean, std_error=float(np.sqrt(var)), chi2_per_dof=0.0, n_evals=n)

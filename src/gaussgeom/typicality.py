@@ -547,11 +547,15 @@ def _local_blocks(lam_m1: np.ndarray, inner: np.ndarray, outer: np.ndarray):
 
     O(t) = [[cos t, sin t], [-sin t, cos t]] and lambda = (w^2 + 1/w^2)/2, given
     as lambda - 1, so that w^2 = lambda + sqrt(lambda^2 - 1) keeps its digits
-    next to lambda = 1.  Each rotation's cosine and sine come from the
-    half-angle tangent h = tan(t/2), as cos t = (1 - h)(1 + h)/(1 + h^2) and
+    next to lambda = 1 (as sqrt(lambda - 1) sqrt(lambda + 1) where lambda^2 - 1
+    overflows).  Each rotation's cosine and sine come from the half-angle
+    tangent h = tan(t/2), as cos t = (1 - h)(1 + h)/(1 + h^2) and
     sin t = 2h/(1 + h^2) (:func:`_rotation`), within 3.3e-16 of libm's.
     """
-    w = np.sqrt(1.0 + lam_m1 + np.sqrt(lam_m1 * (lam_m1 + 2.0)))
+    root = np.sqrt(lam_m1 * (lam_m1 + 2.0))
+    big = np.isinf(root)
+    root[big] = np.sqrt(lam_m1[big]) * np.sqrt(lam_m1[big] + 2.0)
+    w = np.sqrt(1.0 + lam_m1 + root)
     ci, si = _rotation(inner)
     co, so = _rotation(outer)
     wc, ws, vc, vs = w * ci, w * si, ci / w, si / w
@@ -593,8 +597,7 @@ def assemble_covmat(std: StdForm, sample: LocalSympSample) -> np.ndarray:
 
     The trace identity tr(S^T (c I) S) = 2 c lambda makes the energy of the
     result exactly lambda_A/mu_A + lambda_B/mu_B.  Raises DomainError where
-    the assembly leaves the float range: where the matrix does, and where
-    lambda (lambda + 2) does, lambda above about 1.3e154.
+    the matrix leaves the float range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = _covmats(

@@ -144,6 +144,42 @@ _CALLS = [
         lambda x, k: gg.vegas_integrate(_first, [(0, 1)], iterations=1, evals_per_iter=x), COUNTS,
     ),
     ("sample_from_grid.n", 1, lambda x, k: mcint.sample_from_grid(_GRID, [(0, 1)], x, 1), COUNTS),
+    # Seeds, grid sizes, damping, grid edges and box bounds of mcint.
+    ("plain_integrate.seed", 1, lambda x, k: gg.plain_integrate(_first, [(0, 1)], 4, x), COUNTS),
+    (
+        "vegas_integrate.seed", 1,
+        lambda x, k: gg.vegas_integrate(_first, [(0, 1)], 1, 8, seed=x), COUNTS,
+    ),
+    ("sample_from_grid.seed", 1, lambda x, k: mcint.sample_from_grid(_GRID, [(0, 1)], 4, x), COUNTS),
+    (
+        "vegas_integrate.nbins", 1,
+        lambda x, k: gg.vegas_integrate(_first, [(0, 1)], 2, 8, nbins=x), COUNTS,
+    ),
+    ("AdaptiveGrid.uniform", 2, lambda x, k: gg.AdaptiveGrid.uniform(*_at((1, 4), k, x)), COUNTS),
+    (
+        "vegas_integrate.damping", 1,
+        lambda x, k: gg.vegas_integrate(_first, [(0, 1)], 2, 8, damping=x), SCALARS,
+    ),
+    ("AdaptiveGrid.damping", 1, lambda x, k: gg.AdaptiveGrid([[0.0, 1.0]], x), SCALARS),
+    (
+        "AdaptiveGrid.edges", 3,
+        lambda x, k: mcint.sample_from_grid(
+            gg.AdaptiveGrid([_at((0.0, 0.5, 1.0), k, x)]), [(0, 1)], 4, 1
+        ),
+        SCALARS,
+    ),
+    (
+        "plain_integrate.bounds", 2,
+        lambda x, k: gg.plain_integrate(_first, [(0, 1), _at((0, 1), k, x)], 4), SCALARS,
+    ),
+    (
+        "vegas_integrate.bounds", 2,
+        lambda x, k: gg.vegas_integrate(_first, [_at((0, 1), k, x)], 2, 8), SCALARS,
+    ),
+    (
+        "sample_from_grid.bounds", 2,
+        lambda x, k: mcint.sample_from_grid(_GRID, [_at((0, 1), k, x)], 4, 1), SCALARS,
+    ),
 ] + [
     (
         fn.__name__, 4,
@@ -389,6 +425,38 @@ def test_mcint_counts_are_integers(call, name):
     # n=2.5 leaked a raw TypeError; a bool was taken as a count.
     with pytest.raises(ValueError, match=f"{name} must be an? [a-z -]*integer"):
         call()
+
+
+_SEED = "seed must be a non-negative integer"
+_BOUND = "bounds must be real numbers in the float range"
+_MCINT_PROBES = {
+    "plain_integrate.seed.float": (lambda: gg.plain_integrate(_first, [(0, 1)], seed=2.5), _SEED),
+    "plain_integrate.seed.bool": (lambda: gg.plain_integrate(_first, [(0, 1)], seed=True), _SEED),
+    "vegas_integrate.seed.bool": (lambda: gg.vegas_integrate(_first, [(0, 1)], seed=True), _SEED),
+    "sample_from_grid.seed.float": (
+        lambda: mcint.sample_from_grid(_GRID, [(0, 1)], 4, 2.5), _SEED
+    ),
+    "vegas_integrate.nbins": (
+        lambda: gg.vegas_integrate(_first, [(0, 1)], nbins=2.5), "nbins must be a positive integer"
+    ),
+    "AdaptiveGrid.damping.str": (
+        lambda: gg.AdaptiveGrid.uniform(1, damping="1"), "damping must be a real number"
+    ),
+    "bounds.huge": (lambda: gg.plain_integrate(_first, [(0, _HUGE)]), _BOUND),
+    "bounds.inf": (lambda: gg.plain_integrate(_first, [(0, math.inf)]), "bounds must be finite"),
+    "bounds.str": (lambda: gg.plain_integrate(_first, [("0", 1)]), _BOUND),
+}
+
+
+@pytest.mark.parametrize("call, match", _MCINT_PROBES.values(), ids=_MCINT_PROBES.keys())
+def test_mcint_seeds_grids_and_bounds_are_read(call, match):
+    # seed=2.5, nbins=2.5 and damping="1" leaked a raw TypeError, 10**400 an
+    # OverflowError, an infinite bound a RuntimeWarning or IntegrationError;
+    # seed=True was taken as seed 1 and "0" as the bound 0.0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_region_of_a_proportion_is_read_as_a_real_number():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,173 @@ def test_grid_adapts_toward_peak():
     edges = grid.edges[0]
     near = np.sum((edges > 0.2) & (edges < 0.3))
     assert near > 0.5 * (len(edges) - 1)  # most bins concentrate near the peak
+
+
+# ---------------------------------------------------------------------------
+# The rebinning, against the accumulate-and-split loop it replaced.
+
+
+def _redistribute_loop(edges, w):
+    """Reference rebinning: walk the bins, splitting off total/nbins at a time."""
+    nb = w.size
+    target = w.sum() / nb
+    new = np.empty_like(edges)
+    new[0], new[-1] = 0.0, 1.0
+    j = 0
+    used = 0.0
+    for i in range(1, nb):
+        need = target
+        while j < nb - 1 and w[j] - used < need:
+            need -= w[j] - used
+            j += 1
+            used = 0.0
+        used += need
+        frac = min(used / w[j], 1.0) if w[j] > 0.0 else 1.0
+        new[i] = edges[j] + (edges[j + 1] - edges[j]) * frac
+    new = np.clip(new, 0.0, 1.0)
+    for i in range(1, nb):
+        if new[i] <= new[i - 1]:
+            new[i] = np.nextafter(new[i - 1], 2.0)
+    for i in range(nb - 1, 0, -1):
+        if new[i] >= new[i + 1]:
+            new[i] = np.nextafter(new[i + 1], -1.0)
+    return new
+
+
+def _random_edges(rng, nb):
+    widths = rng.random(nb) ** 3 + 1e-9
+    edges = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+    edges[-1] = 1.0
+    return edges
+
+
+def test_redistribute_matches_the_accumulate_and_split_loop():
+    # Both are the same piecewise-linear inverse of the cumulative weight;
+    # they differ only in how the running sums round.
+    rng = np.random.default_rng(29)
+    for trial in range(2000):
+        nb = int(rng.integers(1, 80))
+        edges = _random_edges(rng, nb)
+        if trial % 3 == 0:
+            w = rng.random(nb)
+        elif trial % 3 == 1:  # the damped weights that refine passes on
+            importance = rng.random(nb) ** rng.uniform(1, 30)
+            m = np.clip(importance / importance.sum(), 1e-12, 1 - 1e-12)
+            w = ((1 - m) / -np.log(m)) ** rng.uniform(0.05, 2.0)
+        else:
+            w = 10.0 ** rng.uniform(-6, 6, nb)
+        got = AdaptiveGrid._redistribute(edges, w)
+        np.testing.assert_allclose(got, _redistribute_loop(edges, w), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tiny", [0.0, 1e-300])
+def test_redistribute_keeps_edges_strictly_increasing(tiny):
+    rng = np.random.default_rng(7)
+    for nb in (1, 2, 3, 5, 20, 50):
+        edges = _random_edges(rng, nb)
+        cases = [np.full(nb, tiny), rng.random(nb), np.ones(nb)]
+        cases[0][rng.integers(nb)] = 1.0  # one live bin
+        cases[1][rng.random(nb) < 0.7] = tiny  # scattered dead bins
+        cases[2][: nb // 2] = tiny  # a dead half
+        for w in cases:
+            new = AdaptiveGrid._redistribute(edges, w)
+            assert new[0] == 0.0 and new[-1] == 1.0
+            assert np.all(np.diff(new) > 0.0), (nb, w, new)
+
+
+# ---------------------------------------------------------------------------
+# The integrand rule and the float range.
+
+
+_WRONG_INTEGRANDS = {
+    "one value too many": lambda x: np.ones(len(x) + 1),
+    "a scalar": lambda x: 1.0,
+    "a column": lambda x: np.ones((len(x), 1)),
+    "complex values": lambda x: x[:, 0] + 1j,
+    "strings": lambda x: np.full(len(x), "1"),
+}
+
+
+@pytest.mark.parametrize("f", _WRONG_INTEGRANDS.values(), ids=_WRONG_INTEGRANDS.keys())
+@pytest.mark.parametrize("integrate", [plain_integrate, vegas_integrate])
+def test_integrand_must_return_one_value_per_point(integrate, f):
+    # plain_integrate gave a silently wrong estimate, or warned and gave a
+    # NaN error bar; vegas_integrate leaked numpy's broadcast error, took a
+    # scalar as n_evals = 2 values, or broadcast a column to (n, n).  Complex
+    # values warned and lost their imaginary part; strings were parsed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="f must return 100 real values for 100 points"):
+            if integrate is plain_integrate:
+                plain_integrate(f, [(0, 1)], n=100)
+            else:
+                vegas_integrate(f, [(0, 1)], iterations=2, evals_per_iter=100)
+
+
+def test_vegas_scales_exactly_with_a_power_of_two_beyond_the_square_range():
+    # Weights near 2**513 have finite sums of squared deviations, but their
+    # squares overflowed into the importance of the grid update.
+    def f(x):
+        return 1.0 + 0.01 * np.exp(-((x[:, 0] - 0.3) / 0.1) ** 2)
+
+    kw = dict(iterations=1, evals_per_iter=2000, seed=3, return_grid=True)
+    base, grid = vegas_integrate(f, [(0, 1)], **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big, big_grid = vegas_integrate(lambda x: 2.0**513 * f(x), [(0, 1)], **kw)
+    assert big.value == 2.0**513 * base.value
+    assert big.std_error == 2.0**513 * base.std_error
+    assert np.array_equal(big_grid.edges[0], grid.edges[0])
+
+
+_OUT_OF_RANGE = {
+    "plain, volume times f": lambda: plain_integrate(lambda x: x[:, 0], [(0, 1e308)], n=8),
+    "plain, volume": lambda: plain_integrate(lambda x: x[:, 0], [(0, 1e200), (0, 1e200)]),
+    "vegas, variance": lambda: vegas_integrate(
+        lambda x: np.full(len(x), 1e200), [(0, 1)], iterations=2, evals_per_iter=100
+    ),
+    "vegas, inverse variance": lambda: vegas_integrate(
+        lambda x: 1e-160 * x[:, 0], [(0, 1)], iterations=3, evals_per_iter=100
+    ),
+    "sample_from_grid, volume": lambda: sample_from_grid(
+        AdaptiveGrid.uniform(2), [(0, 1e200), (0, 1e200)], 4, 1
+    ),
+    "sample_from_grid, weights": lambda: sample_from_grid(
+        AdaptiveGrid([np.array([0.0, 0.9, 1.0])]), [(0, 1.7e308)], 64, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _OUT_OF_RANGE.values(), ids=_OUT_OF_RANGE.keys())
+def test_results_beyond_the_float_range_raise_value_error(call):
+    # Each leaked a numpy overflow RuntimeWarning (and then an inf or NaN).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range|finite"):
+            call()
+
+
+def test_grid_edges_are_read_and_checked():
+    # A NaN edge was accepted (its comparisons are all false), and unequal
+    # axes indexed past the shorter one.
+    for edges in (
+        [np.array([0.0, np.nan, 1.0])],
+        [np.array([0.0, 1.0, 1.0])],
+        [],
+        [["0", "1"]],
+    ):
+        with pytest.raises(ValueError, match="edges must"):
+            AdaptiveGrid(edges)
+    with pytest.raises(ValueError):
+        AdaptiveGrid([np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])])
+    grid = AdaptiveGrid([[0, 0.5, 1]], damping=np.float32(0.5))
+    assert grid.edges[0].dtype == np.float64 and type(grid.damping) is float
+
+
+def test_integrand_may_return_integers_or_bools():
+    # An indicator or a count is read as the float it stands for.
+    kw = dict(n=400, seed=8)
+    want = plain_integrate(lambda x: (x[:, 0] < 0.3).astype(float), [(0, 1)], **kw)
+    assert plain_integrate(lambda x: x[:, 0] < 0.3, [(0, 1)], **kw) == want
+    doubled = plain_integrate(lambda x: 2 * (x[:, 0] < 0.3).astype(np.int64), [(0, 1)], **kw)
+    assert doubled.value == 2 * want.value

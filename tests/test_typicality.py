@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import sys
 import threading
 import time
@@ -818,7 +819,7 @@ def test_local_symp_sample_rejects_non_finite_parameters(lam_a, lam_b, angles):
 @pytest.mark.parametrize(
     "std,sample",
     [
-        (StdForm(2, 2, 1, -1), LocalSympSample(1e300, 1e300, (0, 0, 0, 0))),
+        (StdForm(2, 2, 1, -1), LocalSympSample(1e308, 1e308, (0, 0, 0, 0))),
         (StdForm(1e300, 1e300, 0, 0), LocalSympSample(1e10, 1.0, (0, 0, 0, 0))),
     ],
 )
@@ -827,6 +828,22 @@ def test_assemble_covmat_outside_the_float_range_raises_domain_error(std, sample
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="float range"):
             assemble_covmat(std, sample)
+
+
+@pytest.mark.parametrize("lam", [1.3e154, 1.4e154, 1e160, 1e300])
+def test_assemble_covmat_with_lambda_beyond_the_range_of_its_square(lam):
+    # From lambda = 1.34e154 on, (lambda - 1)(lambda + 1) overflowed and the
+    # finite matrix raised DomainError.  With a = b = 2, c = (1, -1) and no
+    # rotation, S_A = diag(w, 1/w) with w^2 = lambda + sqrt(lambda^2 - 1).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = assemble_covmat(StdForm(2, 2, 1, -1), LocalSympSample(lam, 1.0, (0, 0, 0, 0)))
+    w2 = lam + math.sqrt(lam - 1.0) * math.sqrt(lam + 1.0)
+    want = np.diag([2.0 * w2, 2.0 / w2, 2.0, 2.0])
+    want[0, 2] = want[2, 0] = math.sqrt(w2)
+    want[1, 3] = want[3, 1] = -1.0 / math.sqrt(w2)
+    np.testing.assert_allclose(sigma, want, rtol=1e-15, atol=0.0)
+    assert 0.5 * np.trace(sigma) == pytest.approx(2.0 * lam + 2.0, rel=1e-15)
 
 
 def test_sampler_constraints_hold():
