@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return f"{value:.10g}"
 
 

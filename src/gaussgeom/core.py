@@ -29,7 +29,6 @@ import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -107,8 +106,16 @@ def _real_array(name: str, value) -> np.ndarray:
 
     ValueError naming ``name`` unless ``value`` holds real numbers (numpy's
     too) in the float range: not bools, strings, None, complex or objects.
+    Input that is not an ndarray is read element by element, so that a bool
+    inside a list of floats, or a ragged row, raises too.
     """
-    array = np.asarray(value)
+    if isinstance(value, np.ndarray):
+        array = value
+    else:
+        try:
+            array = np.array(value, dtype=object)
+        except ValueError:  # rows that numpy cannot hold even as objects
+            array = np.array(None)  # no real number: the error below
     kind = array.dtype.kind
     if kind in "fiu":
         return array.astype(float, copy=False)
@@ -140,15 +147,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     Omega is block diagonal with 2x2 blocks [[0, 1], [-1, 0]]; it satisfies
     Omega.T = -Omega and Omega @ Omega = -identity.
     """
-    return _omega(_integer("n_modes", n_modes, 1)).copy()
-
-
-@lru_cache(maxsize=8)
-def _omega(n_modes: int) -> np.ndarray:
-    """Read-only symplectic form, built once per mode count."""
-    omega = np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
-    omega.setflags(write=False)
-    return omega
+    return np.kron(np.eye(_integer("n_modes", n_modes, 1)), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def validate_covmat(sigma) -> np.ndarray:
@@ -329,7 +328,7 @@ def _spectrum(sigma: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise ValueError(_NOT_POSITIVE_DEFINITE) from None
     # eigvalsh sorts ascending: -nu_N <= ... <= -nu_1 < nu_1 <= ... <= nu_N.
-    return np.linalg.eigvalsh(1j * (chol.T @ _omega(n) @ chol))[n:]
+    return np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))[n:]
 
 
 def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
@@ -361,7 +360,7 @@ def is_bona_fide(sigma, tol: float = BONA_FIDE_TOL) -> bool:
 
 def _bona_fide(sigma: np.ndarray, tol: float = BONA_FIDE_TOL) -> bool:
     """Sigma + i*(1 - tol)*Omega >= 0 for an already validated matrix, by one eigen-solve."""
-    pencil = sigma + 1j * (1.0 - tol) * _omega(sigma.shape[0] // 2)
+    pencil = sigma + 1j * (1.0 - tol) * symplectic_form(sigma.shape[0] // 2)
     return float(np.linalg.eigvalsh(pencil)[0]) >= 0.0
 
 
@@ -448,13 +447,19 @@ class StdForm:
         positive definite at all.  The fields are read by :func:`_real`;
         ValueError unless they are finite real numbers.
         """
-        a, b, c_plus, c_minus = params = [_real(k, v) for k, v in vars(self).items()]
-        if not all(map(math.isfinite, params)):
-            raise ValueError(f"standard form {params} must be finite")
+        a, b, c_plus, c_minus = _std_params(self)
         m = np.diag([a, a, b, b])
         m[0, 2] = m[2, 0] = c_plus
         m[1, 3] = m[3, 1] = c_minus
         return m
+
+
+def _std_params(std: StdForm) -> list[float]:
+    """(a, b, c_plus, c_minus) of ``std`` read by :func:`_real`; ValueError unless all are finite."""
+    params = [_real(k, v) for k, v in vars(std).items()]
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"standard form {params} must be finite")
+    return params
 
 
 def _block_dets(sigma: np.ndarray, rows: list[list[float]] | None) -> tuple[float, float, float]:
@@ -583,14 +588,28 @@ def _seralian_edges(mu, a, b):
     """Seralian edges 2/mu + (a - b)^2 and (a + b)^2 - 2/mu of the standard form.
 
     a = 1/mu_A and b = 1/mu_B; elementwise on arrays.  A real standard form
-    exists between the two edges, and c+^2 = c-^2 on both.  The physical
-    interval is [2/mu + (a - b)^2, min((a + b)^2 - 2/mu, 1 + 1/mu^2)], where
-    1 + 1/mu^2 is the seralian at nu_- = 1.  a + b is capped at the largest
-    float whose square is finite, which it reaches only at purities next to
-    2**-511; the upper edge then stays finite and, like its exact value,
-    above 1 + 1/mu^2.  Below the cap both edges are the formulas above.
+    exists between the two edges, and c+^2 = c-^2 on both.  a + b is capped
+    at the largest float whose square is finite, which it reaches only at
+    purities next to 2**-511; the upper edge then stays finite and, like its
+    exact value, above 1 + 1/mu^2.  Below the cap both edges are the
+    formulas above.
     """
     return 2.0 / mu + (a - b) ** 2, np.minimum(a + b, _SQUARE_MAX) ** 2 - 2.0 / mu
+
+
+def _seralian_interval(mu, mu_a, mu_b):
+    """(mu, a, b, lower, upper): the one physical seralian interval at (mu, mu_A, mu_B).
+
+    The purities are read once (:func:`_require_purities`), mu is capped at 1,
+    and a = 1/mu_A, b = 1/mu_B are float64 arrays, so that scalar and batched
+    callers share the arithmetic.  The upper end is capped at 1 + 1/mu^2, the
+    seralian at nu_- = 1; lower > upper where no physical state exists.
+    """
+    mu, mu_a, mu_b = _require_purities(mu, mu_a, mu_b)
+    mu = min(mu, 1.0)
+    a, b = 1.0 / np.atleast_1d(mu_a), 1.0 / np.atleast_1d(mu_b)
+    lower, upper = _seralian_edges(mu, a, b)
+    return mu, a, b, lower, np.minimum(upper, 1.0 + 1.0 / mu**2)
 
 
 def _std_form_c(mu, a, b, delta):
@@ -624,27 +643,26 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
     in which its inverse square stays finite, and when the coordinates
     admit no physical state: when delta lies outside the closed-form
     seralian interval of the purities by more than a relative 1e-9, or when
-    the reconstructed matrix would not be positive definite.  On the edges
-    of the interval c+ = |c-|.
+    the reconstructed matrix would not be positive definite.  The interval
+    is the one :func:`~gaussgeom.correlations.delta_bounds` returns, bit for
+    bit; on its edges 2/mu + (a - b)^2 and (a + b)^2 - 2/mu c+ = |c-|.
     The parameters are accurate to rounding for marginal purities down to
     2**-511 and are returned without an error there, but their float64
     :meth:`StdForm.matrix` holds the state to 1e-6 only while
     mu_A mu_B >= 5e-10.
     """
-    mu, mu_a, mu_b = _require_purities(coords.mu, coords.mu_a, coords.mu_b)
+    mu, a, b, lo, top = _seralian_interval(coords.mu, coords.mu_a, coords.mu_b)
     delta = _real("delta", coords.delta)
     slack = 1e-9
-    mu = min(mu, 1.0)
-    a, b = 1.0 / mu_a, 1.0 / mu_b
-    lo, hi = _seralian_edges(mu, a, b)
+    lo, top = float(lo[0]), float(top[0])
     if not delta >= lo * (1.0 - slack):  # also rejects NaN
         raise DomainError(f"delta = {delta} below the minimum 2/mu + (1/mu_a - 1/mu_b)^2 = {lo}")
-    top = min(hi, 1.0 + 1.0 / mu**2)
     if not delta <= top * (1.0 + slack):
         raise DomainError(
             f"delta = {delta} above the maximum min((1/mu_a + 1/mu_b)^2 - 2/mu, 1 + 1/mu^2) = {top}"
         )
-    c_plus, c_minus = (float(c) for c in _std_form_c(mu, a, b, delta))
+    c_plus, c_minus = (float(c[0]) for c in _std_form_c(mu, a, b, delta))
+    a, b = float(a[0]), float(b[0])
     if c_plus * c_plus > a * b * (1.0 + 1e-12):
         raise DomainError("reconstructed matrix would not be positive definite")
     return StdForm(a=a, b=b, c_plus=c_plus, c_minus=c_minus)

@@ -20,7 +20,7 @@ from .core import (
     InvariantCoords,
     _real,
     _require_purities,
-    _seralian_edges,
+    _seralian_interval,
     validate_covmat,
 )
 
@@ -227,15 +227,13 @@ def delta_bounds_batch(mu: float, mu_a, mu_b):
     """Vectorized seralian bounds; see :func:`delta_bounds`.
 
     Returns ``(delta_min, delta_max, valid)`` arrays; entries where ``valid``
-    is False carry NaN bounds.  Raises DomainError when mu or any marginal
-    purity lies outside (0, 1], and when one is below 2**-511 (about
-    1.5e-154), where its inverse square leaves the float range.
+    is False carry NaN bounds.  The interval is ``core._seralian_interval``,
+    the one :func:`~gaussgeom.core.cm_from_invariants` checks.  Raises
+    DomainError when mu or any marginal purity lies outside (0, 1], and when
+    one is below 2**-511 (about 1.5e-154), where its inverse square leaves
+    the float range.
     """
-    mu, mu_a, mu_b = _require_purities(mu, mu_a, mu_b)
-    mu, mu_a, mu_b = min(mu, 1.0), np.atleast_1d(mu_a), np.atleast_1d(mu_b)
-    a, b = 1.0 / mu_a, 1.0 / mu_b
-    d_min, d_max = _seralian_edges(mu, a, b)
-    d_max = np.minimum(d_max, 1.0 + 1.0 / mu**2)
+    _, _, _, d_min, d_max = _seralian_interval(mu, mu_a, mu_b)
     valid = d_min <= d_max
     return np.where(valid, d_min, np.nan), np.where(valid, d_max, np.nan), valid
 
@@ -261,17 +259,17 @@ def logneg_average(mu: float, mu_a, mu_b):
     """Entangled proportion and mean E_N of a uniform seralian over its physical interval.
 
     Vectorized over the marginal purities; returns ``(prop_entangled,
-    mean_logneg)`` arrays, NaN where no physical state exists.  The interval
-    comes from :func:`delta_bounds_batch`, and both statistics from the one
+    mean_logneg)`` arrays, NaN where no physical state exists.  The purities
+    are read once, with the interval of :func:`delta_bounds_batch`
+    (``core._seralian_interval``), and both statistics come from the one
     kernel :func:`_seralian_average` in h = (1/mu_A + 1/mu_B)/2 and the
     interval length, which the energy-constrained averages use too.  A
     zero-width interval gives the values at its single point.
     Raises DomainError where :func:`delta_bounds_batch` does.
     """
-    mu, mu_a, mu_b = _require_purities(mu, mu_a, mu_b)
-    d_min, d_max, _ = delta_bounds_batch(mu, mu_a, mu_b)
-    h = 0.5 * (1.0 / np.atleast_1d(mu_a) + 1.0 / np.atleast_1d(mu_b))
-    return _seralian_average(min(mu, 1.0), h, d_max - d_min)
+    mu, a, b, d_min, d_max = _seralian_interval(mu, mu_a, mu_b)
+    length = np.where(d_min <= d_max, d_max - d_min, np.nan)
+    return _seralian_average(mu, 0.5 * (a + b), length)
 
 
 def _seralian_average(mu: float, h, length):

@@ -197,11 +197,11 @@ def density_ratio(kind_a: MeasureKind, kind_b: MeasureKind, nu) -> float:
     off the shell of a fixed-purity denominator.  Off the shell of a
     fixed-purity numerator the ratio is 0.
     Lists, tuples and arrays take the one validation of :func:`_spectrum`,
-    and the exponents are selected by the kinds' tags.
+    equal kinds too, and the exponents are selected by the kinds' tags.
     """
+    nu = _spectrum(nu)
     if kind_a.tag == kind_b.tag and kind_a.mu == kind_b.mu:
         return 1.0
-    nu = _spectrum(nu)
     n = len(nu)
     exponent = _PROD_EXPONENTS[kind_a.tag](n) - _PROD_EXPONENTS[kind_b.tag](n)
     # The repulsion factor of the denominator is 0 exactly at an equal pair.

@@ -41,8 +41,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SQUARE_MAX, DomainError, StdForm, _integer, _real, _std_form_c
+from .core import (
+    _SQUARE_MAX,
+    DomainError,
+    StdForm,
+    _in_float_range,
+    _integer,
+    _real,
+    _real_array,
+    _std_form_c,
+    _std_params,
+)
 from .correlations import (
+    _LN2,
     RegionClass,
     delta_bounds_batch,  # noqa: F401  (re-exported: callers import it from here)
     log_negativity,  # noqa: F401  (re-exported: callers import it from here)
@@ -71,8 +82,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -282,14 +291,28 @@ def energy_weight(mu_a, mu_b, energy: float):
     energy is exhausted by the marginal mixedness (E <= 1/mu_A + 1/mu_B).
     The mu^7 prefactor of the volume element is constant at fixed global
     purity and cancels in every ensemble average.  A purity of 0 gives the
-    zero, with no numpy warning.
+    zero, with no numpy warning.  The purities are read by
+    :func:`~gaussgeom.core._real_array`; DomainError unless they lie in
+    [0, 1] (see :func:`_inverse_purity`).
     """
-    mu_a = np.asarray(mu_a, dtype=float)
-    mu_b = np.asarray(mu_b, dtype=float)
+    mu_a, mu_b = _real_array("mu_a", mu_a), _real_array("mu_b", mu_b)
     with np.errstate(divide="ignore", over="ignore"):
-        excess = _real("energy", energy) - 1.0 / mu_a - 1.0 / mu_b
+        excess = _real("energy", energy) - _inverse_purity("mu_a", mu_a) - _inverse_purity("mu_b", mu_b)
     w = np.divide(excess, mu_a**2 * mu_b**2, out=np.zeros_like(excess), where=excess > 0.0)
     return float(w) if w.ndim == 0 else w
+
+
+def _inverse_purity(name: str, mu: np.ndarray):
+    """1/mu of float64 purities; DomainError unless they lie in [0, 1].
+
+    The range test is one pass over the reciprocals, which must be at least 1
+    (so -0.0, whose reciprocal is -inf, counts as negative).  A purity of 0
+    gives inf, with a numpy warning unless the caller ignores division by zero.
+    """
+    inv = 1.0 / mu
+    if not inv.min(initial=1.0) >= 1.0:  # also rejects NaN
+        raise DomainError(f"{name} = {mu[~(inv >= 1.0)].flat[0]} must lie in [0, 1]")
+    return inv
 
 
 class _ShiftedSums:
@@ -596,22 +619,19 @@ def assemble_covmat(std: StdForm, sample: LocalSympSample) -> np.ndarray:
     """Covariance matrix (S_A + S_B)^T sigma_std (S_A + S_B) for one sample.
 
     The trace identity tr(S^T (c I) S) = 2 c lambda makes the energy of the
-    result exactly lambda_A/mu_A + lambda_B/mu_B.  Raises DomainError where
-    the matrix leaves the float range.
+    result exactly lambda_A/mu_A + lambda_B/mu_B.  The fields of ``std`` are
+    read as :meth:`StdForm.matrix` reads them (ValueError unless they are
+    finite real numbers).  Raises DomainError where the matrix leaves the
+    float range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = _covmats(
-            std.a,
-            std.b,
-            std.c_plus,
-            std.c_minus,
+            *_std_params(std),
             np.array([sample.lambda_a - 1.0]),
             np.array([sample.lambda_b - 1.0]),
             np.array([sample.angles], dtype=float),
         )[0]
-    if not np.isfinite(sigma).all():
-        raise DomainError(f"the covariance matrix of {std} and {sample} leaves the float range")
-    return sigma
+    return _in_float_range(sigma, f"the covariance matrix of {std} and {sample}")
 
 
 @dataclass(frozen=True)

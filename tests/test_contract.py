@@ -389,13 +389,25 @@ _ARRAY_PROBES = {
     "thermal.str": (lambda: gg.thermal("3"), "nus"),
     "delta_bounds_batch.str": (lambda: correlations.delta_bounds_batch(0.5, ["0.5"], 0.6), "mu_a"),
     "logneg_average.bool": (lambda: correlations.logneg_average(0.5, 0.6, [True]), "mu_b"),
+    "density_ratio.equal_kinds": (
+        lambda: gg.density_ratio(gg.HILBERT_SCHMIDT, gg.HILBERT_SCHMIDT, "x"), "nu"
+    ),
+    "thermal.bool_in_list": (lambda: gg.thermal([True, 2.0]), "nus"),
+    "thermal.ragged": (lambda: gg.thermal([[1.0], [1.0, 2.0]]), "nus"),
+    "thermal.ragged_arrays": (lambda: gg.thermal([np.ones((2, 2)), np.ones((2, 3))]), "nus"),
+    "density_hs.bool_array_in_list": (lambda: gg.density_hs([np.array([True, False])]), "nu"),
+    "bounds.bool_in_list": (lambda: gg.plain_integrate(_first, [(0.0, True)]), "bounds"),
+    "bounds.ragged": (lambda: gg.plain_integrate(_first, [(0, 1), (0,)]), "bounds"),
+    "edges.ragged": (lambda: gg.AdaptiveGrid([[0, 0.5, 1], [0, 1]]), "edges"),
 }
 
 
 @pytest.mark.parametrize("call, name", _ARRAY_PROBES.values(), ids=_ARRAY_PROBES.keys())
 def test_array_arguments_are_real_numbers_in_the_float_range(call, name):
     # The huge ints raised OverflowError; the bools and strings were read as
-    # numbers (density_hs(True) was 1.0, density_hs("2") 0.177).
+    # numbers (density_hs(True) was 1.0, density_hs("2") 0.177, thermal([True,
+    # 2.0]) diag(1, 1, 2, 2)), equal kinds returned 1.0 before reading nu, and
+    # ragged rows raised numpy's "inhomogeneous shape", naming no argument.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{name} must be real numbers in the float range"):
@@ -475,3 +487,59 @@ def test_standard_form_matrix_reads_real_finite_fields():
         with pytest.raises(ValueError, match="must be finite"):
             gg.numeric_std_form_density(gg.StdForm(_HUGE, 1, 0, 0))
     assert gg.StdForm(np.float32(2.0), 2, 1, 0).matrix().dtype == np.float64
+
+
+def test_sequences_of_numbers_and_of_rows_are_read_in_float64():
+    assert gg.thermal([1, np.float32(2.0), 3.0]).diagonal().tolist() == [1, 1, 2, 2, 3, 3]
+    rows = [np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0])]
+    assert [e.tolist() for e in gg.AdaptiveGrid(rows).edges] == [e.tolist() for e in rows]
+
+
+_WEIGHT_PROBES = {
+    "str": (lambda: gg.energy_weight("0.5", 0.5, 8.0), "mu_a must be real numbers"),
+    "bool": (lambda: gg.energy_weight(True, 0.5, 8.0), "mu_a must be real numbers"),
+    "negative": (lambda: gg.energy_weight(-0.5, 0.5, 8.0), r"mu_a = -0.5 must lie in \[0, 1\]"),
+    "above_one": (lambda: gg.energy_weight(2.0, 0.5, 8.0), r"mu_a = 2.0 must lie in \[0, 1\]"),
+    "nan": (lambda: gg.energy_weight(math.nan, 0.5, 8.0), r"mu_a = nan must lie in \[0, 1\]"),
+    "array": (
+        lambda: gg.energy_weight(np.array([0.5, 0.5]), np.array([0.5, 1.5]), 8.0),
+        r"mu_b = 1.5 must lie in \[0, 1\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, match", _WEIGHT_PROBES.values(), ids=_WEIGHT_PROBES.keys())
+def test_energy_weight_reads_purities_in_zero_one(call, match):
+    # Returned 64.0, 20.0, 128.0, 5.5 and 0.0 for the scalar probes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_energy_weight_reads_numpy_scalars_ints_and_empty_sequences():
+    assert gg.energy_weight(np.float32(0.5), 1, 8.0) == (8.0 - 3.0) / 0.25
+    assert gg.energy_weight([], [], 8.0).tolist() == []
+
+
+_SAMPLE = gg.LocalSympSample(1.5, 1.0, (0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "std, match",
+    [
+        (gg.StdForm(True, 2, 1, -1), "a must be a real number, got True"),
+        (gg.StdForm("2", 2, 1, -1), "a must be a real number, got '2'"),
+        (gg.StdForm(2, 2, math.nan, -1), "must be finite"),
+        (gg.StdForm(2, 2, 1, -math.inf), "must be finite"),
+    ],
+)
+def test_assemble_covmat_reads_the_standard_form_as_its_matrix_does(std, match):
+    # True was read as 1, "2" leaked numpy's UFuncTypeError, and a NaN field
+    # reported that the matrix "leaves the float range".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            gg.assemble_covmat(std, _SAMPLE)
+        with pytest.raises(ValueError, match=match):
+            std.matrix()

@@ -36,7 +36,7 @@ from gaussgeom.core import (
     validate_covmat,
     write_covmat,
 )
-from gaussgeom.correlations import delta_bounds
+from gaussgeom.correlations import delta_bounds, delta_bounds_batch
 from gaussgeom.typicality import _draw_intervals, sample_energy_constrained
 from conftest import feasible_coords, local_symplectics, oracle_spectrum
 
@@ -772,6 +772,84 @@ def test_cm_from_invariants_examples():
     for delta in (2.0, 3.0, 4.5, 5.0, 8.0):
         with pytest.raises(DomainError):
             cm_from_invariants(InvariantCoords(0.5, 0.75, 0.75, delta))
+
+
+#: Triples at which the scalar interval of cm_from_invariants and the one of
+#: delta_bounds_batch differed in the last bit (libm pow against x*x): the
+#: first at its lower edge, the others at an upper edge below 1 + 1/mu^2.
+_EDGE_TRIPLES = [
+    (0.13208741331046195, 0.14057562938394458, 0.5568969427995657),
+    (0.44017165155083104, 0.8100091641331658, 0.5390022418650732),
+    (0.06960793809548645, 0.49539517491149554, 0.11284216061252765),
+    (0.31492841053138587, 0.4109400831542467, 0.7577308876773218),
+    (0.43293509946338965, 0.5061146293896884, 0.8133108386850717),
+    (0.15381025674278875, 0.8968743692694732, 0.15907757026469727),
+    (0.2627781677287924, 0.48373034005489524, 0.3763119185241991),
+]
+
+
+def _edge_triples(n):
+    """The pinned triples, then ``n`` random ones in [0.05, 1)^3, as rows (mu, mu_A, mu_B)."""
+    rng = np.random.default_rng(30)
+    return np.concatenate([_EDGE_TRIPLES, rng.uniform(0.05, 1.0, (n, 3))])
+
+
+def test_cm_from_invariants_checks_the_interval_of_delta_bounds_bit_for_bit():
+    # Delta = 0 and inf fail the two checks, whose messages give the ends
+    # that cm_from_invariants tested; they were those of delta_bounds_batch
+    # only up to the last bit.
+    triples = _edge_triples(3000)
+    checked = 0
+    for mu, mu_a, mu_b in triples.tolist():
+        d_min, d_max, valid = delta_bounds_batch(mu, mu_a, mu_b)
+        if not valid[0]:
+            continue
+        ends = []
+        for delta in (0.0, np.inf):
+            with pytest.raises(DomainError) as err:
+                cm_from_invariants(InvariantCoords(mu, mu_a, mu_b, delta))
+            ends.append(float(str(err.value).rsplit("= ", 1)[1]))
+        assert ends == [d_min[0], d_max[0]], (mu, mu_a, mu_b)
+        checked += 1
+    assert checked > 500
+
+
+def test_cm_from_invariants_lands_on_the_edges_that_delta_bounds_returns():
+    # At an edge c+ = |c-|.  At the pinned triples the scalar edge differed
+    # from the returned one in the last bit, and c+ - |c-| was 4e-8 to 1.1e-7.
+    eps = np.finfo(float).eps
+    for mu, mu_a, mu_b in _edge_triples(3000).tolist():
+        bounds = delta_bounds(mu, mu_a, mu_b)
+        if bounds is None:
+            continue
+        # The upper end is an edge unless it is the cap 1 + 1/mu^2 (nu_- = 1).
+        edges = bounds if bounds[1] < 1.0 + 1.0 / mu**2 else bounds[:1]
+        for delta in edges:
+            std = cm_from_invariants(InvariantCoords(mu, mu_a, mu_b, delta))
+            assert abs(std.c_plus - abs(std.c_minus)) <= 4 * eps * std.c_plus, (mu, mu_a, mu_b)
+
+
+def test_cm_from_invariants_rejects_a_standard_form_that_is_not_positive_definite():
+    # A delta up to 1e-9 relative below the lower edge is taken, with c+^2 =
+    # |c+ c-| = ab - 1/mu + 0.5e-9 Delta_min.  With a near 1/mu and b near 1,
+    # Delta_min is near 1/mu^2, and c+^2 exceeds ab once mu is below 5e-10.
+    mu, mu_b = 1e-10, 0.999999
+    low, _ = delta_bounds(mu, mu, mu_b)
+    with pytest.raises(DomainError, match="would not be positive definite"):
+        cm_from_invariants(InvariantCoords(mu, mu, mu_b, low * (1.0 - 1e-9)))
+
+
+def test_two_mode_calls_reject_other_sizes():
+    for call in (invariants, standard_form):
+        with pytest.raises(ValueError, match=r"expected a two-mode \(4x4\) covariance matrix"):
+            call(np.eye(6))
+
+
+def test_read_covmat_rejects_a_mode_number_below_one(tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text("0\n")
+    with pytest.raises(ValueError, match="mode number must be positive, got 0"):
+        read_covmat(path)
 
 
 def test_cm_from_invariants_round_trip():

@@ -61,6 +61,11 @@ def test_partial_transpose_examples():
     np.testing.assert_array_equal(partial_transpose(partial_transpose(sigma)), sigma)
 
 
+def test_partial_transpose_takes_two_modes_only():
+    with pytest.raises(ValueError, match="defined here for two-mode matrices"):
+        partial_transpose(np.eye(6))
+
+
 def test_ppt_spectrum_examples():
     ps = ppt_spectrum(InvariantCoords(1.0, 0.8, 0.8, 2.0))
     assert ps.nu_tilde_minus == pytest.approx(0.5, abs=1e-12)

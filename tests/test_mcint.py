@@ -129,6 +129,17 @@ def test_grid_validation_and_sampling():
     assert pts.shape == (1000, 2)
     assert np.all((pts[:, 0] >= 0) & (pts[:, 0] <= 2))
     assert np.allclose(w, 2.0)  # uniform grid: weight is the volume
+    with pytest.raises(ValueError, match="grid dimension does not match the bounds"):
+        sample_from_grid(AdaptiveGrid.uniform(2), [(0, 1)], 4, 1)
+
+
+def test_zero_importance_leaves_the_grid_and_a_zero_integrand_is_exact():
+    grid = AdaptiveGrid.uniform(2, nbins=4)
+    before = [e.copy() for e in grid.edges]
+    grid.refine(np.zeros((4, 2)))
+    assert [e.tolist() for e in grid.edges] == [e.tolist() for e in before]
+    res = vegas_integrate(lambda x: np.zeros(len(x)), [(0, 1)], iterations=3, evals_per_iter=100)
+    assert (res.value, res.std_error) == (0.0, 0.0)
 
 
 def test_grid_adapts_toward_peak():

@@ -200,8 +200,13 @@ def test_density_ratio_errors_are_the_same_for_every_input_kind(nu, message, con
     assert type(info.value) is ValueError
 
 
-def test_density_ratio_checks_the_spectrum_only_between_different_kinds():
-    assert density_ratio(FISHER_RAO, FISHER_RAO, [math.nan, 0.5]) == 1.0
+def test_density_ratio_checks_the_spectrum_for_every_pair_of_kinds():
+    # Equal kinds returned 1.0 before reading the spectrum, NaN included.
+    with pytest.raises(ValueError, match="got min nan"):
+        density_ratio(FISHER_RAO, FISHER_RAO, [math.nan, 0.5])
+    with pytest.raises(ValueError, match="got min 0.5"):
+        density_ratio(HILBERT_SCHMIDT, HILBERT_SCHMIDT, [0.5])
+    assert density_ratio(FISHER_RAO, FISHER_RAO, [1.0, 1.0]) == 1.0
     with pytest.raises(ValueError, match="got min 0.5"):
         density_ratio(fixed_purity(0.5), fixed_purity(0.3), (0.5, 2.0))
     with pytest.raises(ValueError, match="got min nan"):
@@ -321,6 +326,16 @@ def test_line_element_fr_examples():
     eps = 0.1
     assert line_element_fr(np.eye(2), eps * np.eye(2)) == pytest.approx(eps**2, rel=1e-12, abs=0.0)
     assert line_element_fr(np.eye(2), np.zeros((2, 2))) == 0.0
+
+
+def test_line_elements_reject_what_they_cannot_take():
+    with pytest.raises(ValueError, match="d_sigma must have the same shape as sigma"):
+        line_element_hs(np.eye(4), np.eye(2))
+    # sigma^-1 d_sigma = 1e600 I: its square leaves the float range.
+    with pytest.raises(ValueError, match="ds\\^2 leaves the float range"):
+        line_element_fr(1e-300 * np.eye(2), 1e300 * np.eye(2))
+    with pytest.raises(ValueError, match="at most 3 modes"):
+        numeric_metric_density([1.0, 2.0, 3.0, 4.0], HILBERT_SCHMIDT)
 
 
 
