@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="purity grid size per energy curve (default %(default)s)")
     p_sc.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default %(default)s)")
     p_sc.add_argument("--out", default="-", help="output CSV path, '-' for stdout (default)")
-    p_sc.add_argument("--evals", type=int, default=80_000,
+    p_sc.add_argument("--evals", type=int, default=McConfig.final_evals,
                       help="ensemble draws per energy-curve point (default %(default)s)")
     return parser
 
@@ -147,12 +147,13 @@ def _scan_rows(args):
         ]
         if args.mu_grid < 1:
             raise ValueError("mu_grid must be positive")
+        base_seed = core._integer("seed", args.seed, 0)
         rows = []
         for i, e in enumerate(_parse_energies(args.E)):
-            mu_min = 4.0 / e**2
+            mu_min = typicality._purity_floor(e)
             for j in range(args.mu_grid):
                 mu = mu_min + (j + 0.5) * (1.0 - mu_min) / args.mu_grid
-                seed = int(np.random.SeedSequence([args.seed, i, j]).generate_state(1)[0])
+                seed = int(np.random.SeedSequence([base_seed, i, j]).generate_state(1)[0])
                 stats = typicality.energy_constrained_stats(
                     mu, e, McConfig(seed=seed, final_evals=args.evals)
                 )

@@ -202,17 +202,16 @@ def _two_mode_rows(sigma: np.ndarray) -> list[list[float]]:
 _last_read: tuple[bytes, list[list[float]], tuple[float, float] | None] = (b"", [], None)
 
 
-def _two_mode_read(sigma, factor: bool = True):
+def _two_mode_read(sigma):
     """:func:`validate_covmat`, and for 4x4 input the rows and :func:`_two_mode_nu`: (sigma, rows, nu).
 
     The input is converted and its shape tested once.  The last 4x4 read is
     kept under the float64 bytes of the matrix, so that the per-state calls
-    on one matrix validate and factor it once.  A matrix changed in place
-    has other bytes and is read again (:func:`_two_mode_rows`); input that
-    fails validation raises and is not kept.  The kept rows are shared
-    between calls and only read.  Other sizes give (sigma, None, None).
-    With ``factor`` False a matrix that is not the kept one is validated
-    but neither factored (nu is None) nor kept.
+    on one matrix, the standard form and partial transpose too, validate and
+    factor it once.  A matrix changed in place has other bytes and is read
+    again (:func:`_two_mode_rows`); input that fails validation raises and
+    is not kept.  The kept rows are shared and only read.  Other sizes give
+    (sigma, None, None).
     """
     global _last_read
     sigma = np.asarray(sigma, dtype=float)
@@ -223,8 +222,6 @@ def _two_mode_read(sigma, factor: bool = True):
     if last[0] == key:
         return sigma, last[1], last[2]
     rows = _two_mode_rows(sigma)
-    if not factor:
-        return sigma, rows, None
     nu = _two_mode_nu(rows)
     _last_read = (key, rows, nu)
     return sigma, rows, nu
@@ -546,9 +543,9 @@ def standard_form(sigma) -> StdForm:
     nearly equal terms, so states on the edge c+ = |c-| (pure states among
     them) keep it to rounding.  The result is invariant under local
     symplectic conjugation of the input.  Raises DomainError unless both
-    diagonal blocks are positive definite.
+    diagonal blocks are positive definite.  Read by :func:`_two_mode_read`.
     """
-    sigma, rows, _ = _two_mode_read(sigma, factor=False)
+    sigma, rows, _ = _two_mode_read(sigma)
     det_a, det_b, det_c = _block_dets(sigma, rows)
     a, b = np.sqrt(det_a), np.sqrt(det_b)
     (n00, n01), (n10, n11) = (

@@ -21,7 +21,7 @@ from .core import (
     _real,
     _require_purities,
     _seralian_interval,
-    validate_covmat,
+    _two_mode_read,
 )
 
 __all__ = [
@@ -99,10 +99,10 @@ def partial_transpose(sigma) -> np.ndarray:
 
     Flips the sign of the second mode's momentum: Lambda @ Sigma @ Lambda
     with Lambda = diag(1, 1, 1, -1).  Applying it twice returns the input
-    bit-exactly.
+    bit-exactly.  Read as every per-state call reads it (``core._two_mode_read``).
     """
-    sigma = validate_covmat(sigma)
-    if sigma.shape[0] != 4:
+    sigma, rows, _ = _two_mode_read(sigma)
+    if rows is None:
         raise ValueError("partial transpose is defined here for two-mode matrices")
     return _PT @ sigma @ _PT
 

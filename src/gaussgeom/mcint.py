@@ -57,11 +57,15 @@ def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _evaluate(f, points: np.ndarray, jac, vol: float, n_bad: int = 0, n_done: int = 0):
-    """(w, mean of w, variance of that mean, n_bad) for w = f(points) * jac * vol.
+    """(w / 2**e, e, mean of w, variance of the mean of w / 2**e, n_bad).
 
-    ValueError unless f gives one real value per point and both moments are
-    finite.  Non-finite values of f are zeroed and counted into ``n_bad``:
-    IntegrationError once they pass 0.1 % of all ``n_done`` + n evaluations.
+    w = f(points) * jac * vol, and 2**e is the power of two near max |w|, so
+    that the scaled values and their variance neither under- nor overflow;
+    the scaling is exact and leaves the digits of every result as they are.
+    ValueError unless f gives one real value per point and both moments of
+    w are finite.  Non-finite values of f are zeroed and counted into
+    ``n_bad``: IntegrationError once they pass 0.1 % of all ``n_done`` + n
+    evaluations.
     """
     n = len(points)
     values = np.asarray(f(points))
@@ -74,10 +78,13 @@ def _evaluate(f, points: np.ndarray, jac, vol: float, n_bad: int = 0, n_done: in
         raise IntegrationError(f"{n_bad} non-finite integrand values in {n_done + n} evaluations")
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.where(bad, 0.0, values) * jac * vol
-        mean, var = float(w.mean()), float(w.var(ddof=1)) / n
-    if not (np.isfinite(mean) and np.isfinite(var)):
+        e = int(np.frexp(np.abs(w).max())[1])
+        w = np.ldexp(w, -e)
+        mean, var = float(np.ldexp(w.mean(), e)), float(w.var(ddof=1)) / n
+        finite = np.isfinite([mean, np.ldexp(var, 2 * e)]).all()
+    if not finite:
         raise ValueError("the weighted integrand values leave the float range")
-    return w, mean, var, n_bad
+    return w, e, mean, var, n_bad
 
 
 @dataclass
@@ -170,19 +177,28 @@ class AdaptiveGrid:
         return new
 
 
-def _combine(estimates: list[tuple[float, float]]) -> tuple[float, float, float]:
-    """Inverse-variance combination and chi^2/dof; ValueError outside the float range."""
-    values, variances = np.array(estimates).T
+def _combine(estimates: list[tuple[float, float, int]]) -> tuple[float, float, float]:
+    """Inverse-variance combination and chi^2/dof; ValueError outside the float range.
+
+    Each estimate is (mean, variance in units of 4**e, e), as from
+    :func:`_evaluate`.  All are taken in units of the smallest 2**e, so that
+    no variance is squared or inverted outside the float range.
+    """
+    values, variances, exponents = np.array(estimates).T
     if np.all(variances == 0.0):
         return float(values[-1]), 0.0, 0.0
-    # Rare mixed case: treat an exactly-zero sample variance conservatively.
-    positive = variances[variances > 0.0]
-    variances = np.where(variances == 0.0, positive.min(), variances)
+    e = int(exponents.min())
     with np.errstate(over="ignore", invalid="ignore"):
+        values = np.ldexp(values, -e)
+        variances = np.ldexp(variances, 2 * (exponents.astype(int) - e))
+        # Rare mixed case: treat an exactly-zero sample variance conservatively.
+        positive = variances[variances > 0.0]
+        variances = np.where(variances == 0.0, positive.min(), variances)
         weights = 1.0 / variances
-        mean = float(np.sum(weights * values) / np.sum(weights))
-        err = float(np.sqrt(1.0 / np.sum(weights)))
-        chi2 = float(np.sum(weights * (values - mean) ** 2))
+        scaled_mean = np.sum(weights * values) / np.sum(weights)
+        chi2 = float(np.sum(weights * (values - scaled_mean) ** 2))
+        mean = float(np.ldexp(scaled_mean, e))
+        err = float(np.ldexp(np.sqrt(1.0 / np.sum(weights)), e))
     if not np.isfinite([mean, err, chi2]).all():
         raise ValueError("the combined estimate leaves the float range")
     return mean, err, chi2 / (values.size - 1) if values.size > 1 else 0.0
@@ -220,10 +236,10 @@ def vegas_integrate(
     n_bad = 0
     for it in range(iterations):
         x01, jac, bin_idx = grid.map_points(rng.random((evals_per_iter, lo.size)))
-        w, mean, var, n_bad = _evaluate(f, lo + width * x01, jac, vol, n_bad, it * evals_per_iter)
-        estimates.append((mean, var))
+        w, e, mean, var, n_bad = _evaluate(f, lo + width * x01, jac, vol, n_bad, it * evals_per_iter)
+        estimates.append((mean, var, e))
         # Squared in units of a power of two near max |w|: exact, and finite.
-        w2 = np.square(np.ldexp(w, -np.frexp(np.abs(w).max())[1]))
+        w2 = np.square(w)
         grid.refine(np.array([np.bincount(k, w2, grid.nbins) for k in bin_idx.T]).T)
 
     est = McEstimate(*_combine(estimates), n_evals=iterations * evals_per_iter)
@@ -254,5 +270,6 @@ def plain_integrate(f, bounds, n: int = 10_000, seed: int = 0) -> McEstimate:
     lo, width, vol = _check_bounds(bounds)
     n = _integer("n", n, 2)
     rng = np.random.default_rng(_integer("seed", seed, 0))
-    _, mean, var, _ = _evaluate(f, lo + width * rng.random((n, lo.size)), 1.0, vol)
-    return McEstimate(value=mean, std_error=float(np.sqrt(var)), chi2_per_dof=0.0, n_evals=n)
+    _, e, mean, var, _ = _evaluate(f, lo + width * rng.random((n, lo.size)), 1.0, vol)
+    std_error = float(np.ldexp(np.sqrt(var), e))
+    return McEstimate(value=mean, std_error=std_error, chi2_per_dof=0.0, n_evals=n)

@@ -102,16 +102,32 @@ class McConfig:
         self.__dict__.update(seed=seed, final_evals=evals)
 
 
+def _purity_floor(energy: float) -> float:
+    """4/E^2, the purity below which no two-mode state has energy E (a Python float).
+
+    The symmetric thermal state nu_1 = nu_2 = E/2 maximizes det Sigma at
+    fixed trace, so states with purity mu exist at energy E only for
+    mu > 4/E^2.  DomainError unless E is finite, exceeds 2 and is below
+    2**512, where E^2 leaves the float range.
+    """
+    if not math.isfinite(energy):
+        raise DomainError(f"energy = {energy} must be finite")
+    if energy <= 2.0:
+        raise DomainError(f"energy = {energy} must exceed 2 for a two-mode ensemble")
+    if energy > _SQUARE_MAX:
+        raise DomainError(f"energy = {energy} must be below 2**512: E^2 leaves the float range")
+    return 4.0 / energy**2
+
+
 @dataclass(frozen=True)
 class EnergyEnsemble:
     """Ensemble of two-mode states with fixed global purity and energy.
 
-    The weight support requires E > 1/mu_A + 1/mu_B, and states with purity
-    mu exist at energy E only for mu > 4/E^2 (the symmetric thermal state
-    nu_1 = nu_2 = E/2 maximizes det Sigma at fixed trace).  Both are kept
-    as Python floats.  Raises ValueError unless both are real numbers, and
-    DomainError unless both are finite, outside that support and for
-    E >= 2**512, where E^2 leaves the float range.
+    The weight support requires E > 1/mu_A + 1/mu_B, and the purity must lie
+    above 4/E^2 (:func:`_purity_floor`).  Both are kept as Python floats.
+    Raises ValueError unless both are real numbers, and DomainError unless
+    both are finite, outside that support and for E >= 2**512, where E^2
+    leaves the float range.
     """
 
     mu: float
@@ -121,11 +137,7 @@ class EnergyEnsemble:
         mu, energy = _real("mu", self.mu), _real("energy", self.energy)
         if not (math.isfinite(mu) and math.isfinite(energy)):
             raise DomainError(f"(mu, E) = ({mu}, {energy}) must be finite")
-        if energy <= 2.0:
-            raise DomainError(f"energy = {energy} must exceed 2 for a two-mode ensemble")
-        if energy > _SQUARE_MAX:
-            raise DomainError(f"energy = {energy} must be below 2**512: E^2 leaves the float range")
-        mu_min = 4.0 / energy**2
+        mu_min = _purity_floor(energy)
         if not mu_min < mu < 1.0:
             raise DomainError(f"mu = {mu} must lie in ({mu_min}, 1) at energy {energy}")
         self.__dict__.update(mu=mu, energy=energy)

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf
 
 from gaussgeom.core import (
@@ -301,6 +302,57 @@ def test_criterion_8_sampler_self_consistency():
     elapsed = time.time() - start
     assert elapsed < 120.0
     print(f"\n[PASS] criterion 8: sampler agrees with the integrator ({elapsed:.1f}s)")
+
+
+def _exact_sampler_moments(mu, e):
+    """Exact <Delta>, <1/mu_A + 1/mu_B> and <v^2> of the (mu, E) ensemble, v = 1/mu_A - 1/mu_B.
+
+    With u = 1/mu_A + 1/mu_B and B(u) = min(u^2 - 4/mu, (1/mu - 1)^2), the
+    ensemble weight in u is (E - u)(4/3) B^{3/2} on [2/sqrt(mu), E]; the
+    v- and seralian averages leave (E - u)[(8/(3 mu)) B^{3/2} + (4/5) B^{5/2}]
+    for Delta and (E - u)(4/15) B^{5/2} for v^2.  B has a kink at
+    u = 1 + 1/mu, where the quadrature is split.
+    """
+    u_lo = 2.0 / np.sqrt(mu)
+    kink = [1.0 + 1.0 / mu] if u_lo < 1.0 + 1.0 / mu < e else None
+
+    def integral(g):
+        def integrand(u):
+            b = min(u * u - 4.0 / mu, (1.0 / mu - 1.0) ** 2)
+            return (e - u) * g(u, b)
+
+        return quad(integrand, u_lo, e, points=kink, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    norm = integral(lambda u, b: 4.0 / 3.0 * b**1.5)
+    return (
+        integral(lambda u, b: 8.0 / (3.0 * mu) * b**1.5 + 0.8 * b**2.5) / norm,
+        integral(lambda u, b: u * 4.0 / 3.0 * b**1.5) / norm,
+        integral(lambda u, b: 4.0 / 15.0 * b**2.5) / norm,
+    )
+
+
+@pytest.mark.parametrize(
+    "mu, e, want",
+    [
+        (0.3, 8.0, (9.8043617, 5.3696603, 1.0458983)),
+        (0.47, 3.0, (4.4178890, 2.9633227, 0.0541900)),
+        (0.9, 12.0, (2.2296291, 5.4066273, 0.0024690)),
+    ],
+)
+def test_sampler_moments_match_the_exact_ensemble_averages(mu, e, want):
+    # The quadrature is pinned to 1e-7 at values from a separate 1-D quadrature;
+    # the sampled <Delta>, <u> and <v^2> must lie within 3 standard errors of it.
+    exact = _exact_sampler_moments(mu, e)
+    assert np.allclose(exact, want, rtol=0.0, atol=1e-7)
+    n = 200_000
+    sigmas = sample_energy_constrained(mu, e, n, seed=1)
+    det_a = np.linalg.det(sigmas[:, :2, :2])
+    det_b = np.linalg.det(sigmas[:, 2:, 2:])
+    delta = det_a + det_b + 2.0 * np.linalg.det(sigmas[:, :2, 2:])
+    u = np.sqrt(det_a) + np.sqrt(det_b)
+    v = np.sqrt(det_a) - np.sqrt(det_b)
+    for sample, mean in zip((delta, u, v * v), exact):
+        assert abs(sample.mean() - mean) < 3.0 * sample.std(ddof=1) / np.sqrt(n)
 
 
 def test_criterion_9_integrator_soundness():

@@ -305,6 +305,33 @@ def test_scan_energy_curves_empty_mu_grid(capsys, mu_grid):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "energy, fragment",
+    [
+        ("0", "exceed 2"),
+        ("1e-200", "exceed 2"),  # E^2 underflows to 0
+        ("1e200", "float range"),  # E^2 overflows
+        ("-1e200", "exceed 2"),
+    ],
+)
+def test_scan_energy_curves_energy_outside_the_support(monkeypatch, capsys, energy, fragment):
+    # The energy is read by the library before the first point: one error line, no traceback.
+    monkeypatch.setattr(cli.typicality, "energy_constrained_stats", _no_scan)
+    code, out, err = run_cli(capsys, "scan", "energy-curves", f"--E={energy}", "--mu-grid", "1")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert out == ""
+
+
+def test_scan_energy_curves_negative_seed_names_the_option(monkeypatch, capsys):
+    monkeypatch.setattr(cli.typicality, "energy_constrained_stats", _no_scan)
+    code, out, err = run_cli(capsys, "scan", "energy-curves", "--E", "3", "--mu-grid", "1",
+                             "--seed", "-1")
+    assert code == 1
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("kind", ["energy-curves", "pure-endpoint"])
 @pytest.mark.parametrize("energies", [",", ""])
 def test_scan_empty_energy_list(capsys, kind, energies):

@@ -454,10 +454,15 @@ def test_two_mode_calls_on_one_matrix_factor_it_once(monkeypatch):
     _reads(sigma)
     _reads(sigma.copy())
     assert len(calls) == 1
-    # Other sizes and the standard form keep their own path.
+    # Other sizes are not factored in closed form.
     symplectic_spectrum(np.eye(2))
-    standard_form(StdForm(1.7, 1.2, 0.3, 0.1).matrix())
     assert len(calls) == 1
+    # The standard form factors a new matrix once and keeps it for the next call.
+    other = StdForm(1.7, 1.2, 0.3, 0.1).matrix()
+    standard_form(other)
+    assert len(calls) == 2
+    invariants(other)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("mu, e", _SAMPLER_POINTS)

@@ -277,9 +277,6 @@ _OUT_OF_RANGE = {
     "vegas, variance": lambda: vegas_integrate(
         lambda x: np.full(len(x), 1e200), [(0, 1)], iterations=2, evals_per_iter=100
     ),
-    "vegas, inverse variance": lambda: vegas_integrate(
-        lambda x: 1e-160 * x[:, 0], [(0, 1)], iterations=3, evals_per_iter=100
-    ),
     "sample_from_grid, volume": lambda: sample_from_grid(
         AdaptiveGrid.uniform(2), [(0, 1e200), (0, 1e200)], 4, 1
     ),
@@ -296,6 +293,17 @@ def test_results_beyond_the_float_range_raise_value_error(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="float range|finite"):
             call()
+
+
+def test_vegas_error_bars_below_the_normal_range():
+    # The variance of each iteration (about 1e-323) was subnormal, and its
+    # inverse left the float range; the moments are now taken in units of a
+    # power of two near the largest value.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = vegas_integrate(lambda x: 1e-160 * x[:, 0], [(0, 1)], iterations=3, evals_per_iter=100)
+    assert np.isfinite(est.value) and est.std_error > 0.0
+    assert abs(est.value - 5e-161) <= 3.0 * est.std_error
 
 
 def test_grid_edges_are_read_and_checked():
