@@ -459,19 +459,23 @@ def _std_params(std: StdForm) -> list[float]:
     return params
 
 
-def _block_dets(sigma: np.ndarray, rows: list[list[float]] | None) -> tuple[float, float, float]:
+def _block_dets(
+    sigma: np.ndarray, rows: list[list[float]] | None, floor: float = 0.0
+) -> tuple[float, float, float]:
     """det A, det B and det C of a two-mode matrix [[A, C], [C^T, B]], from its rows.
 
     Raises ValueError unless the validated matrix is two-mode, that is, has
-    rows, and DomainError unless det A and det B are positive.
+    rows, and DomainError unless det A and det B are positive and at least
+    ``floor`` (the smallest normal float for a matrix scaled to unit size).
     """
     if rows is None:
         raise ValueError(f"expected a two-mode (4x4) covariance matrix, got {sigma.shape}")
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     det_a = a00 * a11 - a01 * a10
     det_b = b00 * b11 - b01 * b10
-    if det_a <= 0.0 or det_b <= 0.0:
-        raise DomainError("diagonal blocks must have positive determinant")
+    if det_a <= 0.0 or det_b <= 0.0 or min(det_a, det_b) < floor:
+        where = " in the float range (scaled to a largest entry near 1)" if floor else ""
+        raise DomainError(f"diagonal blocks must have positive determinant{where}")
     return det_a, det_b, c00 * c11 - c01 * c10
 
 
@@ -544,32 +548,42 @@ def standard_form(sigma) -> StdForm:
     them) keep it to rounding.  The result is invariant under local
     symplectic conjugation of the input.  Raises DomainError unless both
     diagonal blocks are positive definite.  Read by :func:`_two_mode_read`.
+
+    The form is homogeneous of degree one, so it is taken of Sigma/2**e,
+    whose largest entry lies in [1/2, 1), and its fields are scaled back by
+    the exact 2**e: no determinant of a state leaves the float range, from
+    two-mode squeezed vacua at r = 355 to matrices near 2**-1000.  Raises
+    DomainError naming the float range where a block determinant of the
+    scaled matrix is below the smallest normal float, or where a field is
+    not finite (a and b: not a normal float).
     """
     sigma, rows, _ = _two_mode_read(sigma)
-    det_a, det_b, det_c = _block_dets(sigma, rows)
-    a, b = np.sqrt(det_a), np.sqrt(det_b)
-    (n00, n01), (n10, n11) = (
-        _unit_sqrt_inverse(sigma[:2, :2], a)
-        @ sigma[:2, 2:]
-        @ _unit_sqrt_inverse(sigma[2:, 2:], b)
-    ).tolist()
-    # The singular values of a 2x2 matrix are (q + r)/2 and |q - r|/2.
-    q = np.hypot(n00 + n11, n01 - n10)
-    r = np.hypot(n00 - n11, n01 + n10)
-    c_minus = float(np.copysign(0.5 * abs(q - r), det_c))
-    return StdForm(a=float(a), b=float(b), c_plus=float(0.5 * (q + r)), c_minus=c_minus)
+    e = math.frexp(float(np.abs(sigma).max()))[1]
+    unit = np.ldexp(sigma, -e)
+    det_a, det_b, det_c = _block_dets(sigma, None if rows is None else unit.tolist(), _FLOAT_MIN)
+    a, b = math.sqrt(det_a), math.sqrt(det_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (n00, n01), (n10, n11) = (
+            _unit_sqrt_inverse(unit[:2, :2], a) @ unit[:2, 2:] @ _unit_sqrt_inverse(unit[2:, 2:], b)
+        ).tolist()
+        # The singular values of a 2x2 matrix are (q + r)/2 and |q - r|/2.
+        q = np.hypot(n00 + n11, n01 - n10)
+        r = np.hypot(n00 - n11, n01 + n10)
+        fields = np.ldexp([a, b, 0.5 * (q + r), np.copysign(0.5 * abs(q - r), det_c)], e)
+    if not (np.isfinite(fields).all() and min(fields[0], fields[1]) >= _FLOAT_MIN):
+        raise DomainError(f"standard form {fields.tolist()} leaves the float range")
+    return StdForm(*fields.tolist())
 
 
 def _require_purities(mu, mu_a, mu_b):
-    """(mu, mu_a, mu_b) in float64; DomainError unless each lies in [2**-511, 1] (to 1e-9).
+    """(mu, mu_a, mu_b); DomainError unless each lies in [2**-511, 1] (to 1e-9).
 
-    Scalars are read by :func:`_real` into Python floats, arrays and
-    sequences of marginals by :func:`_real_array` into float64 arrays.
+    By role, not by type: mu by :func:`_real` into a Python float, the marginals
+    by :func:`_real_array` into float64 arrays, so that a point and a batch share
+    the arithmetic.  Scalar entry points read their marginals by :func:`_real` first.
     """
-    values = []
-    for name, val in (("mu", mu), ("mu_a", mu_a), ("mu_b", mu_b)):
-        array = isinstance(val, (np.ndarray, list, tuple))
-        val = _real_array(name, val) if array else _real(name, val)
+    values = [_real("mu", mu), _real_array("mu_a", mu_a), _real_array("mu_b", mu_b)]
+    for name, val in zip(("mu", "mu_a", "mu_b"), values):
         ok = (val >= _MU_MIN) & (val <= 1.0 + 1e-9)  # False for NaN
         if not np.all(ok):
             value = np.asarray(val)[np.logical_not(ok)].flat[0]
@@ -577,7 +591,6 @@ def _require_purities(mu, mu_a, mu_b):
             if 0.0 < value < 1.0:
                 why = f"is below {_MU_MIN:.3g}: 1/{name}^2 leaves the float range"
             raise DomainError(f"{name} = {value} {why}")
-        values.append(val)
     return values
 
 
@@ -636,9 +649,10 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
 
     Inverts the map behind :func:`invariants`: a = 1/mu_a, b = 1/mu_b,
     c+ c- = (delta - a^2 - b^2)/2 and c+^2 + c-^2 fixed by det Sigma = 1/mu^2.
-    Raises DomainError when a purity lies outside [2**-511, 1], the range
-    in which its inverse square stays finite, and when the coordinates
-    admit no physical state: when delta lies outside the closed-form
+    Each coordinate is one real number (ValueError otherwise).  Raises
+    DomainError when a purity lies outside [2**-511, 1], the range in which
+    its inverse square stays finite, and when the coordinates admit no
+    physical state: when delta lies outside the closed-form
     seralian interval of the purities by more than a relative 1e-9, or when
     the reconstructed matrix would not be positive definite.  The interval
     is the one :func:`~gaussgeom.correlations.delta_bounds` returns, bit for
@@ -648,7 +662,8 @@ def cm_from_invariants(coords: InvariantCoords) -> StdForm:
     :meth:`StdForm.matrix` holds the state to 1e-6 only while
     mu_A mu_B >= 5e-10.
     """
-    mu, a, b, lo, top = _seralian_interval(coords.mu, coords.mu_a, coords.mu_b)
+    mu_a, mu_b = _real("mu_a", coords.mu_a), _real("mu_b", coords.mu_b)
+    mu, a, b, lo, top = _seralian_interval(coords.mu, mu_a, mu_b)
     delta = _real("delta", coords.delta)
     slack = 1e-9
     lo, top = float(lo[0]), float(top[0])
@@ -678,10 +693,13 @@ def thermal(nus) -> np.ndarray:
     """Product of thermal states with symplectic eigenvalues ``nus``.
 
     Raises ValueError unless the eigenvalues are finite real numbers (see
-    :func:`_real_array`).  Finite values below 1, which give no state, are
+    :func:`_real_array`) in a non-empty sequence of at most one dimension; a
+    scalar is one mode.  Finite values below 1, which give no state, are
     accepted.
     """
     nus = _real_array("nus", nus)
+    if nus.ndim > 1 or nus.size == 0:
+        raise ValueError(f"nus must be a non-empty 1D sequence, got shape {nus.shape}")
     if not np.isfinite(nus).all():
         raise ValueError("symplectic eigenvalues must be finite")
     return np.diag(np.repeat(nus, 2))

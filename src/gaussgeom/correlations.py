@@ -216,8 +216,9 @@ def delta_threshold(mu: float, mu_a: float, mu_b: float) -> float:
     From nu~_- < 1: Delta < 2/mu_A^2 + 2/mu_B^2 - 1 - 1/mu^2.  Where
     2/mu_A^2 + 2/mu_B^2 leaves the float range (both purities at 2**-511)
     it is capped at the largest float, which is still above every allowed
-    seralian (at most 1 + 1/mu^2 <= 1 + 2**1022).  Raises DomainError
-    where :func:`delta_bounds_batch` does.
+    seralian (at most 1 + 1/mu^2 <= 1 + 2**1022).  Read as
+    :func:`delta_bounds_batch` reads its purities, so a scalar call is its
+    batch value bit for bit, and raises where it does.
     """
     mu, mu_a, mu_b = _require_purities(mu, mu_a, mu_b)
     return 2.0 * np.minimum(1.0 / mu_a**2 + 1.0 / mu_b**2, _HALF_MAX) - 1.0 - 1.0 / mu**2
@@ -228,7 +229,9 @@ def delta_bounds_batch(mu: float, mu_a, mu_b):
 
     Returns ``(delta_min, delta_max, valid)`` arrays; entries where ``valid``
     is False carry NaN bounds.  The interval is ``core._seralian_interval``,
-    the one :func:`~gaussgeom.core.cm_from_invariants` checks.  Raises
+    the one :func:`~gaussgeom.core.cm_from_invariants` checks.  mu is one
+    real number and the marginal purities are real numbers or arrays of
+    them (``core._require_purities``); ValueError otherwise.  Raises
     DomainError when mu or any marginal purity lies outside (0, 1], and when
     one is below 2**-511 (about 1.5e-154), where its inverse square leaves
     the float range.
@@ -246,10 +249,11 @@ def delta_bounds(mu: float, mu_a: float, mu_b: float) -> tuple[float, float] | N
     physical state exists (for instance when the marginal purities exceed
     sqrt(mu) on the symmetric cut).  With a = 1/mu_A and b = 1/mu_B the
     interval is closed form: Delta_min = 2/mu + (a - b)^2 and
-    Delta_max = min((a + b)^2 - 2/mu, 1 + 1/mu^2).  Raises DomainError
-    where :func:`delta_bounds_batch` does, so also for mu below 2**-511.
+    Delta_max = min((a + b)^2 - 2/mu, 1 + 1/mu^2).  Each purity is one real
+    number (ValueError otherwise); raises DomainError where
+    :func:`delta_bounds_batch` does, so also for mu below 2**-511.
     """
-    d_min, d_max, valid = delta_bounds_batch(mu, mu_a, mu_b)
+    d_min, d_max, valid = delta_bounds_batch(mu, _real("mu_a", mu_a), _real("mu_b", mu_b))
     if not bool(valid[0]):
         return None
     return float(d_min[0]), float(d_max[0])
@@ -264,8 +268,8 @@ def logneg_average(mu: float, mu_a, mu_b):
     (``core._seralian_interval``), and both statistics come from the one
     kernel :func:`_seralian_average` in h = (1/mu_A + 1/mu_B)/2 and the
     interval length, which the energy-constrained averages use too.  A
-    zero-width interval gives the values at its single point.
-    Raises DomainError where :func:`delta_bounds_batch` does.
+    zero-width interval gives the values at its single point.  The purities
+    are read, and DomainError raised, as :func:`delta_bounds_batch` does.
     """
     mu, a, b, d_min, d_max = _seralian_interval(mu, mu_a, mu_b)
     length = np.where(d_min <= d_max, d_max - d_min, np.nan)
@@ -337,7 +341,8 @@ def classify_region(mu: float, mu_a: float, mu_b: float) -> tuple[RegionClass, f
     The proportion is the fraction of the allowed seralian interval below the
     entanglement threshold.  Points with an empty interval are Unphysical and
     carry proportion NaN; proportions strictly between 0 and 1 classify as
-    Coexistence.
+    Coexistence.  Each purity is one real number (ValueError otherwise);
+    raises DomainError where :func:`delta_bounds_batch` does.
     """
-    prop = float(logneg_average(mu, mu_a, mu_b)[0][0])
+    prop = float(logneg_average(mu, _real("mu_a", mu_a), _real("mu_b", mu_b))[0][0])
     return RegionClass.of_proportion(prop), prop

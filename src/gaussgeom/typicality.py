@@ -149,8 +149,9 @@ class LocalSympSample:
 
     lambda = (w^2 + 1/w^2)/2 >= 1 parametrizes the squeezing part; the four
     angles are (inner A, outer A, inner B, outer B), all kept as Python
-    floats.  Raises ValueError unless both lambdas and all angles are
-    finite real numbers and both lambdas >= 1.
+    floats.  Raises ValueError unless both lambdas are finite real numbers
+    >= 1 and the angles are exactly four finite real numbers, read as one
+    float64 array of shape (4,) by :func:`~gaussgeom.core._real_array`.
     """
 
     lambda_a: float
@@ -159,7 +160,10 @@ class LocalSympSample:
 
     def __post_init__(self):
         lam_a, lam_b = _real("lambda_a", self.lambda_a), _real("lambda_b", self.lambda_b)
-        angles = tuple(_real("angles", angle) for angle in self.angles)
+        angles = _real_array("angles", self.angles)
+        if angles.shape != (4,):
+            raise ValueError(f"angles must be four real numbers, got shape {angles.shape}")
+        angles = tuple(angles.tolist())
         if not all(map(math.isfinite, (lam_a, lam_b, *angles))):
             raise ValueError(f"lambda parameters and angles {lam_a, lam_b, angles} must be finite")
         if lam_a < 1.0 or lam_b < 1.0:
@@ -228,9 +232,10 @@ def mean_logneg_fixed_purities(mu: float, mu_a: float, mu_b: float) -> float:
     The local-group volumes cancel because E_N is a local invariant, leaving
     the mean of E_N over the allowed seralian interval, which
     :func:`~gaussgeom.correlations.logneg_average` evaluates in closed form.
-    Raises DomainError when no physical states exist.
+    Each purity is one real number (ValueError otherwise).  Raises
+    DomainError when no physical states exist.
     """
-    prop, mean = logneg_average(mu, mu_a, mu_b)
+    prop, mean = logneg_average(mu, _real("mu_a", mu_a), _real("mu_b", mu_b))
     if np.isnan(prop[0]):
         raise DomainError(f"no physical states at (mu, mu_A, mu_B) = ({mu}, {mu_a}, {mu_b})")
     return float(mean[0])
@@ -559,8 +564,8 @@ _BLOCK = 16_384
 #: in 1024-state, 8.3 ms in 16 384-state chunks and 9.0 ms whole (medians
 #: of 12 best-of-5 runs on one vCPU of a 2-vCPU x86-64 VM, numpy 2.4 with
 #: AVX-512, rotations from half-angle tangents).  A chunk's 4 angles per
-#: state fill one row of a draw buffer: 4 * _STATE_CHUNK = _BLOCK.
-_STATE_CHUNK = 4096
+#: state fill one row of a draw buffer.
+_STATE_CHUNK = _BLOCK // 4
 
 
 def _rotation(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -272,6 +272,120 @@ def test_public_scalar_arguments_read_in_float64_or_raise_value_error(slots, cal
     check()
 
 
+#: Slots of _CALLS where an array is no error: the marginal purities of the
+#: batch functions, and the seralian of calls that read only the purities.
+_ARRAY_SLOTS = {
+    "delta_bounds_batch": {1, 2},
+    "logneg_average": {1, 2},
+    "delta_threshold": {1, 2},
+    "steerability": {3},
+    "steerability_a_to_b": {3},
+    "steerability_b_to_a": {3},
+    "hs_density_invariant_coords": {3},
+}
+
+
+@pytest.mark.parametrize(
+    "name, slots, call", [c[:3] for c in _CALLS], ids=[c[0] for c in _CALLS]
+)
+@pytest.mark.parametrize(
+    "x", [[0.5, 0.6], np.array([0.5]), np.array(0.5)], ids=["list", "1-element", "0-d"]
+)
+def test_an_array_where_a_number_belongs_raises_value_error(name, slots, call, x):
+    # Nine purity functions took an array for mu, and the four scalar ones
+    # answered for the first of an array of marginal purities.
+    for slot in sorted(set(range(slots)) - _ARRAY_SLOTS.get(name, set())):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                call(x, slot)
+
+
+_PURITY_FUNCTIONS = {
+    "classify_region": gg.classify_region,
+    "delta_bounds": gg.delta_bounds,
+    "delta_bounds_batch": correlations.delta_bounds_batch,
+    "logneg_average": correlations.logneg_average,
+    "mean_logneg_fixed_purities": gg.mean_logneg_fixed_purities,
+    "cm_from_invariants": lambda mu, mu_a, mu_b: gg.cm_from_invariants(
+        gg.InvariantCoords(mu, mu_a, mu_b, 4.5)
+    ),
+    "scan_purity_plane": lambda mu, mu_a, mu_b: gg.scan_purity_plane(mu, 2),
+    "purity_cut": lambda mu, mu_a, mu_b: gg.purity_cut(mu, 2),
+    "delta_threshold": gg.delta_threshold,
+}
+_ARRAYS = {"list": [0.5, 0.6], "1-element": np.array([0.5]), "0-d": np.array(0.5)}
+
+
+@pytest.mark.parametrize("mu", _ARRAYS.values(), ids=_ARRAYS.keys())
+@pytest.mark.parametrize("fn", _PURITY_FUNCTIONS.values(), ids=_PURITY_FUNCTIONS.keys())
+def test_the_global_purity_is_one_number(fn, mu):
+    # Each took the array; delta_bounds_batch(np.array([0.5, 0.6]), ...) raised
+    # numpy's "truth value of an array ... is ambiguous".
+    with pytest.raises(ValueError, match="^mu must be a real number"):
+        fn(mu, 0.6, 0.6)
+
+
+_SCALAR_PURITY_FUNCTIONS = {
+    name: _PURITY_FUNCTIONS[name]
+    for name in (
+        "classify_region", "delta_bounds", "mean_logneg_fixed_purities", "cm_from_invariants"
+    )
+}
+
+
+@pytest.mark.parametrize("slot, name", [(1, "mu_a"), (2, "mu_b")])
+@pytest.mark.parametrize("x", _ARRAYS.values(), ids=_ARRAYS.keys())
+@pytest.mark.parametrize(
+    "fn", _SCALAR_PURITY_FUNCTIONS.values(), ids=_SCALAR_PURITY_FUNCTIONS.keys()
+)
+def test_scalar_purity_functions_take_one_number_per_marginal(fn, x, slot, name):
+    # Each answered for the first element of an array of marginal purities.
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        fn(*_at((0.5, 0.6, 0.6), slot, x))
+
+
+_MARGINAL_PROBES = {
+    # Returned (Unphysical, nan): the empty interval at mu_A = mu_B = 0.9.
+    "classify_region": (lambda: gg.classify_region(0.3, [0.9, 0.3], 0.9), "mu_a"),
+    # Returned the interval at mu_A = 0.7.
+    "delta_bounds": (lambda: gg.delta_bounds(0.5, [0.7, 0.6], 0.6), "mu_a"),
+    # Returned 0.2835, the value at mu_A = 0.6 (0.0391 at 0.7).
+    "mean_logneg_fixed_purities": (
+        lambda: gg.mean_logneg_fixed_purities(0.5, [0.6, 0.7], 0.6), "mu_a"
+    ),
+    # Returned the standard form at mu_A = 0.6.
+    "cm_from_invariants": (
+        lambda: gg.cm_from_invariants(gg.InvariantCoords(0.5, [0.6, 0.7], 0.6, 4.5)), "mu_a"
+    ),
+    # Raised numpy's "truth value of an array with more than one element is ambiguous".
+    "delta_bounds_batch": (
+        lambda: correlations.delta_bounds_batch(np.array([0.5, 0.6]), [0.5], [0.5]), "mu"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name", _MARGINAL_PROBES.values(), ids=_MARGINAL_PROBES.keys())
+def test_purity_arrays_in_scalar_slots_raise_value_error_naming_the_argument(call, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            call()
+
+
+def test_scalar_delta_threshold_is_its_batch_value():
+    # 66 of 100 000 such triples differed in the last bits: the scalar path
+    # squared with Python's pow, the batch path with numpy's square.
+    triples = np.random.default_rng(3).uniform(0.05, 1.0, size=(10_000, 3))
+    mu, mu_a, mu_b = triples.T
+    batch = [
+        gg.delta_threshold(m, mu_a[k : k + 1], mu_b[k : k + 1])[0]
+        for k, m in enumerate(mu.tolist())
+    ]
+    scalar = [gg.delta_threshold(*triple) for triple in triples.tolist()]
+    assert scalar == batch
+
+
 # ---------------------------------------------------------------------------
 # The defects the readers closed, each as it was found.
 
@@ -412,6 +526,26 @@ def test_array_arguments_are_real_numbers_in_the_float_range(call, name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{name} must be real numbers in the float range"):
             call()
+
+
+@pytest.mark.parametrize("nus", [[], np.empty(0), [[1.0], [2.0]], np.ones((1, 1))])
+def test_thermal_takes_a_non_empty_spectrum_of_at_most_one_dimension(nus):
+    # [] gave a 0x0 array, and [[1.0], [2.0]] was flattened into a 4x4 state.
+    with pytest.raises(ValueError, match="nus must be a non-empty 1D sequence"):
+        gg.thermal(nus)
+    assert gg.thermal(2.0).tolist() == [[2.0, 0.0], [0.0, 2.0]]  # a scalar is one mode
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [(0.0, 0.0), (0.0,) * 5, 0.0, np.zeros((2, 2)), ()],
+    ids=["two", "five", "scalar", "2x2", "none"],
+)
+def test_local_symp_sample_takes_exactly_four_angles(angles):
+    # Two angles leaked an IndexError from assemble_covmat, a fifth was
+    # ignored, and a scalar leaked a TypeError.
+    with pytest.raises(ValueError, match=r"angles must be four real numbers, got shape"):
+        gg.LocalSympSample(1.0, 1.0, angles)
 
 
 def test_an_array_of_ints_beyond_int64_is_read_as_floats():

@@ -767,6 +767,58 @@ def test_standard_form_rejects_negative_definite_blocks():
             standard_form(sigma)
 
 
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+def test_standard_form_scales_exactly_across_the_float_range(k):
+    # det A overflowed at 2**600 and 2**1000 and underflowed at 2**-600 and
+    # 2**-1000, which raised "positive definite" or "positive determinant".
+    sigma = two_mode_squeezed(0.5)
+    want = [2.0**k * v for v in dataclasses.astuple(standard_form(sigma))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(dataclasses.astuple(standard_form(2.0**k * sigma))) == want
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [1e200 * two_mode_squeezed(0.5), 1e-200 * two_mode_squeezed(0.5), two_mode_squeezed(355)],
+    ids=["1e200", "1e-200", "r=355"],
+)
+def test_standard_form_of_states_whose_block_determinants_leave_the_float_range(sigma):
+    # Raised "diagonal blocks must be positive definite" (det A overflowed)
+    # or "must have positive determinant" (det A underflowed).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        std = standard_form(sigma)
+    assert np.isfinite(dataclasses.astuple(std)).all()
+    assert std.c_plus == pytest.approx(-std.c_minus, rel=1e-12)
+    assert std.a == std.b and std.c_plus <= std.a
+
+
+@pytest.mark.parametrize(
+    "sigma, match",
+    [
+        # Returned StdForm(1.0, 1.0, inf, nan), or a RuntimeWarning under -W error.
+        (
+            [[1e300, 0, 1e-301, 0], [0, 1e-300, 0, 1e300], [1e-301, 0, 1e300, 0],
+             [0, 1e300, 0, 1e-300]],
+            "positive determinant in the float range",
+        ),
+        # c+ = 2**1500: returned an infinite c+ and a NaN c-.
+        (
+            [[2.0**1000, 0, 0, 0], [0, 1, 0, 2.0**1000], [0, 0, 2.0**1000, 0],
+             [0, 2.0**1000, 0, 1]],
+            r"standard form \[.*\] leaves the float range",
+        ),
+    ],
+    ids=["block-determinant", "field"],
+)
+def test_standard_form_outside_the_float_range_raises_domain_error(sigma, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            standard_form(sigma)
+
+
 def test_cm_from_invariants_examples():
     std = cm_from_invariants(InvariantCoords(1.0, 0.8, 0.8, 2.0))
     np.testing.assert_allclose(
