@@ -459,24 +459,15 @@ def _std_params(std: StdForm) -> list[float]:
     return params
 
 
-def _block_dets(
-    sigma: np.ndarray, rows: list[list[float]] | None, floor: float = 0.0
-) -> tuple[float, float, float]:
+def _block_dets(sigma: np.ndarray, rows: list[list[float]] | None) -> tuple[float, float, float]:
     """det A, det B and det C of a two-mode matrix [[A, C], [C^T, B]], from its rows.
 
-    Raises ValueError unless the validated matrix is two-mode, that is, has
-    rows, and DomainError unless det A and det B are positive and at least
-    ``floor`` (the smallest normal float for a matrix scaled to unit size).
+    Raises ValueError unless the validated matrix is two-mode, that is, has rows.
     """
     if rows is None:
         raise ValueError(f"expected a two-mode (4x4) covariance matrix, got {sigma.shape}")
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
-    det_a = a00 * a11 - a01 * a10
-    det_b = b00 * b11 - b01 * b10
-    if det_a <= 0.0 or det_b <= 0.0 or min(det_a, det_b) < floor:
-        where = " in the float range (scaled to a largest entry near 1)" if floor else ""
-        raise DomainError(f"diagonal blocks must have positive determinant{where}")
-    return det_a, det_b, c00 * c11 - c01 * c10
+    return a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
 
 
 def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, float]:
@@ -500,6 +491,8 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
     """
     sigma, rows, nu = _two_mode_read(sigma)
     det_a, det_b, det_c = _block_dets(sigma, rows)
+    if det_a <= 0.0 or det_b <= 0.0:
+        raise DomainError("diagonal blocks must have positive determinant")
     # The record is filled with one __dict__ write: the generated __init__ of
     # a frozen dataclass sets each field through object.__setattr__, and took
     # 0.9 us against 0.4 us for this write.  Equality, hash, repr and the
@@ -549,18 +542,28 @@ def standard_form(sigma) -> StdForm:
     symplectic conjugation of the input.  Raises DomainError unless both
     diagonal blocks are positive definite.  Read by :func:`_two_mode_read`.
 
-    The form is homogeneous of degree one, so it is taken of Sigma/2**e,
-    whose largest entry lies in [1/2, 1), and its fields are scaled back by
-    the exact 2**e: no determinant of a state leaves the float range, from
-    two-mode squeezed vacua at r = 355 to matrices near 2**-1000.  Raises
-    DomainError naming the float range where a block determinant of the
-    scaled matrix is below the smallest normal float, or where a field is
-    not finite (a and b: not a normal float).
+    The form is homogeneous of degree one.  Where det A and det B of Sigma
+    are normal floats, Sigma is reduced as it stands.  Elsewhere the form
+    is taken of Sigma/2**e, whose largest entry lies in [1/2, 1), and its
+    fields are scaled back by the exact 2**e, so that two-mode squeezed
+    vacua up to r = 355 and states scaled by 2**-1000 to 2**1000 keep
+    their form.  Raises DomainError naming the float range where a block
+    determinant of Sigma/2**e is not a positive normal float (a block
+    squeezed, or small against the other, beyond the float range), or
+    where a field is not finite (a and b: not a normal float).
     """
     sigma, rows, _ = _two_mode_read(sigma)
-    e = math.frexp(float(np.abs(sigma).max()))[1]
-    unit = np.ldexp(sigma, -e)
-    det_a, det_b, det_c = _block_dets(sigma, None if rows is None else unit.tolist(), _FLOAT_MIN)
+    unit, e = sigma, 0
+    det_a, det_b, det_c = _block_dets(sigma, rows)
+    if not (_FLOAT_MIN <= det_a < math.inf and _FLOAT_MIN <= det_b < math.inf):
+        e = math.frexp(float(np.abs(sigma).max()))[1]
+        unit = np.ldexp(sigma, -e)
+        det_a, det_b, det_c = _block_dets(unit, unit.tolist())
+        if min(det_a, det_b) < _FLOAT_MIN:
+            raise DomainError(
+                "diagonal blocks must have positive determinant in the float range:"
+                f" {[det_a, det_b]} for Sigma/2**{e}"
+            )
     a, b = math.sqrt(det_a), math.sqrt(det_b)
     with np.errstate(over="ignore", invalid="ignore"):
         (n00, n01), (n10, n11) = (

@@ -285,6 +285,21 @@ _ARRAY_SLOTS = {
 }
 
 
+#: Argument names of the purity functions' slots in _CALLS, which an array
+#: there must name.
+_SLOT_NAMES = {
+    **dict.fromkeys(
+        (
+            "classify_region", "delta_bounds", "delta_bounds_batch", "logneg_average",
+            "mean_logneg_fixed_purities", "delta_threshold", "cm_from_invariants",
+        ),
+        ("mu", "mu_a", "mu_b", "delta"),
+    ),
+    "scan_purity_plane.mu": ("mu",),
+    "purity_cut.mu": ("mu",),
+}
+
+
 @pytest.mark.parametrize(
     "name, slots, call", [c[:3] for c in _CALLS], ids=[c[0] for c in _CALLS]
 )
@@ -292,57 +307,15 @@ _ARRAY_SLOTS = {
     "x", [[0.5, 0.6], np.array([0.5]), np.array(0.5)], ids=["list", "1-element", "0-d"]
 )
 def test_an_array_where_a_number_belongs_raises_value_error(name, slots, call, x):
-    # Nine purity functions took an array for mu, and the four scalar ones
+    # Nine purity functions took an array for mu (delta_bounds_batch raised
+    # numpy's "truth value ... is ambiguous"), and the four scalar ones
     # answered for the first of an array of marginal purities.
     for slot in sorted(set(range(slots)) - _ARRAY_SLOTS.get(name, set())):
+        match = f"^{_SLOT_NAMES[name][slot]} must be a real number" if name in _SLOT_NAMES else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 call(x, slot)
-
-
-_PURITY_FUNCTIONS = {
-    "classify_region": gg.classify_region,
-    "delta_bounds": gg.delta_bounds,
-    "delta_bounds_batch": correlations.delta_bounds_batch,
-    "logneg_average": correlations.logneg_average,
-    "mean_logneg_fixed_purities": gg.mean_logneg_fixed_purities,
-    "cm_from_invariants": lambda mu, mu_a, mu_b: gg.cm_from_invariants(
-        gg.InvariantCoords(mu, mu_a, mu_b, 4.5)
-    ),
-    "scan_purity_plane": lambda mu, mu_a, mu_b: gg.scan_purity_plane(mu, 2),
-    "purity_cut": lambda mu, mu_a, mu_b: gg.purity_cut(mu, 2),
-    "delta_threshold": gg.delta_threshold,
-}
-_ARRAYS = {"list": [0.5, 0.6], "1-element": np.array([0.5]), "0-d": np.array(0.5)}
-
-
-@pytest.mark.parametrize("mu", _ARRAYS.values(), ids=_ARRAYS.keys())
-@pytest.mark.parametrize("fn", _PURITY_FUNCTIONS.values(), ids=_PURITY_FUNCTIONS.keys())
-def test_the_global_purity_is_one_number(fn, mu):
-    # Each took the array; delta_bounds_batch(np.array([0.5, 0.6]), ...) raised
-    # numpy's "truth value of an array ... is ambiguous".
-    with pytest.raises(ValueError, match="^mu must be a real number"):
-        fn(mu, 0.6, 0.6)
-
-
-_SCALAR_PURITY_FUNCTIONS = {
-    name: _PURITY_FUNCTIONS[name]
-    for name in (
-        "classify_region", "delta_bounds", "mean_logneg_fixed_purities", "cm_from_invariants"
-    )
-}
-
-
-@pytest.mark.parametrize("slot, name", [(1, "mu_a"), (2, "mu_b")])
-@pytest.mark.parametrize("x", _ARRAYS.values(), ids=_ARRAYS.keys())
-@pytest.mark.parametrize(
-    "fn", _SCALAR_PURITY_FUNCTIONS.values(), ids=_SCALAR_PURITY_FUNCTIONS.keys()
-)
-def test_scalar_purity_functions_take_one_number_per_marginal(fn, x, slot, name):
-    # Each answered for the first element of an array of marginal purities.
-    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
-        fn(*_at((0.5, 0.6, 0.6), slot, x))
 
 
 _MARGINAL_PROBES = {

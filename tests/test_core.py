@@ -37,7 +37,12 @@ from gaussgeom.core import (
     write_covmat,
 )
 from gaussgeom.correlations import delta_bounds, delta_bounds_batch
-from gaussgeom.typicality import _draw_intervals, sample_energy_constrained
+from gaussgeom.typicality import (
+    LocalSympSample,
+    _draw_intervals,
+    assemble_covmat,
+    sample_energy_constrained,
+)
 from conftest import feasible_coords, local_symplectics, oracle_spectrum
 
 
@@ -767,10 +772,11 @@ def test_standard_form_rejects_negative_definite_blocks():
             standard_form(sigma)
 
 
-@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000, -520])
 def test_standard_form_scales_exactly_across_the_float_range(k):
     # det A overflowed at 2**600 and 2**1000 and underflowed at 2**-600 and
     # 2**-1000, which raised "positive definite" or "positive determinant".
+    # At 2**-520 det A is subnormal: c+ came out 8e-13 relative off a.
     sigma = two_mode_squeezed(0.5)
     want = [2.0**k * v for v in dataclasses.astuple(standard_form(sigma))]
     with warnings.catch_warnings():
@@ -801,8 +807,13 @@ def test_standard_form_of_states_whose_block_determinants_leave_the_float_range(
         (
             [[1e300, 0, 1e-301, 0], [0, 1e-300, 0, 1e300], [1e-301, 0, 1e300, 0],
              [0, 1e300, 0, 1e-300]],
-            "positive determinant in the float range",
+            r"standard form \[.*\] leaves the float range",
         ),
+        # det A overflows, and B underflows in Sigma/2**997.
+        (np.diag([1e300, 1e300, 1e-300, 1e-300]), "positive determinant in the float range"),
+        # det A = 1e-320 is subnormal and stays so in Sigma/2: a came out
+        # 5.6e-6 relative off 1e-160.
+        (np.diag([1e-160, 1e-160, 1.0, 1.0]), "positive determinant in the float range"),
         # c+ = 2**1500: returned an infinite c+ and a NaN c-.
         (
             [[2.0**1000, 0, 0, 0], [0, 1, 0, 2.0**1000], [0, 0, 2.0**1000, 0],
@@ -810,13 +821,33 @@ def test_standard_form_of_states_whose_block_determinants_leave_the_float_range(
             r"standard form \[.*\] leaves the float range",
         ),
     ],
-    ids=["block-determinant", "field"],
+    ids=["field-nan", "block-determinant", "subnormal-determinant", "field"],
 )
 def test_standard_form_outside_the_float_range_raises_domain_error(sigma, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             standard_form(sigma)
+
+
+@pytest.mark.parametrize(
+    "sigma, want",
+    [
+        (
+            assemble_covmat(StdForm(2.0, 2.0, 1.0, -1.0), LocalSympSample(1e160, 1.0, (0.0,) * 4)),
+            (2.0, 2.0, 1.0, -1.0),
+        ),
+        (np.diag([1e160, 1e-160, 1.0, 1.0]), (1.0, 1.0, 0.0, 0.0)),
+        (np.diag([1e300, 1e-300, 1e300, 1e-300]), (1.0, 1.0, 0.0, 0.0)),
+    ],
+    ids=["sampler-1e160", "squeezed-1e160", "squeezed-1e300"],
+)
+def test_standard_form_of_a_locally_squeezed_state_is_taken_unscaled(sigma, want):
+    # det A and det B are normal floats, so Sigma is reduced as it stands:
+    # scaled to a largest entry near 1, its small entries would go subnormal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dataclasses.astuple(standard_form(sigma)) == want
 
 
 def test_cm_from_invariants_examples():
