@@ -459,15 +459,28 @@ def _std_params(std: StdForm) -> list[float]:
     return params
 
 
-def _block_dets(sigma: np.ndarray, rows: list[list[float]] | None) -> tuple[float, float, float]:
-    """det A, det B and det C of a two-mode matrix [[A, C], [C^T, B]], from its rows.
+def _block_dets(sigma: np.ndarray, rows: list[list[float]] | None) -> list:
+    """(det A', k_A, det B', k_B, det C) of a two-mode matrix [[A, C], [C^T, B]], from its rows.
 
-    Raises ValueError unless the validated matrix is two-mode, that is, has rows.
+    det A = 4**k_A det A': det A as computed, k_A = 0, where that is a normal float,
+    else det(A/2**k_A) with k_A the mean binary exponent of A's diagonal rounded
+    down, normal for any positive definite A.  B likewise; det C as computed.  Raises
+    ValueError unless the matrix has rows (is two-mode), DomainError unless det A', det B' > 0.
     """
     if rows is None:
         raise ValueError(f"expected a two-mode (4x4) covariance matrix, got {sigma.shape}")
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
-    return a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
+    dets = [a00 * a11 - a01 * a10, 0, b00 * b11 - b01 * b10, 0, c00 * c11 - c01 * c10]
+    if not (_FLOAT_MIN <= dets[0] < math.inf and _FLOAT_MIN <= dets[2] < math.inf):
+        for i, block in ((0, (a00, a01, a10, a11)), (2, (b00, b01, b10, b11))):
+            if not _FLOAT_MIN <= dets[i] < math.inf:
+                k = int(np.frexp(block[::3])[1].sum()) // 2
+                with np.errstate(over="ignore"):  # off-diagonals overflow only where det < 0
+                    x00, x01, x10, x11 = np.ldexp(block, -k).tolist()
+                if not (det := x00 * x11 - x01 * x10) > 0.0:  # also rejects NaN
+                    raise DomainError("diagonal blocks must have positive determinant")
+                dets[i : i + 2] = det, k
+    return dets
 
 
 def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, float]:
@@ -475,44 +488,44 @@ def invariants(sigma, warn_nonphysical: bool = True) -> tuple[InvariantCoords, f
 
     Returns ``(InvariantCoords(mu, mu_a, mu_b, delta), energy)`` with the
     marginal purities 1/sqrt(det A) and 1/sqrt(det B) of the diagonal
-    blocks, the seralian delta = det A + det B + 2 det C = nu_1^2 + nu_2^2
-    and energy = tr(Sigma)/2.  The global purity mu = 1/(nu_- nu_+) and the
-    physicality verdict come from the scalar Cholesky factor of
-    :func:`_two_mode_nu`, with no eigen-solve and from the same read as
-    the other per-state calls on the matrix (:func:`_two_mode_read`); only
-    input that is not positive definite takes mu = 1/sqrt(det Sigma) from a
-    log-determinant.
+    blocks (each read at its own scale by :func:`_block_dets`), the seralian
+    delta = det A + det B + 2 det C = nu_1^2 + nu_2^2 and energy = tr(Sigma)/2.
+    The global purity mu = 1/(nu_- nu_+) and the physicality verdict come
+    from the scalar Cholesky factor of :func:`_two_mode_nu`, with no
+    eigen-solve and from the same read as the other per-state calls on the
+    matrix (:func:`_two_mode_read`); only input that is not positive
+    definite takes mu = 1/sqrt(det Sigma) from a log-determinant.
     Input that is not a physical state, positive definite or not, is
     flagged with NonPhysicalWarning by the test of :func:`is_bona_fide`
     but the invariants are still returned, which is needed when probing the
-    boundary of the physical region.  Raises ValueError (DomainError for
-    blocks with non-positive determinant) when they are undefined, and
-    ValueError where the energy leaves the float range (see :func:`energy`).
+    boundary of the physical region.  Raises DomainError for a block with
+    non-positive determinant and where the seralian or a marginal purity
+    leaves the float range, ValueError where mu or the energy is undefined or does.
     """
     sigma, rows, nu = _two_mode_read(sigma)
-    det_a, det_b, det_c = _block_dets(sigma, rows)
-    if det_a <= 0.0 or det_b <= 0.0:
-        raise DomainError("diagonal blocks must have positive determinant")
+    det_a, k_a, det_b, k_b, det_c = _block_dets(sigma, rows)
+    mu, mu_a, mu_b = _purity(sigma, nu), 1.0 / math.sqrt(det_a), 1.0 / math.sqrt(det_b)
+    e = _finite_energy(0.5 * rows[0][0] + 0.5 * rows[1][1] + 0.5 * rows[2][2] + 0.5 * rows[3][3])
+    if k_a or k_b:  # det A = 4**k_A det A' and mu_A = 2**-k_A/sqrt(det A')
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp([mu_a, mu_b, det_a, det_b], [-k_a, -k_b, 2 * k_a, 2 * k_b])
+        mu_a, mu_b, det_a, det_b = scaled.tolist()
+    delta = det_a + det_b + 2.0 * det_c
+    if not (math.isfinite(delta) and mu_a < math.inf and mu_b < math.inf):
+        raise DomainError(f"mu_a = {mu_a}, mu_b = {mu_b} or delta = {delta} leaves the float range")
     # The record is filled with one __dict__ write: the generated __init__ of
     # a frozen dataclass sets each field through object.__setattr__, and took
     # 0.9 us against 0.4 us for this write.  Equality, hash, repr and the
     # frozen assignment check are those of InvariantCoords(...).
     coords = object.__new__(InvariantCoords)
-    coords.__dict__.update(
-        mu=_purity(sigma, nu),
-        mu_a=1.0 / math.sqrt(det_a),
-        mu_b=1.0 / math.sqrt(det_b),
-        delta=det_a + det_b + 2.0 * det_c,
-    )
+    coords.__dict__.update(mu=mu, mu_a=mu_a, mu_b=mu_b, delta=delta)
     if warn_nonphysical and not (nu is not None and nu[0] >= 1.0 - BONA_FIDE_TOL):
         warnings.warn(
             "matrix is not a physical state (Sigma + i*Omega is not positive semidefinite)",
             NonPhysicalWarning,
             stacklevel=2,
         )
-    return coords, _finite_energy(
-        0.5 * rows[0][0] + 0.5 * rows[1][1] + 0.5 * rows[2][2] + 0.5 * rows[3][3]
-    )
+    return coords, e
 
 
 def _unit_sqrt_inverse(block: np.ndarray, scale: float) -> np.ndarray:
@@ -542,37 +555,24 @@ def standard_form(sigma) -> StdForm:
     symplectic conjugation of the input.  Raises DomainError unless both
     diagonal blocks are positive definite.  Read by :func:`_two_mode_read`.
 
-    The form is homogeneous of degree one.  Where det A and det B of Sigma
-    are normal floats, Sigma is reduced as it stands.  Elsewhere the form
-    is taken of Sigma/2**e, whose largest entry lies in [1/2, 1), and its
-    fields are scaled back by the exact 2**e, so that two-mode squeezed
-    vacua up to r = 355 and states scaled by 2**-1000 to 2**1000 keep
-    their form.  Raises DomainError naming the float range where a block
-    determinant of Sigma/2**e is not a positive normal float (a block
-    squeezed, or small against the other, beyond the float range), or
-    where a field is not finite (a and b: not a normal float).
+    The form is homogeneous of degree one: a = 2**k_A sqrt(det A') and b likewise
+    (:func:`_block_dets`), and c+, c- and the sign of det C come from C/2**k_C with
+    k_C = (k_A + k_B)//2, all k being 0 where det A and det B are normal floats.
+    Raises DomainError naming the float range where a field is not finite (a, b: not normal).
     """
     sigma, rows, _ = _two_mode_read(sigma)
-    unit, e = sigma, 0
-    det_a, det_b, det_c = _block_dets(sigma, rows)
-    if not (_FLOAT_MIN <= det_a < math.inf and _FLOAT_MIN <= det_b < math.inf):
-        e = math.frexp(float(np.abs(sigma).max()))[1]
-        unit = np.ldexp(sigma, -e)
-        det_a, det_b, det_c = _block_dets(unit, unit.tolist())
-        if min(det_a, det_b) < _FLOAT_MIN:
-            raise DomainError(
-                "diagonal blocks must have positive determinant in the float range:"
-                f" {[det_a, det_b]} for Sigma/2**{e}"
-            )
-    a, b = math.sqrt(det_a), math.sqrt(det_b)
+    det_a, k_a, det_b, k_b, _ = _block_dets(sigma, rows)
+    a, b, k_c = math.sqrt(det_a), math.sqrt(det_b), (k_a + k_b) // 2
     with np.errstate(over="ignore", invalid="ignore"):
+        unit = np.ldexp(sigma, [[-k_a, -k_a, -k_c, -k_c]] * 2 + [[-k_c, -k_c, -k_b, -k_b]] * 2)
         (n00, n01), (n10, n11) = (
             _unit_sqrt_inverse(unit[:2, :2], a) @ unit[:2, 2:] @ _unit_sqrt_inverse(unit[2:, 2:], b)
         ).tolist()
         # The singular values of a 2x2 matrix are (q + r)/2 and |q - r|/2.
         q = np.hypot(n00 + n11, n01 - n10)
         r = np.hypot(n00 - n11, n01 + n10)
-        fields = np.ldexp([a, b, 0.5 * (q + r), np.copysign(0.5 * abs(q - r), det_c)], e)
+        c_minus = np.copysign(0.5 * abs(q - r), unit[0, 2] * unit[1, 3] - unit[0, 3] * unit[1, 2])
+        fields = np.ldexp([a, b, 0.5 * (q + r), c_minus], [k_a, k_b, k_c, k_c])
     if not (np.isfinite(fields).all() and min(fields[0], fields[1]) >= _FLOAT_MIN):
         raise DomainError(f"standard form {fields.tolist()} leaves the float range")
     return StdForm(*fields.tolist())

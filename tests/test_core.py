@@ -36,7 +36,13 @@ from gaussgeom.core import (
     validate_covmat,
     write_covmat,
 )
-from gaussgeom.correlations import delta_bounds, delta_bounds_batch
+from gaussgeom.correlations import (
+    delta_bounds,
+    delta_bounds_batch,
+    log_negativity,
+    partial_transpose,
+    steerability,
+)
 from gaussgeom.typicality import (
     LocalSympSample,
     _draw_intervals,
@@ -372,6 +378,49 @@ def test_two_mode_non_positive_pivot(rows, invariants_outcome):
     else:
         with pytest.raises(DomainError, match="positive determinant"):
             invariants(sigma)
+
+
+def test_invariants_where_a_block_determinant_underflows_names_the_float_range():
+    # det A = 2.4e-400 underflows: "diagonal blocks must have positive
+    # determinant" was raised, though both blocks are positive definite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range") as err:
+            invariants(1e-200 * two_mode_squeezed(0.5))
+    assert "positive determinant" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "sigma, want",
+    [
+        (np.diag([1e-160, 1e-160, 1e150, 1e150]), (1e10, 1e160, 1e-150, 1e300)),
+        (np.diag([1e150, 1e150, 1e-160, 1e-160]), (1e10, 1e-150, 1e160, 1e300)),
+    ],
+)
+def test_invariants_read_a_subnormal_block_determinant_at_the_block_scale(sigma, want):
+    # det A = 1e-320 is subnormal (not a state): mu_a came out 6e-6 relative off 1e160.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coords, _ = invariants(sigma, warn_nonphysical=False)
+    np.testing.assert_allclose(dataclasses.astuple(coords), want, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "sigma, match",
+    [
+        # det A = 1e400 overflows: mu_a = 0.0 and delta = inf were returned.
+        (np.diag([1e200, 1e200, 1.0, 1.0]), "delta = inf leaves the float range"),
+        # det A = 1e-620 underflows, so mu_a = 1e310 does not fit (not a state:
+        # "positive determinant" was raised).
+        (np.block([[1e-310 * np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]]), "mu_a = inf"),
+    ],
+    ids=["seralian", "marginal-purity"],
+)
+def test_invariants_outside_the_float_range_raise_domain_error(sigma, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            invariants(sigma, warn_nonphysical=False)
 
 
 def test_invariants_of_a_matrix_below_the_float_range():
@@ -809,11 +858,6 @@ def test_standard_form_of_states_whose_block_determinants_leave_the_float_range(
              [0, 1e300, 0, 1e-300]],
             r"standard form \[.*\] leaves the float range",
         ),
-        # det A overflows, and B underflows in Sigma/2**997.
-        (np.diag([1e300, 1e300, 1e-300, 1e-300]), "positive determinant in the float range"),
-        # det A = 1e-320 is subnormal and stays so in Sigma/2: a came out
-        # 5.6e-6 relative off 1e-160.
-        (np.diag([1e-160, 1e-160, 1.0, 1.0]), "positive determinant in the float range"),
         # c+ = 2**1500: returned an infinite c+ and a NaN c-.
         (
             [[2.0**1000, 0, 0, 0], [0, 1, 0, 2.0**1000], [0, 0, 2.0**1000, 0],
@@ -821,13 +865,31 @@ def test_standard_form_of_states_whose_block_determinants_leave_the_float_range(
             r"standard form \[.*\] leaves the float range",
         ),
     ],
-    ids=["field-nan", "block-determinant", "subnormal-determinant", "field"],
+    ids=["field-nan", "field"],
 )
 def test_standard_form_outside_the_float_range_raises_domain_error(sigma, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             standard_form(sigma)
+
+
+@pytest.mark.parametrize(
+    "sigma, want",
+    [
+        # det A overflows: one power of two for the whole matrix took B below
+        # the float range, and "positive determinant in the float range" was raised.
+        (np.diag([1e200, 1e200, 1.0, 1.0]), (1e200, 1.0, 0.0, 0.0)),
+        (np.diag([1e300, 1e300, 1e-300, 1e-300]), (1e300, 1e-300, 0.0, 0.0)),
+        # det A = 1e-320 is subnormal and stayed so in Sigma/2, which raised too.
+        (np.diag([1e-160, 1e-160, 1.0, 1.0]), (1e-160, 1.0, 0.0, 0.0)),
+    ],
+    ids=["block-determinant", "both-blocks", "subnormal-determinant"],
+)
+def test_standard_form_reads_each_block_at_its_own_scale(sigma, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dataclasses.astuple(standard_form(sigma)) == want
 
 
 @pytest.mark.parametrize(
@@ -844,7 +906,7 @@ def test_standard_form_outside_the_float_range_raises_domain_error(sigma, match)
 )
 def test_standard_form_of_a_locally_squeezed_state_is_taken_unscaled(sigma, want):
     # det A and det B are normal floats, so Sigma is reduced as it stands:
-    # scaled to a largest entry near 1, its small entries would go subnormal.
+    # scaled by the power of two of its largest entry, its small entries went subnormal.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert dataclasses.astuple(standard_form(sigma)) == want
@@ -1275,6 +1337,72 @@ def test_energy_outside_the_float_range_raises():
             energy(hot)
         with pytest.raises(ValueError, match="energy .* leaves the float range"):
             invariants(mixed, warn_nonphysical=False)
+
+
+#: Every two-mode per-state call, and the measures of its invariants.
+_PER_STATE_CALLS = {
+    "symplectic_spectrum": symplectic_spectrum,
+    "is_bona_fide": is_bona_fide,
+    "purity": purity,
+    "energy": energy,
+    "invariants": lambda m: invariants(m, warn_nonphysical=False),
+    "standard_form": standard_form,
+    "partial_transpose": partial_transpose,
+    "log_negativity": lambda m: log_negativity(invariants(m, warn_nonphysical=False)[0]),
+    "steerability": lambda m: steerability(invariants(m, warn_nonphysical=False)[0]),
+}
+
+
+def _floats(out):
+    """The numbers in a per-state result: arrays, records and tuples of them."""
+    if isinstance(out, tuple):
+        return [v for item in out for v in _floats(item)]
+    if dataclasses.is_dataclass(out):
+        return list(dataclasses.astuple(out))
+    return np.ravel(out).tolist()
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        two_mode_squeezed(0.5),
+        StdForm(1.5, 1.3, 0.4, -0.2).matrix(),
+        np.diag([3.0, 3.0, 1.0, 1.0]),
+        random_covmat(2, np.random.default_rng(7)),
+    ],
+    ids=["tmsv", "std", "thermal", "random"],
+)
+@pytest.mark.parametrize(
+    "scale",
+    [1e100, 1e-100, 1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300, 2.0**-520],
+    ids=["1e100", "1e-100", "1e160", "1e-160", "1e200", "1e-200", "1e300", "1e-300", "2**-520"],
+)
+def test_per_state_calls_at_the_edges_of_the_float_range_are_finite_or_raise(base, scale):
+    # The whole matrix scaled, and block A alone with C by the square root
+    # (D Sigma D with D = diag(sqrt(scale) I, I)).  With A at 1e160, 1e200 or
+    # 1e300 invariants returned mu_a = 0.0 or NaN and a seralian of inf or NaN.
+    root = scale**0.5
+    block = base.copy()
+    block[:2, :2] *= scale
+    block[:2, 2:] *= root
+    block[2:, :2] *= root
+    a, b, c_plus, c_minus = dataclasses.astuple(standard_form(base))
+    forms = [
+        (scale * base, [scale * a, scale * b, scale * c_plus, scale * c_minus]),
+        (block, [scale * a, b, root * c_plus, root * c_minus]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma, form in forms:
+            for name, fn in _PER_STATE_CALLS.items():
+                try:
+                    out = fn(sigma)
+                except ValueError:
+                    continue
+                assert np.isfinite(_floats(out)).all(), (name, out)
+            # Each block is read at its own scale, so every form is reduced.
+            got = dataclasses.astuple(standard_form(sigma))
+            np.testing.assert_allclose(got, form, rtol=1e-15, atol=1e-15 * abs(form[2]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
