@@ -141,6 +141,16 @@ def _integer(name: str, value, minimum: int | None) -> int:
     raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
+def _random_generator(rng) -> np.random.Generator:
+    """``rng``: the one reader of the random-generator arguments.
+
+    ValueError naming ``rng`` unless it is a numpy.random.Generator.
+    """
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    return rng
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2N x 2N symplectic form for the (q1, p1, ...) ordering.
 
@@ -155,7 +165,8 @@ def validate_covmat(sigma) -> np.ndarray:
 
     Returns the input as a float array.  Raises ValueError for non-square,
     odd-dimensional, non-finite or non-symmetric input: an asymmetry above
-    ``SYMMETRY_RTOL`` times max(1, largest entry).
+    ``SYMMETRY_RTOL`` times max(1, largest entry), inf where it leaves the
+    float range.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -166,7 +177,8 @@ def validate_covmat(sigma) -> np.ndarray:
     if not np.isfinite(largest):
         raise ValueError("covariance matrix has non-finite entries")
     scale = max(largest, 1.0)
-    asym = float(np.abs(sigma - sigma.T).max())
+    with np.errstate(over="ignore"):  # an asymmetry beyond the float range reads as inf
+        asym = float(np.abs(sigma - sigma.T).max())
     if asym > SYMMETRY_RTOL * scale:
         raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
     return sigma
@@ -737,10 +749,12 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     amount of squeezing.  The matrix exponential is scipy's; scipy is
     loaded on the first call, not on import, so only the random-state
     constructors pay for it.  Raises ValueError for a non-finite ``scale``
-    and DomainError where the matrix leaves the float range, as a scale of
-    a few hundred or more can make it.
+    or an ``rng`` that is not a numpy.random.Generator, and DomainError
+    where the matrix leaves the float range, as a scale of a few hundred
+    or more can make it.
     """
     n_modes, scale = _integer("n_modes", n_modes, 1), _real("scale", scale)
+    rng = _random_generator(rng)
     if not math.isfinite(scale):
         raise ValueError(f"scale = {scale} must be finite")
     from scipy.linalg import expm
@@ -763,7 +777,7 @@ def _in_float_range(m: np.ndarray, what: str) -> np.ndarray:
 def random_local_symplectic(rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
     """Random S_A + S_B direct sum acting locally on a two-mode state.
 
-    Raises DomainError where :func:`random_symplectic` does.
+    Raises ValueError and DomainError where :func:`random_symplectic` does.
     """
     s = np.zeros((4, 4))
     s[:2, :2] = random_symplectic(1, rng, scale)
@@ -779,14 +793,15 @@ def random_covmat(
 ) -> np.ndarray:
     """Random bona fide covariance matrix S^T D S with nu ~ U[1, nu_max].
 
-    Raises ValueError unless ``nu_max`` is finite and at least 1, and for a
-    non-finite ``scale``; DomainError where S or the matrix leaves the
+    Raises ValueError unless ``nu_max`` is finite and at least 1, for a
+    non-finite ``scale`` and for an ``rng`` that is not a
+    numpy.random.Generator; DomainError where S or the matrix leaves the
     float range (see :func:`random_symplectic`).
     """
     n_modes, nu_max = _integer("n_modes", n_modes, 1), _real("nu_max", nu_max)
     if not 1.0 <= nu_max < math.inf:  # also rejects NaN
         raise ValueError(f"nu_max = {nu_max} must be finite and at least 1")
-    nu = rng.uniform(1.0, nu_max, size=n_modes)
+    nu = _random_generator(rng).uniform(1.0, nu_max, size=n_modes)
     s = random_symplectic(n_modes, rng, scale)
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = s.T @ thermal(nu) @ s

@@ -60,8 +60,8 @@ class MeasureKind:
 
     ``mu`` is only set for the fixed-purity measure, whose eigenvalue
     density is supported on the shell prod(1/nu_k) = mu.  Raises
-    ValueError for an unknown tag and for a fixed-purity kind whose ``mu``
-    is not a real number in (0, 1]; that ``mu`` is kept as a Python float.
+    ValueError for an unknown tag, a ``mu`` with any other tag, and a
+    fixed-purity ``mu`` that is not a real number in (0, 1], kept as a float.
     """
 
     tag: str
@@ -75,6 +75,8 @@ class MeasureKind:
             if not 0.0 < mu <= 1.0:  # also rejects NaN
                 raise ValueError(f"mu = {self.mu} must lie in (0, 1]")
             self.__dict__["mu"] = mu
+        elif self.mu is not None:
+            raise ValueError(f"mu = {self.mu!r} is only set for the fixed-purity kind")
 
 
 HILBERT_SCHMIDT = MeasureKind("hilbert-schmidt")
@@ -236,27 +238,28 @@ def _sym_pair(sigma, d_sigma) -> tuple[np.ndarray, np.ndarray, float]:
     return sigma, d_sigma, float(log_det)
 
 
-def _unit_traces(sigma: np.ndarray, d_sigma: np.ndarray) -> tuple[float, float, int]:
-    """(tr y, tr y^2, k) with sigma^-1 d_sigma = 2**k y and y's entries below 1 in size.
+def _traces(sigma: np.ndarray, d_sigma: np.ndarray) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(tr x, tr x^2) of x = sigma^-1 d_sigma, as decimals in the current context.
 
-    The power-of-two scale moves no digit and keeps the products of the line
-    elements in the float range.  Raises ValueError where sigma^-1 d_sigma
-    leaves it.
+    x = 2**k y with y's entries below 1 in size, so that y @ y stays in the
+    float range.  Raises ValueError where x itself leaves it.
     """
     x = np.linalg.solve(sigma, d_sigma)
     if not np.isfinite(x).all():
         raise ValueError("ds^2 leaves the float range")
     k = math.frexp(float(np.abs(x).max()))[1]
     y = np.ldexp(x, -k)
-    return float(np.trace(y)), float(np.trace(y @ y)), k
+    tr1, tr2 = map(decimal.Decimal, (float(np.trace(y)), float(np.trace(y @ y))))
+    scale = decimal.Decimal(2) ** k
+    return tr1 * scale, tr2 * scale * scale
 
 
-def _scaled(value: float, exponent: int) -> float:
-    """value * 2**exponent; ValueError where ds^2 leaves the float range."""
-    try:
-        return math.ldexp(value, exponent)
-    except OverflowError:
-        raise ValueError("ds^2 leaves the float range") from None
+def _ds2(value: decimal.Decimal) -> float:
+    """``value`` rounded once to a float: 0.0 below the float range, ValueError above it."""
+    out = float(value)
+    if out == math.inf:
+        raise ValueError("ds^2 leaves the float range")
+    return out
 
 
 def line_element_hs(sigma, d_sigma) -> float:
@@ -264,43 +267,24 @@ def line_element_hs(sigma, d_sigma) -> float:
 
     ds^2 = ((tr(Sigma^-1 dSigma))^2 + 2 tr((Sigma^-1 dSigma)^2)) / (16 sqrt(det Sigma)).
 
-    1/sqrt(det Sigma) is taken as mantissa times a power of two, both from
-    the log-determinant (:func:`_inv_root_det`), so the result stays right
-    wherever det Sigma or 1/sqrt(det Sigma) leaves the float range.  Raises
-    ValueError only where ds^2 does.
+    The traces and 1/sqrt(det Sigma) = exp(-ln det Sigma / 2) are combined in
+    40 digits and rounded once (:func:`_ds2`), so ds^2 is right wherever it
+    is in the float range, whatever det Sigma is.
     """
     sigma, d_sigma, log_det = _sym_pair(sigma, d_sigma)
-    tr1, tr2, k = _unit_traces(sigma, d_sigma)
-    mantissa, exponent = _inv_root_det(log_det)
-    return _scaled((tr1 * tr1 + 2.0 * tr2) / 16.0 * mantissa, 2 * k + exponent)
-
-
-#: ln 2 as head + tail: the head has 32 significant bits, so n * head is
-#: exact for |n| < 2**21 (fdlibm's split).
-_LN2_HEAD = 6.93147180369123816490e-01
-_LN2_TAIL = 1.90821492927058770002e-10
-
-
-def _inv_root_det(log_det: float) -> tuple[float, int]:
-    """(m, n) with 1/sqrt(det Sigma) = m * 2**n and m in [1/sqrt 2, sqrt 2].
-
-    n is the nearest integer to -ln(det Sigma)/(2 ln 2) and m = exp(r) with
-    r = -ln(det Sigma)/2 - n ln 2, reduced against ln 2 in two parts so
-    that the reduction adds no rounding beyond that of r itself.
-    """
-    x = -0.5 * log_det
-    n = round(x / _LN2_HEAD)
-    return math.exp((x - n * _LN2_HEAD) - n * _LN2_TAIL), n
+    with decimal.localcontext(_WIDE):
+        tr1, tr2 = _traces(sigma, d_sigma)
+        return _ds2((tr1 * tr1 + 2 * tr2) / 16 * (decimal.Decimal(log_det) / -2).exp())
 
 
 def line_element_fr(sigma, d_sigma) -> float:
     """Squared Fisher-Rao length: tr((Sigma^-1 dSigma)^2) / 2.
 
-    Raises ValueError where it leaves the float range.
+    Rounded once from 40 digits, as :func:`line_element_hs` is.
     """
     sigma, d_sigma, _ = _sym_pair(sigma, d_sigma)
-    _, tr2, k = _unit_traces(sigma, d_sigma)
-    return _scaled(0.5 * tr2, 2 * k)
+    with decimal.localcontext(_WIDE):
+        return _ds2(_traces(sigma, d_sigma)[1] / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +319,29 @@ def _group_tangent(base: np.ndarray, gen: np.ndarray) -> np.ndarray:
 
 
 def _gram_sqrt_det(base: np.ndarray, tangents: list[np.ndarray], quad) -> float:
-    """sqrt(det g) of a quadratic form via the polarization identity."""
-    k = len(tangents)
+    """sqrt(det g) of a quadratic form via the polarization identity, rounded once to a float.
+
+    The Gram matrix g' is taken of the tangents t_i / 2**e_i, with entries
+    below 1 in size, so the polarization mixes tangents of one size; then
+    sqrt(det g) = exp(ln det g' / 2) * 2**sum(e_i) in 40 digits: 0.0 below the
+    float range, inf above it, and 0.0 where g is singular.
+    """
+    exponents = [math.frexp(float(np.abs(t).max()))[1] for t in tangents]
+    units = [np.ldexp(t, -e) for t, e in zip(tangents, exponents)]
+    k = len(units)
     g = np.empty((k, k))
     for i in range(k):
-        g[i, i] = quad(base, tangents[i])
+        g[i, i] = quad(base, units[i])
         for j in range(i):
-            plus = quad(base, tangents[i] + tangents[j])
-            minus = quad(base, tangents[i] - tangents[j])
+            plus = quad(base, units[i] + units[j])
+            minus = quad(base, units[i] - units[j])
             g[i, j] = g[j, i] = 0.25 * (plus - minus)
-    det = float(np.linalg.det(g))
-    return float(np.sqrt(det)) if det > 0.0 else 0.0
+    sign, log_det = np.linalg.slogdet(g)
+    if not sign > 0.0:
+        return 0.0
+    with decimal.localcontext(_WIDE):
+        root = (decimal.Decimal(float(log_det)) / 2).exp()
+        return float(root * decimal.Decimal(2) ** sum(exponents))
 
 
 def numeric_metric_density(nu, kind: MeasureKind) -> float:
@@ -358,7 +354,8 @@ def numeric_metric_density(nu, kind: MeasureKind) -> float:
     dD + H^T D + D H.  The metric comes from the line elements alone, so
     this validates the closed-form densities without re-deriving them: for
     a fixed mode number the ratio to :func:`density_hs` or
-    :func:`density_fr` is constant over spectra.  A degenerate spectrum
+    :func:`density_fr` is constant over spectra, also where det g leaves
+    the float range (see :func:`_gram_sqrt_det`).  A degenerate spectrum
     gives a singular metric and the value 0.
     """
     nu = np.array(_finite_spectrum(nu))
@@ -398,7 +395,7 @@ def hs_density_invariant_coords(coords: InvariantCoords) -> float:
         raise DomainError(f"purities (mu, mu_A, mu_B) = {mus} must lie in [2**-511, 1]")
     with decimal.localcontext(_WIDE):
         mu, mu_a, mu_b = map(decimal.Decimal, mus)
-        return _to_float(decimal.Decimal(math.sqrt(3.0)) / 512 * mu**7 / (mu_a * mu_b) ** 3)
+        return _to_float(decimal.Decimal(3).sqrt() / 512 * mu**7 / (mu_a * mu_b) ** 3)
 
 
 def hs_density_std_form(std: StdForm) -> float:
@@ -441,7 +438,8 @@ def numeric_std_form_density(std: StdForm) -> float:
     group directions around the identity, with exact tangent vectors: the
     matrix is linear in (a, b, c+, c-), and a local generator G moves it by
     G^T Sigma + Sigma G.  Proportional to :func:`hs_density_std_form` with
-    a spectrum-independent constant.
+    a spectrum-independent constant, at every scale of the standard form
+    (see :func:`_gram_sqrt_det`).
     """
     base = std.matrix()
     tangents = [StdForm(*unit).matrix() for unit in np.eye(4)]

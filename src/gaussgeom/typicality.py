@@ -55,8 +55,10 @@ from .core import (
 from .correlations import (
     _LN2,
     RegionClass,
-    delta_bounds_batch,  # noqa: F401  (re-exported: callers import it from here)
-    log_negativity,  # noqa: F401  (re-exported: callers import it from here)
+    # Unused here; kept as attributes for bench/checks.py, whose
+    # test_wrappers_reach_names_imported_elsewhere traces them on this module.
+    delta_bounds_batch,  # noqa: F401
+    log_negativity,  # noqa: F401
     logneg_average,
     _region_codes,
     _seralian_average,
@@ -310,11 +312,14 @@ def energy_weight(mu_a, mu_b, energy: float):
     purity and cancels in every ensemble average.  A purity of 0 gives the
     zero, with no numpy warning.  The purities are read by
     :func:`~gaussgeom.core._real_array`; DomainError unless they lie in
-    [0, 1] (see :func:`_inverse_purity`).
+    [0, 1] (see :func:`_inverse_purity`), and unless the energy is finite.
     """
     mu_a, mu_b = _real_array("mu_a", mu_a), _real_array("mu_b", mu_b)
+    energy = _real("energy", energy)
+    if not math.isfinite(energy):
+        raise DomainError(f"energy = {energy} must be finite")
     with np.errstate(divide="ignore", over="ignore"):
-        excess = _real("energy", energy) - _inverse_purity("mu_a", mu_a) - _inverse_purity("mu_b", mu_b)
+        excess = energy - _inverse_purity("mu_a", mu_a) - _inverse_purity("mu_b", mu_b)
     w = np.divide(excess, mu_a**2 * mu_b**2, out=np.zeros_like(excess), where=excess > 0.0)
     return float(w) if w.ndim == 0 else w
 

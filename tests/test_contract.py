@@ -410,6 +410,20 @@ _HUGE_CALLS = {
 }
 
 
+_RNG_CALLS = {
+    "random_symplectic": lambda: gg.random_symplectic(1, None),
+    "random_local_symplectic": lambda: gg.random_local_symplectic(np.random.default_rng),
+    "random_covmat": lambda: gg.random_covmat(2, 5),
+}
+
+
+@pytest.mark.parametrize("call", _RNG_CALLS.values(), ids=_RNG_CALLS.keys())
+def test_an_rng_that_is_no_generator_raises_value_error_naming_it(call):
+    # Each leaked an AttributeError ("'NoneType' object has no attribute 'uniform'").
+    with pytest.raises(ValueError, match="rng must be a numpy.random.Generator"):
+        call()
+
+
 @pytest.mark.parametrize("call, name", _HUGE_CALLS.values(), ids=_HUGE_CALLS.keys())
 def test_ints_beyond_the_float_range_raise_value_error_naming_the_argument(call, name):
     # Each raised OverflowError from a conversion to float.
@@ -622,6 +636,16 @@ def test_energy_weight_reads_purities_in_zero_one(call, match):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             call()
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_energy_weight_reads_a_finite_energy(energy):
+    # A NaN energy gave the weights [0, 0] and an infinite one inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gg.DomainError, match=f"energy = {energy} must be finite"):
+            gg.energy_weight([0.5, 0.6], 0.5, energy)
+    assert gg.energy_weight([0.5, 0.6], 0.5, 2.0).tolist() == [0.0, 0.0]
 
 
 def test_energy_weight_reads_numpy_scalars_ints_and_empty_sequences():

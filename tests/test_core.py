@@ -339,6 +339,22 @@ def test_two_mode_finite_entries_whose_sum_overflows_are_accepted(rows):
     assert core._two_mode_rows(sigma) == rows
 
 
+@pytest.mark.parametrize("size", [2, 4, 6])
+def test_asymmetry_beyond_the_float_range_raises_without_a_warning(size, tmp_path):
+    # Every size but 4 leaked numpy's "overflow encountered in subtract".
+    sigma = np.eye(size)
+    sigma[0, 1], sigma[1, 0] = 1e308, -1e308
+    message = "covariance matrix is not symmetric (max asymmetry inf)"
+    calls = (validate_covmat, symplectic_spectrum, is_bona_fide, purity,
+             lambda m: write_covmat(tmp_path / "sigma.txt", m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn(sigma)
+    assert not (tmp_path / "sigma.txt").exists()
+
+
 def test_two_mode_list_and_integer_input():
     rows = [[3, 0, 1, 0], [0, 2, 0, -1], [1, 0, 4, 0], [0, -1, 0, 2]]
     sigma = np.array(rows, dtype=float)

@@ -134,6 +134,15 @@ def test_measure_kind_rejects_a_fixed_purity_outside_the_unit_interval(mu):
     with pytest.raises(ValueError, match="unknown measure kind 'bogus'"):
         MeasureKind("bogus", mu)
 
+@pytest.mark.parametrize("kind", [HILBERT_SCHMIDT, FISHER_RAO, REDUCED_PURE], ids=lambda k: k.tag)
+def test_measure_kind_takes_a_mu_for_the_fixed_purity_kind_only(kind):
+    # MeasureKind("hilbert-schmidt", mu=0.3) was kept, unequal to
+    # HILBERT_SCHMIDT, and density ignored its mu.
+    with pytest.raises(ValueError, match="only set for the fixed-purity kind"):
+        MeasureKind(kind.tag, 0.3)
+    assert MeasureKind(kind.tag, None) == kind
+
+
 def test_density_ratio_rejects_nan_and_overflows_to_inf():
     for nu in ([np.nan, 2.0], [2.0, np.nan]):
         with pytest.raises(ValueError, match=">= 1"):
@@ -499,6 +508,20 @@ def test_numeric_metric_density_constants(n, fr, hs):
         )
 
 
+@pytest.mark.parametrize(
+    "kind, closed_form", [(HILBERT_SCHMIDT, density_hs), (FISHER_RAO, density_fr)], ids=["hs", "fr"]
+)
+def test_numeric_metric_density_ratio_holds_where_det_g_leaves_the_float_range(kind, closed_form):
+    # det g of the HS metric at [1e20, 2e20] is about 6e-488: np.linalg.det
+    # returned 0.0 there, where density_hs is 3.5e-242.
+    def ratio(nu):
+        return numeric_metric_density(nu, kind) / closed_form(nu)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ratio([1e20, 2e20]) == pytest.approx(ratio([1.5, 2.0]), rel=1e-12, abs=0.0)
+
+
 def test_numeric_metric_density_edge_cases():
     assert numeric_metric_density([1.0], HILBERT_SCHMIDT) > 0.0
     assert numeric_metric_density([1.5, 1.5], FISHER_RAO) == 0.0
@@ -612,3 +635,17 @@ def test_numeric_std_form_density_proportional():
     assert (ratios.max() - ratios.min()) / ratios.mean() < 1e-12
     # The two-mode Hilbert-Schmidt constant of numeric_metric_density.
     np.testing.assert_allclose(ratios, math.sqrt(3.0) / 256.0, rtol=1e-12, atol=0.0)
+
+
+def test_numeric_std_form_density_ratio_is_scale_free():
+    # det g underflowed (0.0 at s >= 1e12) or overflowed, and the polarization
+    # mixed unit tangents with group tangents of size s, off by -9.1e-9 at 1e8.
+    def ratio(s):
+        std = StdForm(s, s, s / 2, -3 * s / 10)
+        return numeric_std_form_density(std) / hs_density_std_form(std)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = ratio(1.0)
+        for s in (1e-20, 1e-8, 1e-4, 1e4, 1e8, 1e12, 1e16, 1e20):
+            assert ratio(s) == pytest.approx(unit, rel=1e-12, abs=0.0), s
